@@ -1,9 +1,9 @@
 //! Generic (unspecialized) incremental checkpointing under each engine.
 //!
-//! The traversal is semantically identical to
-//! `ickp_core::Checkpointer` in incremental mode; only the *dispatch
-//! mechanism* for reaching each object's `record`/`fold` methods differs
-//! per [`Engine`]:
+//! The walk, the journal fast path and the bytes are
+//! `ickp_core::Checkpointer`'s; only the *dispatch mechanism* for reaching
+//! each object's `record`/`fold` methods differs per [`Engine`], plugged
+//! in through `Checkpointer::checkpoint_resolving`:
 //!
 //! * `Jdk12` — a hash-table lookup per virtual call (itable search; the
 //!   JIT neither caches nor inlines),
@@ -13,12 +13,9 @@
 
 use crate::barrier_shadow::{BarrierShadow, BarrierShadowReport};
 use crate::engine::Engine;
-use ickp_core::{
-    BufferPool, CheckpointKind, CheckpointRecord, CoreError, JournalCache, MethodTable,
-    StreamWriter, TraversalStats,
-};
-use ickp_heap::{ClassId, ClassRegistry, Heap, ObjectId, StableId};
-use std::collections::{HashMap, HashSet};
+use ickp_core::{CheckpointConfig, CheckpointRecord, Checkpointer, CoreError, MethodTable};
+use ickp_heap::{ClassId, ClassRegistry, Heap, ObjectId};
+use std::collections::HashMap;
 
 /// Generic incremental checkpointing under a selected engine.
 #[derive(Debug)]
@@ -29,14 +26,7 @@ pub struct GenericBackend {
     itable: HashMap<u32, ClassId>,
     /// HotSpot inline cache: the last class dispatched at this call site.
     cache: Option<ClassId>,
-    next_seq: u64,
-    /// Traversal-order cache for the dirty-set journal fast path, rebuilt
-    /// by every slow-path checkpoint (see `ickp_core::JournalCache`).
-    journal_cache: Option<JournalCache>,
-    /// Recycles encode buffers between checkpoints.
-    pool: BufferPool,
-    /// Reusable `(position, id)` scratch for the fast path's sort.
-    scratch: Vec<(u32, ObjectId)>,
+    driver: Checkpointer,
     /// Differential journal sanitizer; populated (and fed) only when the
     /// `barrier-sanitize` feature arms it.
     shadow: Option<BarrierShadow>,
@@ -47,17 +37,25 @@ pub struct GenericBackend {
 impl GenericBackend {
     /// Builds the backend for a class registry.
     pub fn new(engine: Engine, registry: &ClassRegistry) -> GenericBackend {
-        let table = MethodTable::derive(registry);
-        let itable = registry.iter().map(|d| (d.id().index() as u32, d.id())).collect();
+        GenericBackend::with_config(engine, registry, CheckpointConfig::incremental())
+    }
+
+    /// [`GenericBackend::new`] with an explicit driver configuration —
+    /// e.g. `CheckpointConfig::incremental().without_journal()` so every
+    /// round pays the paper's full flag-testing traversal under the
+    /// engine's dispatch (the paper-figure harnesses need this: with the
+    /// journal on, steady-state rounds ride the journal fast path).
+    pub fn with_config(
+        engine: Engine,
+        registry: &ClassRegistry,
+        config: CheckpointConfig,
+    ) -> GenericBackend {
         GenericBackend {
             engine,
-            table,
-            itable,
+            table: MethodTable::derive(registry),
+            itable: registry.iter().map(|d| (d.id().index() as u32, d.id())).collect(),
             cache: None,
-            next_seq: 0,
-            journal_cache: None,
-            pool: BufferPool::default(),
-            scratch: Vec::new(),
+            driver: Checkpointer::new(config),
             #[cfg(feature = "barrier-sanitize")]
             shadow: Some(BarrierShadow::new(registry)),
             #[cfg(not(feature = "barrier-sanitize"))]
@@ -69,35 +67,6 @@ impl GenericBackend {
     /// The engine in force.
     pub fn engine(&self) -> Engine {
         self.engine
-    }
-
-    /// Resolves a class through the engine's dispatch mechanism.
-    ///
-    /// All three return the same class id — what differs is the work done
-    /// to obtain it, which is exactly the overhead the engines differ by.
-    #[inline]
-    fn dispatch(&mut self, class: ClassId) -> Result<ClassId, CoreError> {
-        match self.engine {
-            Engine::Harissa => Ok(class),
-            Engine::Jdk12 => self
-                .itable
-                .get(&(class.index() as u32))
-                .copied()
-                .ok_or(CoreError::UnknownClassIndex(class.index() as u32)),
-            Engine::HotSpot => {
-                if self.cache == Some(class) {
-                    Ok(class)
-                } else {
-                    let resolved = self
-                        .itable
-                        .get(&(class.index() as u32))
-                        .copied()
-                        .ok_or(CoreError::UnknownClassIndex(class.index() as u32))?;
-                    self.cache = Some(resolved);
-                    Ok(resolved)
-                }
-            }
-        }
     }
 
     /// Takes one incremental checkpoint of `roots`.
@@ -116,7 +85,11 @@ impl GenericBackend {
         heap: &mut Heap,
         roots: &[ObjectId],
     ) -> Result<CheckpointRecord, CoreError> {
-        let (record, fast_path) = self.checkpoint_impl(heap, roots)?;
+        let fast_path = self.shadow.is_some() && self.driver.journal_usable(heap, roots);
+        let GenericBackend { engine, itable, cache, .. } = self;
+        let record = self.driver.checkpoint_resolving(heap, &self.table, roots, |class| {
+            dispatch(*engine, itable, cache, class)
+        })?;
         if let Some(shadow) = self.shadow.as_mut() {
             shadow.absorb(&record)?;
             self.last_barrier = Some(shadow.verify(heap, roots, fast_path)?);
@@ -130,120 +103,33 @@ impl GenericBackend {
     pub fn barrier_report(&self) -> Option<&BarrierShadowReport> {
         self.last_barrier.as_ref()
     }
+}
 
-    fn checkpoint_impl(
-        &mut self,
-        heap: &mut Heap,
-        roots: &[ObjectId],
-    ) -> Result<(CheckpointRecord, bool), CoreError> {
-        let seq = self.next_seq;
-        let root_ids: Vec<StableId> =
-            roots.iter().map(|&r| heap.stable_id(r)).collect::<Result<_, _>>()?;
-        if let Some(cache) = self.journal_cache.take() {
-            if cache.is_valid(heap, roots) {
-                let result = self.checkpoint_from_journal(heap, &cache, root_ids);
-                self.journal_cache = Some(cache);
-                return result.map(|record| (record, true));
-            }
-        }
-        let (mut writer, reused) = self.writer_for(seq, &root_ids);
-        let mut stats = TraversalStats { bytes_reused: reused, ..TraversalStats::default() };
-        let mut builder = JournalCache::builder(heap, roots);
-
-        let mut stack: Vec<ObjectId> = roots.iter().rev().copied().collect();
-        let mut visited: HashSet<ObjectId> = HashSet::with_capacity(roots.len() * 4);
-        while let Some(id) = stack.pop() {
-            if !visited.insert(id) {
-                continue;
-            }
-            stats.objects_visited += 1;
-            stats.flag_tests += 1;
-            builder.visit(id);
-            let class = heap.class_of(id)?;
-            if heap.is_modified(id)? {
-                let resolved = self.dispatch(class)?;
-                let def = heap.class(resolved)?;
-                writer.begin_object(heap.stable_id(id)?, resolved, def.num_slots());
-                stats.virtual_calls += 1;
-                self.table.record(resolved)?(heap, id, &mut writer)?;
-                stats.objects_recorded += 1;
-                heap.reset_modified(id)?;
-            }
-            let resolved = self.dispatch(class)?;
-            stats.virtual_calls += 1;
-            let before = stack.len();
-            self.table.fold(resolved)?(heap, id, &mut |child| {
-                stack.push(child);
-                Ok(())
-            })?;
-            stats.refs_followed += (stack.len() - before) as u64;
-            stack[before..].reverse();
-        }
-
-        self.journal_cache = Some(builder.finish());
-        heap.finish_journal_epoch();
-        stats.bytes_written = writer.len() as u64;
-        let bytes = writer.finish();
-        self.next_seq += 1;
-        Ok((
-            CheckpointRecord::from_parts(seq, CheckpointKind::Incremental, root_ids, bytes, stats)
-                .with_pool(self.pool.clone()),
-            false,
-        ))
-    }
-
-    /// The journal fast path under this backend's dispatch regime: records
-    /// are emitted straight from the sorted dirty set, but each emission
-    /// still pays the engine's dispatch cost (itable lookup, inline cache,
-    /// or direct), so the engine axis stays measurable.
-    fn checkpoint_from_journal(
-        &mut self,
-        heap: &mut Heap,
-        cache: &JournalCache,
-        root_ids: Vec<StableId>,
-    ) -> Result<CheckpointRecord, CoreError> {
-        let seq = self.next_seq;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let scanned = cache.collect_dirty(heap, &mut scratch);
-        let hits = scratch.len() as u64;
-        let mut stats = TraversalStats {
-            flag_tests: scanned,
-            journal_hits: hits,
-            objects_visited: hits,
-            subtrees_pruned: cache.reachable_len().saturating_sub(hits),
-            ..TraversalStats::default()
-        };
-
-        let (mut writer, reused) = self.writer_for(seq, &root_ids);
-        stats.bytes_reused = reused;
-        for &(_, id) in &scratch {
-            let class = heap.class_of(id)?;
-            let resolved = self.dispatch(class)?;
-            let def = heap.class(resolved)?;
-            writer.begin_object(heap.stable_id(id)?, resolved, def.num_slots());
-            stats.virtual_calls += 1;
-            self.table.record(resolved)?(heap, id, &mut writer)?;
-            stats.objects_recorded += 1;
-            heap.reset_modified(id)?;
-        }
-        scratch.clear();
-        self.scratch = scratch;
-        heap.finish_journal_epoch();
-
-        stats.bytes_written = writer.len() as u64;
-        let bytes = writer.finish();
-        self.next_seq += 1;
-        Ok(CheckpointRecord::from_parts(seq, CheckpointKind::Incremental, root_ids, bytes, stats)
-            .with_pool(self.pool.clone()))
-    }
-
-    fn writer_for(&mut self, seq: u64, root_ids: &[StableId]) -> (StreamWriter, u64) {
-        match self.pool.acquire() {
-            Some(buf) => {
-                let reused = buf.capacity() as u64;
-                (StreamWriter::with_buffer(buf, seq, CheckpointKind::Incremental, root_ids), reused)
-            }
-            None => (StreamWriter::new(seq, CheckpointKind::Incremental, root_ids), 0),
+/// Resolves a class through `engine`'s dispatch mechanism.
+///
+/// All three return the same class id — what differs is the work done to
+/// obtain it, which is exactly the overhead the engines differ by.
+#[inline]
+fn dispatch(
+    engine: Engine,
+    itable: &HashMap<u32, ClassId>,
+    cache: &mut Option<ClassId>,
+    class: ClassId,
+) -> Result<ClassId, CoreError> {
+    let lookup = || {
+        itable
+            .get(&(class.index() as u32))
+            .copied()
+            .ok_or(CoreError::UnknownClassIndex(class.index() as u32))
+    };
+    match engine {
+        Engine::Harissa => Ok(class),
+        Engine::Jdk12 => lookup(),
+        Engine::HotSpot if *cache == Some(class) => Ok(class),
+        Engine::HotSpot => {
+            let resolved = lookup()?;
+            *cache = Some(resolved);
+            Ok(resolved)
         }
     }
 }

@@ -15,11 +15,10 @@
 use crate::engine::Engine;
 use crate::threaded::ThreadedPlan;
 use ickp_core::{
-    CheckpointKind, CheckpointRecord, CoreError, MethodTable, StreamWriter, TraversalStats,
+    CheckpointKind, CheckpointRecord, CoreError, MethodTable, StreamWriter, TraversalStats, Walker,
 };
 use ickp_heap::{Heap, ObjectId, StableId};
 use ickp_spec::{GuardMode, Plan};
-use std::collections::HashSet;
 
 /// Specialized incremental checkpointing under a selected engine.
 #[derive(Debug)]
@@ -124,8 +123,7 @@ impl SpecializedBackend {
 
         if threaded_mode {
             let mut regs = vec![None; self.threaded.num_regs() as usize];
-            let mut scratch = Vec::new();
-            let mut seen = HashSet::new();
+            let mut walker = Walker::new(CheckpointKind::Incremental);
             for &root in roots {
                 regs.fill(None);
                 self.threaded.run(
@@ -135,8 +133,7 @@ impl SpecializedBackend {
                     guard,
                     methods,
                     &mut regs,
-                    &mut scratch,
-                    &mut seen,
+                    &mut walker,
                     &mut stats,
                 )?;
             }

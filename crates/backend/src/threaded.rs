@@ -7,12 +7,9 @@
 //! one dynamic call per instruction — the specialized program with
 //! engine-level indirection still on top.
 
-use ickp_core::{CoreError, MethodTable, StreamWriter, TraversalStats};
+use ickp_core::{CoreError, MethodTable, StreamWriter, TraversalStats, Walker};
 use ickp_heap::{Heap, ObjectId, Value};
-use ickp_spec::{
-    generic_incremental_into, record_with_template, GuardMode, Op, Plan, RecordTemplate,
-};
-use std::collections::HashSet;
+use ickp_spec::{record_with_template, GuardMode, Op, Plan, RecordTemplate};
 
 /// Execution context threaded through the closure chain.
 pub struct Ctx<'a> {
@@ -28,10 +25,8 @@ pub struct Ctx<'a> {
     pub methods: Option<&'a MethodTable>,
     /// Guard strictness.
     pub mode: GuardMode,
-    /// Scratch for generic fallbacks.
-    pub scratch: &'a mut Vec<ObjectId>,
-    /// Scratch visited-set for generic fallbacks.
-    pub seen: &'a mut HashSet<ObjectId>,
+    /// The generic walk behind fallbacks.
+    pub walker: &'a mut Walker,
     /// The plan root for this run.
     pub root: ObjectId,
 }
@@ -157,15 +152,8 @@ impl ThreadedPlan {
                             expected: "a method table for generic fallback".into(),
                             found: "none supplied".into(),
                         })?;
-                        generic_incremental_into(
-                            ctx.heap,
-                            table,
-                            id,
-                            ctx.writer,
-                            ctx.stats,
-                            ctx.scratch,
-                            ctx.seen,
-                        )?;
+                        *ctx.stats +=
+                            ctx.walker.walk_into(ctx.heap, table, &[id], ctx.writer, None, Ok)?;
                         Ok(0)
                     }),
                 }
@@ -208,11 +196,10 @@ impl ThreadedPlan {
         mode: GuardMode,
         methods: Option<&MethodTable>,
         regs: &mut [Option<ObjectId>],
-        scratch: &mut Vec<ObjectId>,
-        seen: &mut HashSet<ObjectId>,
+        walker: &mut Walker,
         stats: &mut TraversalStats,
     ) -> Result<(), CoreError> {
-        let mut ctx = Ctx { regs, heap, writer, stats, methods, mode, scratch, seen, root };
+        let mut ctx = Ctx { regs, heap, writer, stats, methods, mode, walker, root };
         let mut pc = 0usize;
         while pc < self.ops.len() {
             // One dynamic call per residual instruction: the threaded-code
@@ -268,22 +255,11 @@ mod tests {
     ) -> (Vec<u8>, TraversalStats) {
         let threaded = ThreadedPlan::compile(plan);
         let mut regs = vec![None; threaded.num_regs() as usize];
-        let mut scratch = Vec::new();
-        let mut seen = HashSet::new();
+        let mut walker = Walker::new(CheckpointKind::Incremental);
         let mut writer = StreamWriter::new(0, CheckpointKind::Incremental, &[]);
         let mut stats = TraversalStats::default();
         threaded
-            .run(
-                heap,
-                root,
-                &mut writer,
-                mode,
-                None,
-                &mut regs,
-                &mut scratch,
-                &mut seen,
-                &mut stats,
-            )
+            .run(heap, root, &mut writer, mode, None, &mut regs, &mut walker, &mut stats)
             .unwrap();
         (writer.finish(), stats)
     }
@@ -328,8 +304,7 @@ mod tests {
                     mode,
                     None,
                     &mut regs,
-                    &mut Vec::new(),
-                    &mut HashSet::new(),
+                    &mut Walker::new(CheckpointKind::Incremental),
                     &mut stats,
                 )
                 .unwrap_err();

@@ -44,47 +44,64 @@ fn mirrored_world(n: usize) -> (Heap, Heap, Vec<ObjectId>, Vec<Vec<ObjectId>>) {
     (a, b, roots_a, lists_a)
 }
 
-/// Applies the same script of random writes to both mirrors: mostly Int
+/// Applies the same script of random writes to every mirror: mostly Int
 /// writes (journal-friendly), occasionally a ref rewire that invalidates
 /// the cached traversal order and forces the next round to the slow path.
-fn mutate(rng: &mut Prng, heaps: [&mut Heap; 2], lists: &[Vec<ObjectId>]) {
-    let [a, b] = heaps;
+fn mutate<const N: usize>(rng: &mut Prng, mut heaps: [&mut Heap; N], lists: &[Vec<ObjectId>]) {
     for _ in 0..1 + rng.index(6) {
         let list = rng.index(lists.len());
         let pos = rng.index(lists[list].len());
         let id = lists[list][pos];
-        if rng.ratio(1, 8) {
+        let (slot, value) = if rng.ratio(1, 8) {
             let target = if rng.next_bool() { None } else { Some(*rng.choose(&lists[list])) };
-            a.set_field(id, 1, Value::Ref(target)).unwrap();
-            b.set_field(id, 1, Value::Ref(target)).unwrap();
+            (1, Value::Ref(target))
         } else {
-            let v = rng.next_i32();
-            a.set_field(id, 0, Value::Int(v)).unwrap();
-            b.set_field(id, 0, Value::Int(v)).unwrap();
+            (0, Value::Int(rng.next_i32()))
+        };
+        for heap in &mut heaps {
+            heap.set_field(id, slot, value).unwrap();
         }
     }
 }
 
 #[test]
 fn generic_backends_match_the_reference_stream_every_round() {
+    let with_journal = CheckpointConfig::incremental();
     for engine in Engine::ALL {
-        let mut rng = Prng::seed_from_u64(0xe9e1_0001);
-        let (mut heap, mut ref_heap, roots, lists) = mirrored_world(8);
-        let mut backend = GenericBackend::new(engine, heap.registry());
-        let table = MethodTable::derive(ref_heap.registry());
-        let mut reference = Checkpointer::new(CheckpointConfig::incremental().without_journal());
+        for config in [with_journal, with_journal.without_journal()] {
+            let mut rng = Prng::seed_from_u64(0xe9e1_0001);
+            let (mut heap, mut ref_heap, roots, lists) = mirrored_world(8);
+            let mut twin_heap = heap.clone();
+            let mut backend = GenericBackend::with_config(engine, heap.registry(), config);
+            let table = MethodTable::derive(ref_heap.registry());
+            let mut reference =
+                Checkpointer::new(CheckpointConfig::incremental().without_journal());
+            // The backend's own driver configuration: engine dispatch must
+            // leave every counter as the plain driver's.
+            let mut twin = Checkpointer::new(config);
 
-        let mut journal_rounds = 0u32;
-        for round in 0..20 {
-            mutate(&mut rng, [&mut heap, &mut ref_heap], &lists);
-            let a = backend.checkpoint(&mut heap, &roots).unwrap();
-            let b = reference.checkpoint(&mut ref_heap, &table, &roots).unwrap();
-            assert_eq!(a.bytes(), b.bytes(), "{engine} round {round}");
-            if a.stats().journal_hits > 0 {
-                journal_rounds += 1;
+            let mut journal_rounds = 0u32;
+            for round in 0..20 {
+                mutate(&mut rng, [&mut heap, &mut ref_heap, &mut twin_heap], &lists);
+                let a = backend.checkpoint(&mut heap, &roots).unwrap();
+                let b = reference.checkpoint(&mut ref_heap, &table, &roots).unwrap();
+                let c = twin.checkpoint(&mut twin_heap, &table, &roots).unwrap();
+                let label = format!("{engine} journal {} round {round}", config.journal);
+                assert_eq!(a.bytes(), b.bytes(), "{label}");
+                assert_eq!(a.stats(), c.stats(), "{label}");
+                if a.stats().journal_hits > 0 {
+                    journal_rounds += 1;
+                }
+            }
+            if config.journal {
+                assert!(
+                    journal_rounds > 5,
+                    "{engine}: only {journal_rounds} journal-served rounds"
+                );
+            } else {
+                assert_eq!(journal_rounds, 0, "{engine}: journal off, yet rounds were served");
             }
         }
-        assert!(journal_rounds > 5, "{engine}: only {journal_rounds} journal-served rounds");
     }
 }
 

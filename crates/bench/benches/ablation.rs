@@ -11,11 +11,10 @@
 
 use ickp_backend::ThreadedPlan;
 use ickp_bench::BenchGroup;
-use ickp_core::{CheckpointKind, StreamWriter, TraversalStats};
+use ickp_core::{CheckpointKind, StreamWriter, TraversalStats, Walker};
 use ickp_heap::Value;
 use ickp_spec::{GuardMode, Specializer};
 use ickp_synth::{SynthConfig, SynthWorld};
-use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 fn world() -> SynthWorld {
@@ -58,8 +57,7 @@ fn main() {
                 let start = Instant::now();
                 if threaded {
                     let mut regs = vec![None; threaded_plan.num_regs() as usize];
-                    let mut scratch = Vec::new();
-                    let mut seen = HashSet::new();
+                    let mut walker = Walker::new(CheckpointKind::Incremental);
                     for &root in &roots {
                         threaded_plan
                             .run(
@@ -69,8 +67,7 @@ fn main() {
                                 mode,
                                 None,
                                 &mut regs,
-                                &mut scratch,
-                                &mut seen,
+                                &mut walker,
                                 &mut stats,
                             )
                             .expect("run");

@@ -19,7 +19,7 @@ fn main() {
             let mods = ModificationSpec { pct_modified: 50, modified_lists: k, last_only: true };
             let label = format!("ints{ints}_lists{k}");
             group.bench_custom(&format!("incremental/{label}"), |iters| {
-                runner.time_rounds(Variant::Incremental, &mods, iters as usize)
+                runner.time_rounds(Variant::IncrementalNoJournal, &mods, iters as usize)
             });
             group.bench_custom(&format!("spec-last-only/{label}"), |iters| {
                 runner.time_rounds(Variant::SpecLastOnly, &mods, iters as usize)

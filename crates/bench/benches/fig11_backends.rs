@@ -26,7 +26,7 @@ fn main() {
         });
     }
     group.bench_custom("parallel/4workers", |iters| {
-        runner.time_rounds(Variant::Parallel(4), &mods, iters as usize)
+        runner.time_rounds(Variant::ParallelNoJournal(4), &mods, iters as usize)
     });
     group.finish();
 }

@@ -18,7 +18,7 @@ fn main() {
         let mods = ModificationSpec { pct_modified: pct, modified_lists: 5, last_only: false };
         let label = format!("len{len}_ints{ints}_pct{pct}");
         group.bench_custom(&format!("incremental/{label}"), |iters| {
-            runner.time_rounds(Variant::Incremental, &mods, iters as usize)
+            runner.time_rounds(Variant::IncrementalNoJournal, &mods, iters as usize)
         });
         group.bench_custom(&format!("spec-structure/{label}"), |iters| {
             runner.time_rounds(Variant::SpecStructure, &mods, iters as usize)

@@ -18,7 +18,7 @@ fn main() {
         let mods = ModificationSpec { pct_modified: 50, modified_lists: k, last_only: false };
         let label = format!("lists{k}_pct50");
         group.bench_custom(&format!("incremental/{label}"), |iters| {
-            runner.time_rounds(Variant::Incremental, &mods, iters as usize)
+            runner.time_rounds(Variant::IncrementalNoJournal, &mods, iters as usize)
         });
         group.bench_custom(&format!("spec-lists/{label}"), |iters| {
             runner.time_rounds(Variant::SpecModifiedLists, &mods, iters as usize)

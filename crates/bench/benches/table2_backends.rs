@@ -27,7 +27,7 @@ fn main() {
     }
     for workers in [1usize, 4] {
         group.bench_custom(&format!("parallel/{workers}workers"), |iters| {
-            runner.time_rounds(Variant::Parallel(workers), &mods, iters as usize)
+            runner.time_rounds(Variant::ParallelNoJournal(workers), &mods, iters as usize)
         });
     }
     group.finish();

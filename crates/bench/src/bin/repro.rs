@@ -1364,7 +1364,7 @@ fn fig7(opts: &Options) {
             for pct in PCTS {
                 let m = mods(pct, 5, false);
                 let full = runner.measure(Variant::FullGeneric, &m, opts.rounds);
-                let incr = runner.measure(Variant::Incremental, &m, opts.rounds);
+                let incr = runner.measure(Variant::IncrementalNoJournal, &m, opts.rounds);
                 grid.rows.push(format!(
                     "{:<22} {:>12} {:>12} {:>12} {:>8.2}x",
                     format!("{ints} int / len {len} / {pct}%"),
@@ -1401,7 +1401,7 @@ fn spec_figure(
             for &k in ks {
                 for pct in PCTS {
                     let m = mods(pct, k, last_only);
-                    let incr = runner.measure(Variant::Incremental, &m, opts.rounds);
+                    let incr = runner.measure(Variant::IncrementalNoJournal, &m, opts.rounds);
                     let spec = runner.measure(variant, &m, opts.rounds);
                     grid.rows.push(format!(
                         "{:<30} {:>12} {:>12} {:>8.2}x",

@@ -18,13 +18,14 @@ use std::time::{Duration, Instant};
 pub enum Variant {
     /// Generic full checkpointing (records everything).
     FullGeneric,
-    /// Generic incremental checkpointing (the Figure 7 baseline). The
-    /// dirty-set journal is on, as in production: steady-state rounds are
-    /// served in O(modified) from the journal.
+    /// Generic incremental checkpointing. The dirty-set journal is on, as
+    /// in production: steady-state rounds are served in O(modified) from
+    /// the journal.
     Incremental,
     /// Generic incremental checkpointing with the journal pinned off —
-    /// every round pays the full flag-testing traversal. The baseline the
-    /// `dirty_fraction` bench compares the journal against.
+    /// every round pays the paper's full flag-testing traversal. The
+    /// baseline of Figures 7–10, and the one the `dirty_fraction` bench
+    /// compares the journal against.
     IncrementalNoJournal,
     /// Specialized w.r.t. structure only (Figure 8).
     SpecStructure,
@@ -34,7 +35,8 @@ pub enum Variant {
     /// Specialized w.r.t. structure + lists + last-element position
     /// (Figures 10/11). The list count comes from the modification spec.
     SpecLastOnly,
-    /// Generic incremental under an execution engine (Fig. 11 / Table 2).
+    /// Generic incremental under an execution engine (Fig. 11 / Table 2),
+    /// journal pinned off like the paper's traversal.
     EngineGeneric(Engine),
     /// Last-only specialized plan under an execution engine.
     EngineSpecLastOnly(Engine),
@@ -151,7 +153,7 @@ impl SynthRunner {
             Full(Checkpointer),
             Incr(Checkpointer),
             Spec(SpecializedCheckpointer),
-            EngineGen(GenericBackend),
+            EngineGen(Box<GenericBackend>),
             EngineSpec(SpecializedBackend),
             Par(Box<ParallelBackend>),
         }
@@ -167,7 +169,11 @@ impl SynthRunner {
                 Driver::Spec(SpecializedCheckpointer::new(GuardMode::Trusting))
             }
             Variant::EngineGeneric(engine) => {
-                Driver::EngineGen(GenericBackend::new(engine, self.world.heap().registry()))
+                Driver::EngineGen(Box::new(GenericBackend::with_config(
+                    engine,
+                    self.world.heap().registry(),
+                    CheckpointConfig::incremental().without_journal(),
+                )))
             }
             Variant::EngineSpecLastOnly(engine) => Driver::EngineSpec(SpecializedBackend::new(
                 engine,

@@ -16,12 +16,12 @@
 //! just assert them.
 
 use crate::error::CoreError;
-use crate::journal::JournalCache;
+use crate::journal::{JournalCache, JournalCacheBuilder};
 use crate::methods::MethodTable;
 use crate::pool::BufferPool;
 use crate::stats::TraversalStats;
 use crate::stream::{CheckpointKind, StreamWriter};
-use ickp_heap::{Heap, ObjectId, StableId};
+use ickp_heap::{ClassId, Heap, ObjectId, StableId};
 use std::collections::HashSet;
 
 /// How the parallel engine places shard boundaries over the root set.
@@ -169,15 +169,6 @@ impl CheckpointRecord {
         pool: BufferPool,
     ) -> CheckpointRecord {
         CheckpointRecord { seq, kind, roots, bytes, stats, pool: Some(pool) }
-    }
-
-    /// Attaches a [`BufferPool`]: when this record is dropped, its byte
-    /// buffer is recycled into `pool` instead of being freed. Producers
-    /// outside this crate (the engine backends) use this to close their
-    /// allocation loop; clones of the record stay detached.
-    pub fn with_pool(mut self, pool: BufferPool) -> CheckpointRecord {
-        self.pool = Some(pool);
-        self
     }
 
     /// Dismantles the record into `(seq, kind, roots, bytes, stats)`,
@@ -332,11 +323,9 @@ impl Checkpointer {
     /// Takes one checkpoint of everything reachable from `roots`.
     ///
     /// This is the paper's Figure 1 `checkpoint` method applied to each
-    /// root: per object, *(incremental only)* test the modified flag; if
-    /// set, record the object's state (via its virtual `record` method) and
-    /// reset the flag; then fold over the children (via its virtual `fold`
-    /// method). A visited set makes shared subobjects checkpoint once and
-    /// keeps the traversal total even on (disallowed) cyclic inputs.
+    /// root (see [`Walker::walk_into`]), or — for an incremental
+    /// checkpoint whose heap shape and roots are unchanged since the last
+    /// traversal — the byte-identical journal fast path.
     ///
     /// Uses a blocking protocol: the heap is borrowed for the whole
     /// checkpoint, exactly like the paper's stop-and-record assumption.
@@ -352,83 +341,63 @@ impl Checkpointer {
         methods: &MethodTable,
         roots: &[ObjectId],
     ) -> Result<CheckpointRecord, CoreError> {
+        self.checkpoint_resolving(heap, methods, roots, Ok)
+    }
+
+    /// [`Checkpointer::checkpoint`] with every `record` and `fold`
+    /// dispatch routed through `resolve`, on the traversal and the journal
+    /// fast path alike. The engine backends in `ickp-backend` pass their
+    /// dispatch mechanism (itable lookup, inline cache) here, so each
+    /// object pays the engine's cost while the walk, the journal and the
+    /// bytes stay this driver's.
+    ///
+    /// # Errors
+    ///
+    /// Fails like [`Checkpointer::checkpoint`], or with `resolve`'s error.
+    pub fn checkpoint_resolving<R>(
+        &mut self,
+        heap: &mut Heap,
+        methods: &MethodTable,
+        roots: &[ObjectId],
+        resolve: R,
+    ) -> Result<CheckpointRecord, CoreError>
+    where
+        R: FnMut(ClassId) -> Result<ClassId, CoreError>,
+    {
         let seq = self.next_seq;
         let root_ids: Vec<StableId> =
             roots.iter().map(|&r| heap.stable_id(r)).collect::<Result<_, _>>()?;
         if self.journal_usable(heap, roots) {
-            return self.checkpoint_from_journal(heap, methods, root_ids);
+            return self.checkpoint_from_journal(heap, methods, root_ids, resolve);
         }
-        let (mut writer, reused) = self.writer_for(seq, self.config.kind, &root_ids);
-        let mut stats = TraversalStats { bytes_reused: reused, ..TraversalStats::default() };
+        let kind = self.config.kind;
+        let (mut writer, reused) = self.writer_for(seq, kind, &root_ids);
         // Only incremental drivers can consume the cache; a full-kind
         // checkpoint would rebuild it for nothing.
-        let journal_on = self.config.journal && self.config.kind == CheckpointKind::Incremental;
+        let journal_on = self.config.journal && kind == CheckpointKind::Incremental;
         let mut builder = journal_on.then(|| JournalCache::builder(heap, roots));
-
-        let mut stack: Vec<ObjectId> = roots.iter().rev().copied().collect();
-        let mut visited: HashSet<ObjectId> = HashSet::with_capacity(roots.len() * 4);
-        while let Some(id) = stack.pop() {
-            if !visited.insert(id) {
-                continue;
-            }
-            stats.objects_visited += 1;
-            if let Some(builder) = &mut builder {
-                builder.visit(id);
-            }
-
-            let record_it = match self.config.kind {
-                CheckpointKind::Full => true,
-                CheckpointKind::Incremental => {
-                    stats.flag_tests += 1;
-                    heap.is_modified(id)?
-                }
-            };
-            let class = heap.class_of(id)?;
-            if record_it {
-                let def = heap.class(class)?;
-                writer.begin_object(heap.stable_id(id)?, class, def.num_slots());
-                // Virtual call: o.record(d)
-                stats.virtual_calls += 1;
-                methods.record(class)?(heap, id, &mut writer)?;
-                stats.objects_recorded += 1;
-                heap.reset_modified(id)?;
-            }
-
-            // Virtual call: o.fold(c)
-            stats.virtual_calls += 1;
-            let before = stack.len();
-            methods.fold(class)?(heap, id, &mut |child| {
-                stack.push(child);
-                Ok(())
-            })?;
-            stats.refs_followed += (stack.len() - before) as u64;
-            // Preserve field order for the children just pushed.
-            stack[before..].reverse();
-        }
-
+        // A fresh walker per checkpoint: its visited-set bookkeeping is
+        // part of the generic driver's measured cost.
+        let mut walker = Walker {
+            kind,
+            stack: Vec::with_capacity(roots.len()),
+            visited: HashSet::with_capacity(roots.len() * 4),
+        };
+        let mut stats =
+            walker.walk_into(heap, methods, roots, &mut writer, builder.as_mut(), resolve)?;
         if let Some(builder) = builder {
             self.cache = Some(builder.finish());
             heap.finish_journal_epoch();
         }
-        stats.bytes_written = writer.len() as u64;
-        let bytes = writer.finish();
-        self.next_seq += 1;
-        self.cumulative += stats;
-        Ok(CheckpointRecord::pooled(
-            seq,
-            self.config.kind,
-            root_ids,
-            bytes,
-            stats,
-            self.pool.clone(),
-        ))
+        stats.bytes_reused = reused;
+        Ok(self.seal(seq, root_ids, writer, stats))
     }
 
-    /// `true` if this checkpoint can skip the traversal and be served from
-    /// the dirty-set journal: incremental mode, journal enabled, and a
-    /// traversal-order cache that is still valid for this heap and root
-    /// set.
-    pub(crate) fn journal_usable(&self, heap: &Heap, roots: &[ObjectId]) -> bool {
+    /// `true` if an incremental checkpoint of `roots` would skip the
+    /// traversal and be served from the dirty-set journal: incremental
+    /// mode, journal enabled, and a traversal-order cache that is still
+    /// valid for this heap and root set.
+    pub fn journal_usable(&self, heap: &Heap, roots: &[ObjectId]) -> bool {
         self.config.journal
             && self.config.kind == CheckpointKind::Incremental
             && self.cache.as_ref().is_some_and(|c| c.is_valid(heap, roots))
@@ -438,15 +407,20 @@ impl Checkpointer {
     /// O(reachable). Emits the byte-identical stream the flag-test
     /// traversal would have produced, because the cached pre-order
     /// positions reproduce traversal order exactly and the journal is a
-    /// complete membership filter for modified objects.
-    pub(crate) fn checkpoint_from_journal(
+    /// complete membership filter for modified objects. Each emission
+    /// still goes through `resolve`, so an engine's dispatch cost stays
+    /// measurable here too.
+    pub(crate) fn checkpoint_from_journal<R>(
         &mut self,
         heap: &mut Heap,
         methods: &MethodTable,
         root_ids: Vec<StableId>,
-    ) -> Result<CheckpointRecord, CoreError> {
+        mut resolve: R,
+    ) -> Result<CheckpointRecord, CoreError>
+    where
+        R: FnMut(ClassId) -> Result<ClassId, CoreError>,
+    {
         let seq = self.next_seq;
-        let kind = self.config.kind;
         let mut scratch = std::mem::take(&mut self.scratch);
         let cache = self.cache.as_ref().expect("journal_usable checked");
         let scanned = cache.collect_dirty(heap, &mut scratch);
@@ -462,10 +436,10 @@ impl Checkpointer {
             ..TraversalStats::default()
         };
 
-        let (mut writer, reused) = self.writer_for(seq, kind, &root_ids);
+        let (mut writer, reused) = self.writer_for(seq, self.config.kind, &root_ids);
         stats.bytes_reused = reused;
         for &(_, id) in &scratch {
-            let class = heap.class_of(id)?;
+            let class = resolve(heap.class_of(id)?)?;
             let def = heap.class(class)?;
             writer.begin_object(heap.stable_id(id)?, class, def.num_slots());
             stats.virtual_calls += 1;
@@ -476,12 +450,23 @@ impl Checkpointer {
         scratch.clear();
         self.scratch = scratch;
         heap.finish_journal_epoch();
+        Ok(self.seal(seq, root_ids, writer, stats))
+    }
 
+    /// Finishes a checkpoint's stream into a pooled record and advances
+    /// the sequence counter and cumulative stats.
+    pub(crate) fn seal(
+        &mut self,
+        seq: u64,
+        root_ids: Vec<StableId>,
+        writer: StreamWriter,
+        mut stats: TraversalStats,
+    ) -> CheckpointRecord {
         stats.bytes_written = writer.len() as u64;
         let bytes = writer.finish();
         self.next_seq += 1;
         self.cumulative += stats;
-        Ok(CheckpointRecord::pooled(seq, kind, root_ids, bytes, stats, self.pool.clone()))
+        CheckpointRecord::pooled(seq, self.config.kind, root_ids, bytes, stats, self.pool.clone())
     }
 
     /// Starts a stream, reusing a pooled buffer when one is idle. Returns
@@ -538,6 +523,107 @@ impl Checkpointer {
                 Ok(())
             })?;
             stats.refs_followed += (stack.len() - before) as u64;
+            stack[before..].reverse();
+        }
+        Ok(stats)
+    }
+}
+
+/// The generic depth-first walk — the paper's Figure 1 loop — appending
+/// to a caller's stream.
+///
+/// [`Checkpointer`]'s traversal and the generic fallbacks of specialized
+/// plans in `ickp-spec` all run this one loop. Per object: *(incremental
+/// only)* test the modified flag; if set, record the object's state (via
+/// its virtual `record` method) and reset the flag; then, in either case,
+/// fold over the children (via its virtual `fold` method) —
+/// incrementality shrinks the *checkpoint*, not the *traversal*. A
+/// visited set makes shared subobjects checkpoint once and keeps the walk
+/// total even on (disallowed) cyclic inputs. A walker kept alive reuses
+/// its stack and visited set across walks.
+#[derive(Debug)]
+pub struct Walker {
+    kind: CheckpointKind,
+    stack: Vec<ObjectId>,
+    visited: HashSet<ObjectId>,
+}
+
+impl Walker {
+    /// A walker for `kind` checkpoints: a full walk records every object
+    /// it reaches, an incremental one only the modified.
+    pub fn new(kind: CheckpointKind) -> Walker {
+        Walker { kind, stack: Vec::new(), visited: HashSet::new() }
+    }
+
+    /// Walks everything reachable from `roots` in depth-first pre-order,
+    /// appending records to `writer`, and returns the walk's counters
+    /// (`bytes_written` is left to the caller, who owns the stream).
+    ///
+    /// `resolve` maps an object's class to the class whose methods run;
+    /// it is called once before each `record` and once before each
+    /// `fold`. Pass `Ok` for direct dispatch. `order`, when given, is fed
+    /// every object at first visit (the journal fast path's pre-order).
+    ///
+    /// # Errors
+    ///
+    /// Propagates heap errors (e.g. dangling references), `resolve`'s
+    /// errors and [`CoreError::UnknownClassIndex`] for objects whose class
+    /// the method table does not cover.
+    pub fn walk_into<R>(
+        &mut self,
+        heap: &mut Heap,
+        methods: &MethodTable,
+        roots: &[ObjectId],
+        writer: &mut StreamWriter,
+        mut order: Option<&mut JournalCacheBuilder>,
+        mut resolve: R,
+    ) -> Result<TraversalStats, CoreError>
+    where
+        R: FnMut(ClassId) -> Result<ClassId, CoreError>,
+    {
+        let Walker { kind, stack, visited } = self;
+        let mut stats = TraversalStats::default();
+        stack.clear();
+        stack.extend(roots.iter().rev());
+        visited.clear();
+        while let Some(id) = stack.pop() {
+            if !visited.insert(id) {
+                continue;
+            }
+            stats.objects_visited += 1;
+            if let Some(order) = &mut order {
+                order.visit(id);
+            }
+
+            let record_it = match kind {
+                CheckpointKind::Full => true,
+                CheckpointKind::Incremental => {
+                    stats.flag_tests += 1;
+                    heap.is_modified(id)?
+                }
+            };
+            let class = heap.class_of(id)?;
+            if record_it {
+                let class = resolve(class)?;
+                let def = heap.class(class)?;
+                writer.begin_object(heap.stable_id(id)?, class, def.num_slots());
+                // Virtual call: o.record(d)
+                stats.virtual_calls += 1;
+                methods.record(class)?(heap, id, writer)?;
+                stats.objects_recorded += 1;
+                heap.reset_modified(id)?;
+            }
+
+            // Virtual call: o.fold(c)
+            let class = resolve(class)?;
+            stats.virtual_calls += 1;
+            let before = stack.len();
+            methods.fold(class)?(heap, id, &mut |child| {
+                stack.push(child);
+                Ok(())
+            })?;
+            stats.refs_followed += (stack.len() - before) as u64;
+            // Preserve field order for the children just pushed.
             stack[before..].reverse();
         }
         Ok(stats)

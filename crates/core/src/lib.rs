@@ -68,7 +68,7 @@ mod stats;
 mod store;
 mod stream;
 
-pub use checkpoint::{CheckpointConfig, CheckpointRecord, Checkpointer, ShardBalance};
+pub use checkpoint::{CheckpointConfig, CheckpointRecord, Checkpointer, ShardBalance, Walker};
 pub use compact::compact;
 pub use digest::state_digest;
 pub use error::CoreError;

@@ -331,7 +331,7 @@ impl Checkpointer {
             // The fast path emits O(modified) records sequentially; there
             // is nothing left to parallelize, and the output is the same
             // byte-identical stream either way.
-            let record = self.checkpoint_from_journal(heap, methods, root_ids)?;
+            let record = self.checkpoint_from_journal(heap, methods, root_ids, Ok)?;
             self.last_shard_stats = vec![record.stats()];
             self.last_phases =
                 Some(ParallelPhases { fast_path: true, ..ParallelPhases::default() });
@@ -410,8 +410,7 @@ impl Checkpointer {
             plan,
         });
 
-        stats.bytes_written = writer.len() as u64;
-        let bytes = writer.finish();
+        let record = self.seal(seq, root_ids, writer, stats);
         self.last_phases = Some(ParallelPhases {
             plan: if plan_cached { Duration::ZERO } else { plan_time },
             traverse: traverse_time,
@@ -419,9 +418,6 @@ impl Checkpointer {
             plan_cached,
             fast_path: false,
         });
-        self.next_seq += 1;
-        self.cumulative += stats;
-        let record = CheckpointRecord::pooled(seq, kind, root_ids, bytes, stats, self.pool.clone());
         let shard_trace = accesses.map(|shards| ShardTrace { fast_path: false, shards });
         Ok((record, shard_trace))
     }

@@ -8,7 +8,8 @@
 
 use crate::plan::{GuardMode, Plan};
 use ickp_core::{
-    CheckpointKind, CheckpointRecord, CoreError, MethodTable, StreamWriter, TraversalStats,
+    CheckpointConfig, CheckpointKind, CheckpointRecord, Checkpointer, CoreError, MethodTable,
+    StreamWriter, TraversalStats,
 };
 use ickp_heap::{Heap, ObjectId, StableId};
 
@@ -138,7 +139,9 @@ impl SpecializedCheckpointer {
     /// objects are re-marked modified first, because a partially executed
     /// plan may already have reset flags of objects it recorded into the
     /// discarded stream. The fallback record therefore contains the full
-    /// reachable state and keeps the store recoverable.
+    /// reachable state and keeps the store recoverable; it is taken by a
+    /// journal-off `ickp_core::Checkpointer` at this driver's sequence
+    /// number, so its bytes and counters are that driver's.
     ///
     /// # Errors
     ///
@@ -159,35 +162,12 @@ impl SpecializedCheckpointer {
             Ok(record) => Ok(FallbackOutcome { record, fell_back: false }),
             Err(CoreError::GuardFailed { .. }) => {
                 heap.mark_all_modified();
-                let seq = self.next_seq;
-                let root_ids: Vec<StableId> =
-                    roots.iter().map(|&r| heap.stable_id(r)).collect::<Result<_, _>>()?;
-                let mut writer = StreamWriter::new(seq, CheckpointKind::Incremental, &root_ids);
-                let mut stats = TraversalStats::default();
-                let mut scratch = Vec::new();
-                let mut seen = std::collections::HashSet::new();
-                for &root in roots {
-                    crate::plan::generic_incremental_into(
-                        heap,
-                        methods,
-                        root,
-                        &mut writer,
-                        &mut stats,
-                        &mut scratch,
-                        &mut seen,
-                    )?;
-                }
-                stats.bytes_written = writer.len() as u64;
-                let bytes = writer.finish();
+                let config = CheckpointConfig::incremental().without_journal();
+                let mut generic = Checkpointer::new(config);
+                generic.set_next_seq(self.next_seq);
+                let record = generic.checkpoint(heap, methods, roots)?;
                 self.next_seq += 1;
-                self.cumulative += stats;
-                let record = CheckpointRecord::from_parts(
-                    seq,
-                    CheckpointKind::Incremental,
-                    root_ids,
-                    bytes,
-                    stats,
-                );
+                self.cumulative += record.stats();
                 Ok(FallbackOutcome { record, fell_back: true })
             }
             Err(other) => Err(other),
@@ -363,6 +343,40 @@ mod tests {
         // Recovery still works and matches the live (evolved) state.
         let rebuilt = restore(&store, w.heap.registry(), RestorePolicy::Lenient).unwrap();
         assert_eq!(verify_restore(&w.heap, &roots, &rebuilt).unwrap(), None);
+    }
+
+    #[test]
+    fn fallback_walks_shared_subobjects_once_like_the_generic_driver() {
+        // Two holders share one list; growing it trips the plan's
+        // end-of-list guard on the first root.
+        let mut w = world(1, 2);
+        let shared_head = w.lists[0][0];
+        let twin = w.heap.alloc(w.holder).unwrap();
+        w.heap.set_field(twin, 0, Value::Ref(Some(shared_head))).unwrap();
+        let roots = vec![w.roots[0], twin];
+        let table = MethodTable::derive(w.heap.registry());
+        let plan = Specializer::new(w.heap.registry())
+            .compile(&shape(&w, 2, ListPattern::MayModify))
+            .unwrap();
+        let grown = w.heap.alloc(w.elem).unwrap();
+        w.heap.set_field(w.lists[0][1], 1, Value::Ref(Some(grown))).unwrap();
+        let mut reference_heap = w.heap.clone();
+
+        let mut sc = SpecializedCheckpointer::new(GuardMode::Checked);
+        sc.set_next_seq(4);
+        let out = sc.checkpoint_or_fallback(&mut w.heap, &plan, &roots, &table).unwrap();
+        assert!(out.fell_back);
+
+        reference_heap.mark_all_modified();
+        let mut generic = Checkpointer::new(CheckpointConfig::incremental().without_journal());
+        generic.set_next_seq(4);
+        let reference = generic.checkpoint(&mut reference_heap, &table, &roots).unwrap();
+        assert_eq!(out.record.bytes(), reference.bytes());
+        assert_eq!(out.record.stats(), reference.stats());
+        // 2 holders + 3 list elements, the shared list walked once.
+        assert_eq!(out.record.stats().objects_visited, 5);
+        assert_eq!(out.record.stats().flag_tests, 5);
+        assert_eq!(sc.next_seq(), 5);
     }
 
     #[test]

@@ -87,9 +87,6 @@ pub use error::SpecError;
 pub use infer::ProfileRecorder;
 pub use opt::compact_registers;
 pub use phase::PhasePlans;
-pub use plan::{
-    generic_incremental_into, record_with_template, GuardMode, Op, Plan, PlanExecutor,
-    RecordTemplate, Reg,
-};
+pub use plan::{record_with_template, GuardMode, Op, Plan, PlanExecutor, RecordTemplate, Reg};
 pub use residual::render;
 pub use shape::{ListPattern, NodePattern, SpecShape};

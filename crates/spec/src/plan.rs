@@ -18,9 +18,8 @@
 //!   performance assumptions.
 
 use crate::error::SpecError;
-use ickp_core::{CoreError, MethodTable, StreamWriter, TraversalStats};
+use ickp_core::{CheckpointKind, CoreError, MethodTable, StreamWriter, TraversalStats, Walker};
 use ickp_heap::{ClassId, FieldType, Heap, ObjectId, Value};
-use std::collections::HashSet;
 
 /// How strictly a plan validates the heap against its compiled shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,8 +193,7 @@ impl Plan {
         PlanExecutor {
             plan: self,
             regs: vec![None; self.num_regs as usize],
-            generic_scratch: Vec::new(),
-            generic_seen: HashSet::new(),
+            walker: Walker::new(CheckpointKind::Incremental),
         }
     }
 }
@@ -209,8 +207,8 @@ impl Plan {
 pub struct PlanExecutor<'p> {
     plan: &'p Plan,
     regs: Vec<Option<ObjectId>>,
-    generic_scratch: Vec<ObjectId>,
-    generic_seen: HashSet<ObjectId>,
+    /// The generic walk behind [`Op::Generic`] fallbacks.
+    walker: Walker,
 }
 
 impl<'p> PlanExecutor<'p> {
@@ -330,15 +328,7 @@ impl<'p> PlanExecutor<'p> {
                 Op::Generic { obj } => {
                     let id = self.reg(*obj)?;
                     let table = methods.expect("checked at entry");
-                    generic_incremental_into(
-                        heap,
-                        table,
-                        id,
-                        writer,
-                        stats,
-                        &mut self.generic_scratch,
-                        &mut self.generic_seen,
-                    )?;
+                    *stats += self.walker.walk_into(heap, table, &[id], writer, None, Ok)?;
                 }
             }
             pc += 1;
@@ -397,55 +387,6 @@ pub fn record_with_template(
                 })
             }
         }
-    }
-    Ok(())
-}
-
-/// The generic incremental walk used for `Dynamic` subtrees: identical
-/// semantics to `ickp_core::Checkpointer` but appending into an existing
-/// stream. Scratch collections are threaded through so repeated fallbacks
-/// do not reallocate.
-///
-/// Public for reuse by alternative executors in `ickp-backend`.
-///
-/// # Errors
-///
-/// Propagates heap and method-table failures.
-pub fn generic_incremental_into(
-    heap: &mut Heap,
-    methods: &MethodTable,
-    root: ObjectId,
-    writer: &mut StreamWriter,
-    stats: &mut TraversalStats,
-    stack: &mut Vec<ObjectId>,
-    seen: &mut HashSet<ObjectId>,
-) -> Result<(), CoreError> {
-    stack.clear();
-    seen.clear();
-    stack.push(root);
-    while let Some(id) = stack.pop() {
-        if !seen.insert(id) {
-            continue;
-        }
-        stats.objects_visited += 1;
-        stats.flag_tests += 1;
-        let class = heap.class_of(id)?;
-        if heap.is_modified(id)? {
-            let def = heap.class(class)?;
-            writer.begin_object(heap.stable_id(id)?, class, def.num_slots());
-            stats.virtual_calls += 1;
-            methods.record(class)?(heap, id, writer)?;
-            stats.objects_recorded += 1;
-            heap.reset_modified(id)?;
-        }
-        stats.virtual_calls += 1;
-        let before = stack.len();
-        methods.fold(class)?(heap, id, &mut |child| {
-            stack.push(child);
-            Ok(())
-        })?;
-        stats.refs_followed += (stack.len() - before) as u64;
-        stack[before..].reverse();
     }
     Ok(())
 }
