@@ -38,26 +38,6 @@ pub enum CoreError {
         /// The sequence number found.
         got: u64,
     },
-    /// A persisted record's length prefix claims more bytes than the
-    /// format allows; rejected before any allocation is sized from it.
-    OversizedRecord {
-        /// Zero-based position of the record in its container.
-        index: usize,
-        /// The length the prefix claimed.
-        claimed: u64,
-        /// The maximum length the format accepts.
-        max: u64,
-    },
-    /// A persisted record's length prefix claims more bytes than the
-    /// source actually holds (a truncated or torn container).
-    TruncatedRecord {
-        /// Zero-based position of the record in its container.
-        index: usize,
-        /// The length the prefix claimed.
-        claimed: u64,
-        /// The bytes actually available.
-        got: u64,
-    },
     /// The stable-storage layer beneath the store failed (I/O error,
     /// detected corruption, or a simulated crash in tests).
     Storage {
@@ -96,12 +76,6 @@ impl fmt::Display for CoreError {
             CoreError::EmptyStore => write!(f, "checkpoint store is empty"),
             CoreError::SequenceGap { expected, got } => {
                 write!(f, "checkpoint sequence gap: expected {expected}, got {got}")
-            }
-            CoreError::OversizedRecord { index, claimed, max } => {
-                write!(f, "record {index} claims {claimed} bytes, above the {max}-byte limit")
-            }
-            CoreError::TruncatedRecord { index, claimed, got } => {
-                write!(f, "record {index} claims {claimed} bytes but only {got} are present")
             }
             CoreError::Storage { what } => write!(f, "stable-storage failure: {what}"),
             CoreError::BaseNotFull => {
@@ -143,8 +117,6 @@ mod tests {
             CoreError::MissingObject(StableId(4)),
             CoreError::EmptyStore,
             CoreError::SequenceGap { expected: 2, got: 5 },
-            CoreError::OversizedRecord { index: 0, claimed: 1 << 40, max: 1 << 30 },
-            CoreError::TruncatedRecord { index: 1, claimed: 64, got: 7 },
             CoreError::Storage { what: "disk on fire".into() },
             CoreError::BaseNotFull,
             CoreError::GuardFailed { expected: "BTEntry".into(), found: "null".into() },

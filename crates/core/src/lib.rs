@@ -60,7 +60,6 @@ mod error;
 mod journal;
 mod methods;
 mod parallel;
-mod persist;
 mod pool;
 mod restore;
 mod sink;
@@ -69,15 +68,16 @@ mod store;
 mod stream;
 
 pub use checkpoint::{CheckpointConfig, CheckpointRecord, Checkpointer, ShardBalance, Walker};
-pub use compact::compact;
+pub use compact::{compact, merge_records};
 pub use digest::state_digest;
 pub use error::CoreError;
 pub use journal::{journal_dirty_set, JournalCache, JournalCacheBuilder};
 pub use methods::{FoldFn, MethodTable, RecordFn};
 pub use parallel::{plan_shards, ParallelPhases, ShardAccess, ShardTrace};
-pub use persist::{load_store, save_store, MAX_RECORD_LEN};
 pub use pool::BufferPool;
-pub use restore::{restore, verify_restore, RestorePolicy, RestoredHeap};
+pub use restore::{
+    fold_records, restore, verify_restore, FoldedHistory, RestorePolicy, RestoredHeap,
+};
 pub use sink::{AckHook, RecordSink};
 pub use stats::TraversalStats;
 pub use store::CheckpointStore;

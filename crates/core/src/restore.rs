@@ -2,16 +2,77 @@
 //!
 //! The paper relies on unique identifiers "to reconstruct the state from a
 //! sequence of incremental checkpoints"; this module implements and
-//! verifies that claim. [`restore`] decodes every checkpoint in the store,
-//! merges records last-writer-wins per [`StableId`], materializes the
-//! surviving objects into a fresh heap under their original identities, and
-//! re-links references.
+//! verifies that claim. [`fold_records`] is the one last-writer-wins fold
+//! of a history per [`StableId`]; [`restore`] materializes it into a fresh
+//! heap under the original identities and re-links references, while
+//! [`compact`](crate::compact) and [`merge_records`](crate::merge_records)
+//! re-encode it.
 
+use crate::checkpoint::CheckpointRecord;
 use crate::error::CoreError;
 use crate::store::CheckpointStore;
 use crate::stream::{decode, RecordedObject, RecordedValue};
 use ickp_heap::{ClassRegistry, Heap, HeapSnapshot, ObjectId, StableId, Value};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+
+/// A history folded last-writer-wins: for each stable id the newest
+/// recorded state, in first-touch order, plus the last record's roots.
+///
+/// First-touch order is the order in which replaying the records one by
+/// one would first meet each object, so everything built from a fold —
+/// a restored heap, a merged record — comes out the same however the
+/// history was split into records.
+#[derive(Debug, Default)]
+pub struct FoldedHistory {
+    objects: Vec<RecordedObject>,
+    index: HashMap<StableId, usize>,
+    roots: Vec<StableId>,
+}
+
+impl FoldedHistory {
+    /// The surviving objects, in first-touch order.
+    pub fn objects(&self) -> &[RecordedObject] {
+        &self.objects
+    }
+
+    /// The roots of the last folded record.
+    pub fn roots(&self) -> &[StableId] {
+        &self.roots
+    }
+
+    /// The newest recorded state of `id`, if any record holds it.
+    pub fn get(&self, id: StableId) -> Option<&RecordedObject> {
+        self.index.get(&id).map(|&i| &self.objects[i])
+    }
+}
+
+/// Folds `records` (an ascending run from one chain) last-writer-wins.
+/// An empty run folds to an empty history with no roots.
+///
+/// # Errors
+///
+/// Decoding errors from [`decode`] if a record does not match `registry`.
+pub fn fold_records(
+    records: &[CheckpointRecord],
+    registry: &ClassRegistry,
+) -> Result<FoldedHistory, CoreError> {
+    let mut history = FoldedHistory::default();
+    for record in records {
+        let decoded = decode(record.bytes(), registry)?;
+        for obj in decoded.objects {
+            match history.index.entry(obj.stable) {
+                Entry::Occupied(at) => history.objects[*at.get()] = obj,
+                Entry::Vacant(slot) => {
+                    slot.insert(history.objects.len());
+                    history.objects.push(obj);
+                }
+            }
+        }
+        history.roots = decoded.roots;
+    }
+    Ok(history)
+}
 
 /// How strictly [`restore`] validates the store before replaying it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,7 +96,8 @@ pub enum RestorePolicy {
 pub struct RestoredHeap {
     heap: Heap,
     roots: Vec<ObjectId>,
-    by_stable: HashMap<StableId, ObjectId>,
+    index: HashMap<StableId, usize>,
+    handles: Vec<ObjectId>,
 }
 
 impl RestoredHeap {
@@ -57,17 +119,17 @@ impl RestoredHeap {
 
     /// Maps a recorded stable id to its handle in the reconstructed heap.
     pub fn lookup(&self, id: StableId) -> Option<ObjectId> {
-        self.by_stable.get(&id).copied()
+        self.index.get(&id).map(|&i| self.handles[i])
     }
 
     /// Number of reconstructed objects.
     pub fn len(&self) -> usize {
-        self.by_stable.len()
+        self.handles.len()
     }
 
     /// `true` if nothing was reconstructed.
     pub fn is_empty(&self) -> bool {
-        self.by_stable.is_empty()
+        self.handles.is_empty()
     }
 }
 
@@ -92,29 +154,21 @@ pub fn restore(
         return Err(CoreError::BaseNotFull);
     }
 
-    // Merge: the newest record for each stable id wins.
-    let mut merged: HashMap<StableId, RecordedObject> = HashMap::new();
-    let mut last_roots: Vec<StableId> = Vec::new();
-    for record in store.records() {
-        let decoded = decode(record.bytes(), registry)?;
-        for obj in decoded.objects {
-            merged.insert(obj.stable, obj);
-        }
-        last_roots = decoded.roots;
-    }
+    let FoldedHistory { objects, index, roots } = fold_records(store.records(), registry)?;
 
-    // Materialize under original identities, flags clear (the restored
-    // state is by definition in sync with the last checkpoint).
+    // Materialize under original identities in first-touch order, flags
+    // clear (the restored state is by definition in sync with the last
+    // checkpoint).
     let mut heap = Heap::new(registry.clone());
-    let mut by_stable: HashMap<StableId, ObjectId> = HashMap::with_capacity(merged.len());
-    for (stable, obj) in &merged {
-        let handle = heap.alloc_restored(obj.class, *stable, false)?;
-        by_stable.insert(*stable, handle);
-    }
+    let handles = objects
+        .iter()
+        .map(|obj| heap.alloc_restored(obj.class, obj.stable, false))
+        .collect::<Result<Vec<_>, _>>()?;
+    let handle_of =
+        |id: StableId| index.get(&id).map(|&i| handles[i]).ok_or(CoreError::MissingObject(id));
 
     // Re-link fields. Unbarriered stores keep the flags clear.
-    for (stable, obj) in &merged {
-        let handle = by_stable[stable];
+    for (obj, &handle) in objects.iter().zip(&handles) {
         for (slot, field) in obj.fields.iter().enumerate() {
             let value = match *field {
                 RecordedValue::Int(v) => Value::Int(v),
@@ -122,22 +176,15 @@ pub fn restore(
                 RecordedValue::Double(v) => Value::Double(v),
                 RecordedValue::Bool(v) => Value::Bool(v),
                 RecordedValue::Ref(None) => Value::Ref(None),
-                RecordedValue::Ref(Some(child)) => {
-                    let target =
-                        by_stable.get(&child).copied().ok_or(CoreError::MissingObject(child))?;
-                    Value::Ref(Some(target))
-                }
+                RecordedValue::Ref(Some(child)) => Value::Ref(Some(handle_of(child)?)),
             };
             heap.set_field_unbarriered(handle, slot, value)?;
         }
     }
 
-    let roots = last_roots
-        .iter()
-        .map(|r| by_stable.get(r).copied().ok_or(CoreError::MissingObject(*r)))
-        .collect::<Result<Vec<_>, _>>()?;
+    let roots = roots.iter().map(|&r| handle_of(r)).collect::<Result<Vec<_>, _>>()?;
 
-    Ok(RestoredHeap { heap, roots, by_stable })
+    Ok(RestoredHeap { heap, roots, index, handles })
 }
 
 /// Verifies that a restore reproduced the live state: captures logical
@@ -264,6 +311,65 @@ mod tests {
         let restored = restore(&run.store, run.heap.registry(), RestorePolicy::Lenient).unwrap();
         assert_eq!(restored.len(), 3);
         assert_eq!(verify_restore(&run.heap, &[run.head], &restored).unwrap(), None);
+    }
+
+    #[test]
+    fn restore_allocates_in_first_touch_order() {
+        // Fresh nodes are spliced in right after the head, so the walk
+        // meets them newest-first and first-touch order is not stable-id
+        // order; several records each add objects and touch old ones.
+        let (reg, node) = registry();
+        let mut heap = Heap::new(reg);
+        let table = MethodTable::derive(heap.registry());
+        let mut ckp = Checkpointer::new(CheckpointConfig::incremental());
+        let mut store = CheckpointStore::new();
+        let head = heap.alloc(node).unwrap();
+        let mut nodes = Vec::new();
+        for round in 0..4 {
+            for _ in 0..10 {
+                let fresh = heap.alloc(node).unwrap();
+                let next = heap.field(head, 1).unwrap();
+                heap.set_field(fresh, 1, next).unwrap();
+                heap.set_field(head, 1, Value::Ref(Some(fresh))).unwrap();
+                nodes.push(fresh);
+            }
+            heap.set_field(nodes[round * 3], 0, Value::Int(round as i32)).unwrap();
+            store.push(ckp.checkpoint(&mut heap, &table, &[head]).unwrap()).unwrap();
+        }
+
+        let mut first_touch = Vec::new();
+        for record in store.records() {
+            for obj in decode(record.bytes(), heap.registry()).unwrap().objects {
+                if !first_touch.contains(&obj.stable) {
+                    first_touch.push(obj.stable);
+                }
+            }
+        }
+        let order = |r: &RestoredHeap| -> Vec<StableId> {
+            r.heap().iter_live().map(|id| r.heap().stable_id(id).unwrap()).collect()
+        };
+        let a = restore(&store, heap.registry(), RestorePolicy::Lenient).unwrap();
+        let b = restore(&store, heap.registry(), RestorePolicy::Lenient).unwrap();
+        assert_eq!(order(&a), order(&b));
+        assert_eq!(order(&a), first_touch);
+        assert_eq!(first_touch.len(), 41);
+    }
+
+    #[test]
+    fn fold_keeps_the_last_state_in_first_touch_order() {
+        let mut run = start_incremental_run();
+        run.checkpoint();
+        let tail = run.tail;
+        run.heap.set_field(tail, 0, Value::Int(42)).unwrap();
+        run.checkpoint();
+        let history = fold_records(run.store.records(), run.heap.registry()).unwrap();
+        let head_sid = run.heap.stable_id(run.head).unwrap();
+        let tail_sid = run.heap.stable_id(run.tail).unwrap();
+        let ids: Vec<StableId> = history.objects().iter().map(|o| o.stable).collect();
+        assert_eq!(ids, [head_sid, tail_sid]);
+        assert_eq!(history.get(tail_sid).unwrap().fields[0], RecordedValue::Int(42));
+        assert_eq!(history.roots(), [head_sid]);
+        assert!(fold_records(&[], run.heap.registry()).unwrap().objects().is_empty());
     }
 
     #[test]

@@ -1085,7 +1085,10 @@ impl<F: Vfs> RecordSink for DurableStore<F> {
 mod tests {
     use super::*;
     use crate::vfs::MemFs;
-    use ickp_core::{CheckpointConfig, Checkpointer, MethodTable};
+    use ickp_core::{
+        compact, restore, verify_restore, CheckpointConfig, Checkpointer, MethodTable,
+        RestorePolicy,
+    };
     use ickp_heap::{FieldType, Heap, ObjectId, Value};
 
     fn workload(n: usize) -> (Heap, Vec<ObjectId>, Vec<CheckpointRecord>) {
@@ -1132,6 +1135,29 @@ mod tests {
             assert_eq!(a.seq(), b.seq());
             assert_eq!(a.bytes(), b.bytes());
         }
+    }
+
+    #[test]
+    fn carried_sequence_number_survives_persistence() {
+        // A compacted store's one full record carries the latest sequence
+        // number; reopening recovers it by decoding the record bytes.
+        let (heap, roots, records) = workload(5);
+        let mut chain = CheckpointStore::new();
+        for r in records {
+            chain.push(r).unwrap();
+        }
+        let compacted = compact(&chain, heap.registry()).unwrap();
+        let mut fs = MemFs::new();
+        let mut store = DurableStore::create(&mut fs, DurableConfig::default()).unwrap();
+        store.append(compacted.latest().unwrap()).unwrap();
+        drop(store);
+
+        let (reopened, recovered) =
+            DurableStore::open(&mut fs, DurableConfig::default(), heap.registry()).unwrap();
+        assert_eq!(reopened.last_seq(), Some(4));
+        assert_eq!(recovered.latest().unwrap().seq(), 4);
+        let rebuilt = restore(&recovered, heap.registry(), RestorePolicy::RequireFullBase).unwrap();
+        assert_eq!(verify_restore(&heap, &roots, &rebuilt).unwrap(), None);
     }
 
     #[test]

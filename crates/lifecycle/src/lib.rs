@@ -58,9 +58,7 @@
 #![deny(missing_docs)]
 
 mod manager;
-mod merge;
 mod retention;
 
 pub use manager::{CheckpointManager, LifecycleConfig, LifecycleStats, RetentionReport};
-pub use merge::merge_records;
 pub use retention::{RetentionPlan, RetentionPolicy};

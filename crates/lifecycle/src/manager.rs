@@ -3,10 +3,10 @@
 
 use std::ops::Range;
 
-use crate::merge::merge_records;
 use crate::retention::RetentionPolicy;
 use ickp_core::{
-    object_slices, restore, CheckpointRecord, CheckpointStore, RestorePolicy, RestoredHeap,
+    merge_records, object_slices, restore, CheckpointRecord, CheckpointStore, RestorePolicy,
+    RestoredHeap,
 };
 use ickp_durable::{DedupStats, DurableConfig, DurableError, DurableStore, Vfs};
 use ickp_heap::ClassRegistry;

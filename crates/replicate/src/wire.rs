@@ -165,7 +165,7 @@ impl WireMessage {
             KIND_REWRITE => {
                 let payloads = c.payloads()?;
                 let ntags = c.u32()? as usize;
-                let mut tags = Vec::with_capacity(ntags);
+                let mut tags = Vec::with_capacity(ntags.min(1024));
                 for _ in 0..ntags {
                     let label = c.label()?;
                     let seq = c.u64()?;
@@ -280,6 +280,20 @@ mod tests {
         let bytes = WireMessage::Ack { op_seq: 3 }.encode();
         assert!(WireMessage::decode(&bytes[..bytes.len() - 1]).is_err());
         assert!(WireMessage::decode(&[]).is_err());
+    }
+
+    #[test]
+    fn huge_tag_count_is_rejected_without_preallocating() {
+        // A CRC-valid Rewrite frame claiming u32::MAX tags and holding
+        // none must fail on the missing bytes, not size a buffer from
+        // the claim.
+        let mut bytes = WireMessage::Rewrite { op_seq: 1, payloads: vec![], tags: vec![] }.encode();
+        bytes.truncate(bytes.len() - 8);
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        let crc = crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        assert_eq!(bytes.len(), 27);
+        assert!(WireMessage::decode(&bytes).is_err());
     }
 
     #[test]

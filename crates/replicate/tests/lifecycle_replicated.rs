@@ -15,11 +15,12 @@
 //! * Whatever survives still restores.
 
 use ickp_core::{
-    restore, CheckpointConfig, CheckpointRecord, Checkpointer, MethodTable, RestorePolicy,
+    merge_records, restore, CheckpointConfig, CheckpointRecord, Checkpointer, MethodTable,
+    RestorePolicy,
 };
 use ickp_durable::{DurableConfig, DurableStore, FailFs, FaultPlan, MemFs, OpCounter};
 use ickp_heap::{ClassRegistry, FieldType, Heap, Value};
-use ickp_lifecycle::{merge_records, RetentionPolicy};
+use ickp_lifecycle::RetentionPolicy;
 use ickp_replicate::{ChannelTransport, Node, ReplicaPair, ReplicateConfig, TransportPlan};
 
 fn config() -> ReplicateConfig {

@@ -1,17 +1,14 @@
 //! Randomized round-trip property: for random worlds, random
 //! modification sequences and every execution engine, a checkpoint run
-//! survives *both* persistence paths — the in-memory ICKS container
-//! (`save_store`/`load_store`) and the crash-safe segmented durable
-//! store — and restores to exactly the live state, including after
-//! `compact`.
+//! survives the crash-safe segmented durable store on *both* paths into
+//! it — record by record and after `compact` — and restores to exactly
+//! the live state.
 //!
 //! Driven by the in-repo seeded PRNG; each case is fully determined by
 //! its seed, named in the assertion message for replay.
 
 use ickp::backend::{Engine, GenericBackend};
-use ickp::core::{
-    compact, load_store, restore, save_store, verify_restore, CheckpointStore, RestorePolicy,
-};
+use ickp::core::{compact, restore, verify_restore, CheckpointStore, RestorePolicy};
 use ickp::durable::{DurableConfig, DurableStore, MemFs};
 use ickp::heap::ClassRegistry;
 use ickp::synth::{ModificationSpec, SynthConfig, SynthWorld};
@@ -69,18 +66,7 @@ fn random_runs_round_trip_through_both_persistence_paths() {
                 store.push(backend.checkpoint(world.heap_mut(), &roots).unwrap()).unwrap();
             }
 
-            // Path 1: the ICKS container.
-            let mut disk = Vec::new();
-            save_store(&store, &mut disk).unwrap();
-            let loaded = load_store(disk.as_slice(), &registry).unwrap();
-            let rebuilt = restore(&loaded, &registry, RestorePolicy::Lenient).unwrap();
-            assert_eq!(
-                verify_restore(world.heap(), &roots, &rebuilt).unwrap(),
-                None,
-                "case {case} engine {engine} via ICKS"
-            );
-
-            // Path 2: the durable segmented store.
+            // The durable segmented store.
             let recovered = through_durable(&store, &registry, segment_target);
             assert_eq!(recovered.len(), store.len(), "case {case} engine {engine}");
             for (a, b) in store.records().iter().zip(recovered.records()) {
