@@ -18,6 +18,8 @@
 //! what lets a sequence of incremental checkpoints be stitched back
 //! together by identity.
 
+use std::ops::Range;
+
 use crate::error::CoreError;
 use ickp_heap::{ClassId, ClassRegistry, FieldType, StableId};
 
@@ -265,35 +267,147 @@ pub struct DecodedCheckpoint {
     pub objects: Vec<RecordedObject>,
 }
 
-/// The byte geography of one encoded checkpoint stream: where the
-/// header ends and where each object record begins and ends.
+/// The byte geography of one encoded checkpoint stream — where the
+/// header ends and where each object record begins and ends — plus the
+/// header's sequence number, kind and roots.
 ///
 /// This is what content-hash deduplication in `ickp-durable` chunks on:
 /// the header (which embeds the sequence number and so never repeats)
 /// and the footer stay literal, while each object record — whose bytes
 /// are a pure function of the object's identity, class, and field
 /// values — is a dedup candidate that recurs byte-identically whenever
-/// the same object state is recorded again.
+/// the same object state is recorded again. The header fields let a
+/// store rebuild a [`CheckpointRecord`](crate::CheckpointRecord) from
+/// validated bytes without decoding them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamLayout {
+    /// Sequence number within the run.
+    pub seq: u64,
+    /// Full or incremental.
+    pub kind: CheckpointKind,
+    /// Stable ids of the checkpoint roots.
+    pub roots: Vec<StableId>,
     /// Bytes of the stream header (magic through the root table).
     pub header_len: usize,
     /// Byte range of each object record (tag byte through its last
     /// field), in stream order.
-    pub objects: Vec<std::ops::Range<usize>>,
+    pub objects: Vec<Range<usize>>,
 }
 
 /// Scans an encoded checkpoint stream and returns its [`StreamLayout`]
 /// without materializing any field values.
 ///
-/// The ranges tile the stream exactly: header, then the object ranges
-/// back-to-back, then the footer.
+/// The scan accepts exactly the streams [`decode`] accepts and fails on
+/// the others with the same error, so it validates a stream for the
+/// price of one pass over its bytes: durable recovery and the
+/// replication follower check every payload with it, and only restore
+/// decodes. The ranges tile the stream exactly: header, then the object
+/// ranges back-to-back, then the footer.
 ///
 /// # Errors
 ///
-/// Fails like [`decode`] on malformed bytes, unknown classes, or field
-/// counts that disagree with the registry's layouts.
+/// As [`decode`].
 pub fn object_slices(bytes: &[u8], registry: &ClassRegistry) -> Result<StreamLayout, CoreError> {
+    struct Slices(Vec<Range<usize>>);
+    impl Visit<'_> for Slices {
+        fn end_object(&mut self, _: StableId, _: ClassId, range: Range<usize>) {
+            self.0.push(range);
+        }
+    }
+    let mut slices = Slices(Vec::new());
+    let header = walk(bytes, registry, &mut slices)?;
+    Ok(StreamLayout {
+        seq: header.seq,
+        kind: header.kind,
+        roots: header.roots,
+        header_len: header.len,
+        objects: slices.0,
+    })
+}
+
+/// Decodes one checkpoint stream against the class registry it was
+/// produced with.
+///
+/// # Errors
+///
+/// Returns [`CoreError::Decode`] for malformed bytes,
+/// [`CoreError::UnknownClassIndex`] for class ids outside the registry, and
+/// [`CoreError::FieldCountMismatch`] if a record disagrees with its class
+/// layout.
+pub fn decode(bytes: &[u8], registry: &ClassRegistry) -> Result<DecodedCheckpoint, CoreError> {
+    #[derive(Default)]
+    struct Decoder {
+        fields: Vec<RecordedValue>,
+        objects: Vec<RecordedObject>,
+    }
+    impl Visit<'_> for Decoder {
+        fn begin_object(&mut self, nfields: usize) {
+            self.fields = Vec::with_capacity(nfields);
+        }
+        fn field(&mut self, ty: FieldType, bytes: &[u8]) {
+            self.fields.push(match ty {
+                FieldType::Int => RecordedValue::Int(i32::from_be_bytes(fixed(bytes))),
+                FieldType::Long => RecordedValue::Long(i64::from_be_bytes(fixed(bytes))),
+                FieldType::Double => {
+                    RecordedValue::Double(f64::from_bits(u64::from_be_bytes(fixed(bytes))))
+                }
+                FieldType::Bool => RecordedValue::Bool(bytes[0] == 1),
+                FieldType::Ref(_) => {
+                    let raw = u64::from_be_bytes(fixed(bytes));
+                    RecordedValue::Ref(if raw == 0 { None } else { Some(StableId(raw)) })
+                }
+            });
+        }
+        fn end_object(&mut self, stable: StableId, class: ClassId, _: Range<usize>) {
+            let fields = std::mem::take(&mut self.fields);
+            self.objects.push(RecordedObject { stable, class, fields });
+        }
+    }
+    let mut decoder = Decoder::default();
+    let header = walk(bytes, registry, &mut decoder)?;
+    Ok(DecodedCheckpoint {
+        seq: header.seq,
+        kind: header.kind,
+        roots: header.roots,
+        objects: decoder.objects,
+    })
+}
+
+/// A field's bytes as a fixed-width array; the walker hands each field
+/// exactly its encoded size.
+fn fixed<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    bytes.try_into().expect("the walker hands out whole fields")
+}
+
+/// What [`walk`] reports while it scans, in stream order: each object
+/// record opens, yields its fields, and closes.
+trait Visit<'a> {
+    /// A record with `nfields` fields starts.
+    fn begin_object(&mut self, _nfields: usize) {}
+    /// The next field of the open record: its type and its validated
+    /// encoded bytes.
+    fn field(&mut self, _ty: FieldType, _bytes: &'a [u8]) {}
+    /// The open record is complete; `range` is its span in the stream.
+    fn end_object(&mut self, stable: StableId, class: ClassId, range: Range<usize>);
+}
+
+/// The stream header, as [`walk`] read it.
+struct Header {
+    seq: u64,
+    kind: CheckpointKind,
+    roots: Vec<StableId>,
+    len: usize,
+}
+
+/// The one reader of the stream format: checks every byte of `bytes`
+/// against the format and the registry's class layouts and reports what
+/// it passes to `visit`. [`object_slices`] and [`decode`] are its two
+/// views, which is why they accept and reject exactly the same streams.
+fn walk<'a>(
+    bytes: &'a [u8],
+    registry: &ClassRegistry,
+    visit: &mut impl Visit<'a>,
+) -> Result<Header, CoreError> {
     let mut c = Cursor { bytes, pos: 0 };
     if c.take(4)? != MAGIC {
         return Err(CoreError::Decode { offset: 0, what: "bad magic".into() });
@@ -305,20 +419,21 @@ pub fn object_slices(bytes: &[u8], registry: &ClassRegistry) -> Result<StreamLay
             what: format!("unsupported version {version}"),
         });
     }
-    let _seq = c.u64()?;
+    let seq = c.u64()?;
     let kind_off = c.pos;
-    CheckpointKind::from_byte(c.u8()?, kind_off)?;
+    let kind = CheckpointKind::from_byte(c.u8()?, kind_off)?;
     let nroots = c.u32()? as usize;
+    let mut roots = Vec::with_capacity(nroots.min(1024));
     for _ in 0..nroots {
-        c.u64()?;
+        roots.push(StableId(c.u64()?));
     }
     let header_len = c.pos;
-    let mut objects = Vec::new();
+    let mut records = 0usize;
     loop {
         let tag_off = c.pos;
         match c.u8()? {
             TAG_OBJECT => {
-                let _stable = c.u64()?;
+                let stable = StableId(c.u64()?);
                 let class_index = c.u32()?;
                 let class = ClassId::from_index(class_index as usize);
                 let def =
@@ -331,18 +446,28 @@ pub fn object_slices(bytes: &[u8], registry: &ClassRegistry) -> Result<StreamLay
                         expected: def.num_slots(),
                     });
                 }
-                c.take(def.encoded_state_size())?;
-                objects.push(tag_off..c.pos);
+                visit.begin_object(nfields);
+                for f in def.layout() {
+                    let ty = f.ty();
+                    let field_off = c.pos;
+                    let field = c.take(ty.encoded_size())?;
+                    if ty == FieldType::Bool && field[0] > 1 {
+                        return Err(CoreError::Decode {
+                            offset: field_off,
+                            what: format!("invalid boolean byte {}", field[0]),
+                        });
+                    }
+                    visit.field(ty, field);
+                }
+                visit.end_object(stable, class, tag_off..c.pos);
+                records += 1;
             }
             TAG_END => {
                 let declared = c.u32()? as usize;
-                if declared != objects.len() {
+                if declared != records {
                     return Err(CoreError::Decode {
                         offset: tag_off,
-                        what: format!(
-                            "footer declares {declared} records, stream has {}",
-                            objects.len()
-                        ),
+                        what: format!("footer declares {declared} records, stream has {records}"),
                     });
                 }
                 if c.pos != bytes.len() {
@@ -351,7 +476,7 @@ pub fn object_slices(bytes: &[u8], registry: &ClassRegistry) -> Result<StreamLay
                         what: "trailing bytes after footer".into(),
                     });
                 }
-                return Ok(StreamLayout { header_len, objects });
+                return Ok(Header { seq, kind, roots, len: header_len });
             }
             other => {
                 return Err(CoreError::Decode {
@@ -386,127 +511,15 @@ impl<'a> Cursor<'a> {
     }
 
     fn u16(&mut self) -> Result<u16, CoreError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().expect("length checked")))
+        Ok(u16::from_be_bytes(fixed(self.take(2)?)))
     }
 
     fn u32(&mut self) -> Result<u32, CoreError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("length checked")))
+        Ok(u32::from_be_bytes(fixed(self.take(4)?)))
     }
 
     fn u64(&mut self) -> Result<u64, CoreError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("length checked")))
-    }
-
-    fn i32(&mut self) -> Result<i32, CoreError> {
-        Ok(i32::from_be_bytes(self.take(4)?.try_into().expect("length checked")))
-    }
-
-    fn i64(&mut self) -> Result<i64, CoreError> {
-        Ok(i64::from_be_bytes(self.take(8)?.try_into().expect("length checked")))
-    }
-}
-
-/// Decodes one checkpoint stream against the class registry it was
-/// produced with.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Decode`] for malformed bytes,
-/// [`CoreError::UnknownClassIndex`] for class ids outside the registry, and
-/// [`CoreError::FieldCountMismatch`] if a record disagrees with its class
-/// layout.
-pub fn decode(bytes: &[u8], registry: &ClassRegistry) -> Result<DecodedCheckpoint, CoreError> {
-    let mut c = Cursor { bytes, pos: 0 };
-    let magic = c.take(4)?;
-    if magic != MAGIC {
-        return Err(CoreError::Decode { offset: 0, what: "bad magic".into() });
-    }
-    let version = c.u16()?;
-    if version != VERSION {
-        return Err(CoreError::Decode {
-            offset: 4,
-            what: format!("unsupported version {version}"),
-        });
-    }
-    let seq = c.u64()?;
-    let kind_off = c.pos;
-    let kind = CheckpointKind::from_byte(c.u8()?, kind_off)?;
-    let nroots = c.u32()? as usize;
-    let mut roots = Vec::with_capacity(nroots.min(1024));
-    for _ in 0..nroots {
-        roots.push(StableId(c.u64()?));
-    }
-    let mut objects = Vec::new();
-    loop {
-        let tag_off = c.pos;
-        match c.u8()? {
-            TAG_OBJECT => {
-                let stable = StableId(c.u64()?);
-                let class_index = c.u32()?;
-                let class = ClassId::from_index(class_index as usize);
-                let def =
-                    registry.class(class).map_err(|_| CoreError::UnknownClassIndex(class_index))?;
-                let nfields = c.u16()? as usize;
-                if nfields != def.num_slots() {
-                    return Err(CoreError::FieldCountMismatch {
-                        class: def.name().to_string(),
-                        recorded: nfields,
-                        expected: def.num_slots(),
-                    });
-                }
-                let mut fields = Vec::with_capacity(nfields);
-                for f in def.layout() {
-                    fields.push(match f.ty() {
-                        FieldType::Int => RecordedValue::Int(c.i32()?),
-                        FieldType::Long => RecordedValue::Long(c.i64()?),
-                        FieldType::Double => RecordedValue::Double(f64::from_bits(c.u64()?)),
-                        FieldType::Bool => {
-                            let off = c.pos;
-                            match c.u8()? {
-                                0 => RecordedValue::Bool(false),
-                                1 => RecordedValue::Bool(true),
-                                b => {
-                                    return Err(CoreError::Decode {
-                                        offset: off,
-                                        what: format!("invalid boolean byte {b}"),
-                                    })
-                                }
-                            }
-                        }
-                        FieldType::Ref(_) => {
-                            let raw = c.u64()?;
-                            RecordedValue::Ref(if raw == 0 { None } else { Some(StableId(raw)) })
-                        }
-                    });
-                }
-                objects.push(RecordedObject { stable, class, fields });
-            }
-            TAG_END => {
-                let declared = c.u32()? as usize;
-                if declared != objects.len() {
-                    return Err(CoreError::Decode {
-                        offset: tag_off,
-                        what: format!(
-                            "footer declares {declared} records, stream has {}",
-                            objects.len()
-                        ),
-                    });
-                }
-                if c.pos != bytes.len() {
-                    return Err(CoreError::Decode {
-                        offset: c.pos,
-                        what: "trailing bytes after footer".into(),
-                    });
-                }
-                return Ok(DecodedCheckpoint { seq, kind, roots, objects });
-            }
-            other => {
-                return Err(CoreError::Decode {
-                    offset: tag_off,
-                    what: format!("invalid record tag {other:#x}"),
-                })
-            }
-        }
+        Ok(u64::from_be_bytes(fixed(self.take(8)?)))
     }
 }
 
@@ -533,6 +546,22 @@ mod tests {
         (reg, node)
     }
 
+    /// Runs `bytes` through both views of the stream walker, asserting
+    /// that the scan accepts exactly what `decode` accepts (with equal
+    /// header fields and record count) and fails with the same error.
+    fn decode_and_scan(bytes: &[u8], reg: &ClassRegistry) -> Result<DecodedCheckpoint, CoreError> {
+        let decoded = decode(bytes, reg);
+        match (&decoded, object_slices(bytes, reg)) {
+            (Ok(d), Ok(layout)) => {
+                assert_eq!((layout.seq, layout.kind, &layout.roots), (d.seq, d.kind, &d.roots));
+                assert_eq!(layout.objects.len(), d.objects.len());
+            }
+            (Err(want), Err(got)) => assert_eq!(&got, want),
+            (_, scanned) => panic!("decode gave {decoded:?} but the scan gave {scanned:?}"),
+        }
+        decoded
+    }
+
     fn sample_stream(node: ClassId) -> Vec<u8> {
         let mut w = StreamWriter::new(3, CheckpointKind::Incremental, &[StableId(1)]);
         w.begin_object(StableId(1), node, 5);
@@ -554,7 +583,7 @@ mod tests {
     fn round_trip_preserves_everything() {
         let (reg, node) = registry();
         let bytes = sample_stream(node);
-        let d = decode(&bytes, &reg).unwrap();
+        let d = decode_and_scan(&bytes, &reg).unwrap();
         assert_eq!(d.seq, 3);
         assert_eq!(d.kind, CheckpointKind::Incremental);
         assert_eq!(d.roots, vec![StableId(1)]);
@@ -579,7 +608,7 @@ mod tests {
         let (reg, _) = registry();
         let w = StreamWriter::new(0, CheckpointKind::Full, &[]);
         let bytes = w.finish();
-        let d = decode(&bytes, &reg).unwrap();
+        let d = decode_and_scan(&bytes, &reg).unwrap();
         assert_eq!(d.kind, CheckpointKind::Full);
         assert!(d.roots.is_empty());
         assert!(d.objects.is_empty());
@@ -590,7 +619,7 @@ mod tests {
         let (reg, node) = registry();
         let mut bytes = sample_stream(node);
         bytes[0] = b'X';
-        let err = decode(&bytes, &reg).unwrap_err();
+        let err = decode_and_scan(&bytes, &reg).unwrap_err();
         assert!(matches!(err, CoreError::Decode { offset: 0, .. }));
     }
 
@@ -598,8 +627,8 @@ mod tests {
     fn truncated_stream_is_rejected() {
         let (reg, node) = registry();
         let bytes = sample_stream(node);
-        for cut in [3, 10, 20, bytes.len() - 1] {
-            assert!(decode(&bytes[..cut], &reg).is_err(), "cut at {cut}");
+        for cut in 0..bytes.len() {
+            assert!(decode_and_scan(&bytes[..cut], &reg).is_err(), "cut at {cut}");
         }
     }
 
@@ -609,7 +638,7 @@ mod tests {
         let mut w = StreamWriter::new(0, CheckpointKind::Full, &[]);
         w.begin_object(StableId(1), ClassId::from_index(42), 0);
         let bytes = w.finish();
-        assert_eq!(decode(&bytes, &reg).unwrap_err(), CoreError::UnknownClassIndex(42));
+        assert_eq!(decode_and_scan(&bytes, &reg).unwrap_err(), CoreError::UnknownClassIndex(42));
     }
 
     #[test]
@@ -620,7 +649,10 @@ mod tests {
         w.write_int(0);
         w.write_long(0);
         let bytes = w.finish();
-        assert!(matches!(decode(&bytes, &reg).unwrap_err(), CoreError::FieldCountMismatch { .. }));
+        assert!(matches!(
+            decode_and_scan(&bytes, &reg).unwrap_err(),
+            CoreError::FieldCountMismatch { .. }
+        ));
     }
 
     #[test]
@@ -629,7 +661,7 @@ mod tests {
         let mut bytes = sample_stream(node);
         let n = bytes.len();
         bytes[n - 1] = 9; // corrupt declared record count
-        assert!(decode(&bytes, &reg).is_err());
+        assert!(decode_and_scan(&bytes, &reg).is_err());
     }
 
     #[test]
@@ -637,7 +669,7 @@ mod tests {
         let (reg, node) = registry();
         let mut bytes = sample_stream(node);
         bytes.push(0);
-        assert!(decode(&bytes, &reg).is_err());
+        assert!(decode_and_scan(&bytes, &reg).is_err());
     }
 
     #[test]
@@ -648,7 +680,8 @@ mod tests {
         w.begin_object(StableId(1), c, 1);
         w.buf.push(7); // invalid boolean encoding
         let bytes = w.finish();
-        assert!(decode(&bytes, &reg).is_err());
+        let err = decode_and_scan(&bytes, &reg).unwrap_err();
+        assert_eq!(err, CoreError::Decode { offset: 34, what: "invalid boolean byte 7".into() });
     }
 
     #[test]
@@ -729,27 +762,12 @@ mod tests {
     }
 
     #[test]
-    fn object_slices_reject_malformed_streams() {
-        let (reg, node) = registry();
-        let bytes = sample_stream(node);
-        for cut in [3, 10, 20, bytes.len() - 1] {
-            assert!(object_slices(&bytes[..cut], &reg).is_err(), "cut at {cut}");
-        }
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert!(object_slices(&bad, &reg).is_err());
-        let mut w = StreamWriter::new(0, CheckpointKind::Full, &[]);
-        w.begin_object(StableId(1), ClassId::from_index(42), 0);
-        assert_eq!(object_slices(&w.finish(), &reg).unwrap_err(), CoreError::UnknownClassIndex(42));
-    }
-
-    #[test]
     fn wrong_version_is_rejected() {
         let (reg, _) = registry();
         let w = StreamWriter::new(0, CheckpointKind::Full, &[]);
         let mut bytes = w.finish();
         bytes[5] = 99; // version low byte
-        assert!(decode(&bytes, &reg).is_err());
+        assert!(decode_and_scan(&bytes, &reg).is_err());
     }
 
     #[test]
@@ -758,6 +776,6 @@ mod tests {
         let w = StreamWriter::new(0, CheckpointKind::Full, &[]);
         let mut bytes = w.finish();
         bytes[14] = 9; // kind byte (4 magic + 2 version + 8 seq)
-        assert!(decode(&bytes, &reg).is_err());
+        assert!(decode_and_scan(&bytes, &reg).is_err());
     }
 }

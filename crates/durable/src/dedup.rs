@@ -137,6 +137,10 @@ impl ChunkIndex {
     /// batch is acknowledged (the referenced chunk is inside the
     /// frontier, earlier in the scan order) or none is. References can
     /// therefore never cross an un-acknowledged batch boundary.
+    ///
+    /// Every lookup is a hash probe: `pending` is indexed once per frame
+    /// and this frame's own staged chunks join that index as they are
+    /// staged.
     pub fn encode_batched(
         &self,
         payload: &[u8],
@@ -145,6 +149,11 @@ impl ChunkIndex {
     ) -> EncodedPayload {
         let mut stored = Vec::with_capacity(payload.len() + LITERAL_OVERHEAD);
         let mut staged: Vec<(u64, Vec<u8>)> = Vec::new();
+        // Chunks of the uncommitted batch so far: earlier frames' and this
+        // frame's. Hashes are unique across it and the index, because a
+        // chunk is staged only when its hash is found in neither.
+        let mut batch: HashMap<u64, &[u8]> =
+            pending.iter().map(|(hash, bytes)| (*hash, bytes.as_slice())).collect();
         let mut stats = DedupStats { bytes_in: payload.len() as u64, ..DedupStats::default() };
         let mut cursor = 0usize;
         let glue = |out: &mut Vec<u8>, bytes: &[u8]| {
@@ -163,12 +172,8 @@ impl ChunkIndex {
             let chunk = &payload[range.clone()];
             stats.chunks_total += 1;
             let hash = content_hash(chunk);
-            let known: Option<&[u8]> = self
-                .map
-                .get(&hash)
-                .map(Vec::as_slice)
-                .or_else(|| staged.iter().find(|(h, _)| *h == hash).map(|(_, b)| b.as_slice()))
-                .or_else(|| pending.iter().find(|(h, _)| *h == hash).map(|(_, b)| b.as_slice()));
+            let known: Option<&[u8]> =
+                self.map.get(&hash).map(Vec::as_slice).or_else(|| batch.get(&hash).copied());
             match known {
                 // A hash hit only dedups when the bytes agree (collision
                 // safety) and the reference is no larger than the chunk.
@@ -182,6 +187,7 @@ impl ChunkIndex {
                 }
                 Some(_) => glue(&mut stored, chunk),
                 None => {
+                    batch.insert(hash, chunk);
                     staged.push((hash, chunk.to_vec()));
                     stored.push(PART_CHUNK);
                     stored.extend_from_slice(&(chunk.len() as u32).to_be_bytes());

@@ -40,6 +40,12 @@ pub enum DurableError {
     UnknownSeq(u64),
     /// A tag operation referenced a label the store does not carry.
     UnknownTag(String),
+    /// A tag label is longer than the manifest's 16-bit length field
+    /// can carry (`u16::MAX` bytes).
+    LabelTooLong {
+        /// The label's length in bytes.
+        len: usize,
+    },
 }
 
 impl fmt::Display for DurableError {
@@ -58,6 +64,9 @@ impl fmt::Display for DurableError {
                 write!(f, "no checkpoint with sequence number {seq} in the store")
             }
             DurableError::UnknownTag(label) => write!(f, "no tag named {label:?} in the store"),
+            DurableError::LabelTooLong { len } => {
+                write!(f, "tag label is {len} bytes, the limit is {} bytes", u16::MAX)
+            }
         }
     }
 }
@@ -107,6 +116,10 @@ mod tests {
             (DurableError::AlreadyExists, "a durable store already exists here"),
             (DurableError::UnknownSeq(9), "no checkpoint with sequence number 9 in the store"),
             (DurableError::UnknownTag("release".into()), "no tag named \"release\" in the store"),
+            (
+                DurableError::LabelTooLong { len: 70_000 },
+                "tag label is 70000 bytes, the limit is 65535 bytes",
+            ),
         ];
         for (err, text) in cases {
             assert_eq!(err.to_string(), text);

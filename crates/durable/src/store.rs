@@ -58,7 +58,9 @@
 //! manifest is CRC-validated, orphan files are removed, every segment is
 //! truncated back to its committed length (bytes past the frontier are a
 //! torn tail from a crash mid-append — expected, and discarded), and the
-//! frames inside the frontier are CRC-checked and decoded. Any anomaly
+//! frames inside the frontier are CRC-checked and their streams
+//! validated by one scan ([`ickp_core::object_slices`]; restore decodes
+//! them later, once). Any anomaly
 //! *inside* the frontier — missing segment, short segment, bad CRC — is
 //! real corruption and surfaces as [`DurableError::Corrupt`] rather than
 //! being silently dropped.
@@ -66,11 +68,13 @@
 use std::collections::BTreeSet;
 use std::ops::Range;
 
-use crate::crc::crc32;
+use crate::crc::{crc32, Crc32};
 use crate::dedup::{ChunkIndex, DedupStats};
 use crate::error::DurableError;
 use crate::vfs::Vfs;
-use ickp_core::{decode, CheckpointRecord, CheckpointStore, CoreError, RecordSink, TraversalStats};
+use ickp_core::{
+    object_slices, CheckpointRecord, CheckpointStore, CoreError, RecordSink, TraversalStats,
+};
 use ickp_heap::ClassRegistry;
 
 const SEGMENT_MAGIC: [u8; 4] = *b"ICKD";
@@ -269,6 +273,14 @@ impl Manifest {
     }
 }
 
+/// Refuses a tag label the manifest's `u16` length field cannot carry.
+fn check_label(label: &str) -> Result<(), DurableError> {
+    if label.len() > usize::from(u16::MAX) {
+        return Err(DurableError::LabelTooLong { len: label.len() });
+    }
+    Ok(())
+}
+
 fn segment_header(index: u32) -> Vec<u8> {
     let mut out = Vec::with_capacity(SEGMENT_HEADER_LEN as usize);
     out.extend_from_slice(&SEGMENT_MAGIC);
@@ -277,12 +289,17 @@ fn segment_header(index: u32) -> Vec<u8> {
     out
 }
 
+/// The CRC a frame stores: over its length bytes, then its payload.
+fn frame_crc(len: &[u8], payload: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(len);
+    crc.update(payload);
+    crc.finish()
+}
+
 fn encode_frame(payload: &[u8]) -> Vec<u8> {
     let len = (payload.len() as u32).to_be_bytes();
-    let mut covered = Vec::with_capacity(4 + payload.len());
-    covered.extend_from_slice(&len);
-    covered.extend_from_slice(payload);
-    let crc = crc32(&covered);
+    let crc = frame_crc(&len, payload);
     let mut frame = Vec::with_capacity(FRAME_HEADER_LEN as usize + payload.len());
     frame.extend_from_slice(&len);
     frame.extend_from_slice(&crc.to_be_bytes());
@@ -509,10 +526,7 @@ impl<F: Vfs> DurableStore<F> {
                     ));
                 }
                 let stored_payload = &committed[body_at..body_at + len];
-                let mut covered = Vec::with_capacity(4 + len);
-                covered.extend_from_slice(&committed[offset..offset + 4]);
-                covered.extend_from_slice(stored_payload);
-                if crc32(&covered) != stored_crc {
+                if frame_crc(&committed[offset..offset + 4], stored_payload) != stored_crc {
                     return Err(corrupt(offset as u64, "frame checksum mismatch".into()));
                 }
 
@@ -523,26 +537,28 @@ impl<F: Vfs> DurableStore<F> {
                     .decode(stored_payload)
                     .map_err(|(part_at, what)| corrupt((body_at + part_at) as u64, what))?;
 
-                let decoded = decode(&payload, registry)?;
+                // One validating scan (everything `decode` checks, no
+                // field materialized); `restore` decodes later, once.
+                let scanned = object_slices(&payload, registry)?;
                 if let Some(last) = recovered.latest() {
                     // Generation 0 is untouched append-only history:
                     // sequence numbers are contiguous. After a rewrite,
                     // retention merges leave gaps; order still holds.
-                    if manifest.generation == 0 && decoded.seq != last.seq() + 1 {
+                    if manifest.generation == 0 && scanned.seq != last.seq() + 1 {
                         return Err(DurableError::SequenceGap {
                             expected: last.seq() + 1,
-                            got: decoded.seq,
+                            got: scanned.seq,
                         });
                     }
                 }
                 let record = CheckpointRecord::from_parts(
-                    decoded.seq,
-                    decoded.kind,
-                    decoded.roots,
+                    scanned.seq,
+                    scanned.kind,
+                    scanned.roots,
                     payload,
                     TraversalStats::default(),
                 );
-                store.seqs.push(decoded.seq);
+                store.seqs.push(scanned.seq);
                 if manifest.generation == 0 {
                     recovered.push(record)?;
                 } else {
@@ -773,21 +789,24 @@ impl<F: Vfs> DurableStore<F> {
                 // Pipeline: a scoped worker encodes frame k+1 while this
                 // thread writes frame k. The channel preserves record
                 // order, so the VFS sees the exact operation sequence a
-                // sequential encoder would produce.
+                // sequential encoder would produce. The encoder keeps the
+                // batch's staged chunks (later frames dedup against them)
+                // and hands them over once it is done.
                 std::thread::scope(|scope| -> Result<(), DurableError> {
                     let (tx, rx) = std::sync::mpsc::channel();
-                    scope.spawn(move || {
+                    let encoder = scope.spawn(move || {
                         let mut pending: Vec<(u64, Vec<u8>)> = Vec::new();
                         for (record, ranges) in records.iter().zip(layouts) {
                             let encoded = chunks.encode_batched(record.bytes(), ranges, &pending);
                             let frame = encode_frame(&encoded.stored);
-                            pending.extend(encoded.staged.iter().cloned());
-                            if tx.send((frame, encoded.staged, encoded.stats)).is_err() {
-                                return; // the writer bailed on an I/O error
+                            pending.extend(encoded.staged);
+                            if tx.send((frame, encoded.stats)).is_err() {
+                                break; // the writer bailed on an I/O error
                             }
                         }
+                        pending
                     });
-                    for (frame, staged, frame_stats) in rx {
+                    for (frame, frame_stats) in rx {
                         place_frame(
                             fs,
                             config,
@@ -797,9 +816,9 @@ impl<F: Vfs> DurableStore<F> {
                             io,
                             &frame,
                         )?;
-                        staged_all.extend(staged);
                         stats.absorb(frame_stats);
                     }
+                    staged_all = encoder.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
                     Ok(())
                 })?;
             }
@@ -860,9 +879,11 @@ impl<F: Vfs> DurableStore<F> {
     ///
     /// # Errors
     ///
-    /// [`DurableError::UnknownSeq`] if no acknowledged record carries
-    /// `seq`, or [`DurableError::Fs`] on I/O failure.
+    /// [`DurableError::LabelTooLong`] if `label` exceeds `u16::MAX`
+    /// bytes, [`DurableError::UnknownSeq`] if no acknowledged record
+    /// carries `seq`, or [`DurableError::Fs`] on I/O failure.
     pub fn tag(&mut self, label: &str, seq: u64) -> Result<(), DurableError> {
+        check_label(label)?;
         if self.seqs.binary_search(&seq).is_err() {
             return Err(DurableError::UnknownSeq(seq));
         }
@@ -919,6 +940,8 @@ impl<F: Vfs> DurableStore<F> {
     ///   increasing in sequence number.
     /// * [`DurableError::UnknownSeq`] if a tag references a sequence
     ///   number not in `records`.
+    /// * [`DurableError::LabelTooLong`] if a tag label exceeds
+    ///   `u16::MAX` bytes.
     /// * [`DurableError::Fs`] on I/O failure. Before the manifest swap
     ///   the store is unchanged; after it the rewrite is committed even
     ///   if cleanup of the old segments errors.
@@ -934,6 +957,9 @@ impl<F: Vfs> DurableStore<F> {
         tags: &[(String, u64)],
     ) -> Result<DedupStats, DurableError> {
         assert_eq!(records.len(), layouts.len(), "one chunk layout per record");
+        for (label, _) in tags {
+            check_label(label)?;
+        }
         let mut seqs = Vec::with_capacity(records.len());
         for r in records {
             if seqs.last().is_some_and(|&last| r.seq() <= last) {
@@ -1295,6 +1321,32 @@ mod tests {
         assert_eq!(reopened.tags(), &[("base".to_string(), 0), ("tip".to_string(), 1)]);
         reopened.remove_tag("base").unwrap();
         assert_eq!(reopened.tags(), &[("tip".to_string(), 1)]);
+    }
+
+    #[test]
+    fn oversized_tag_labels_are_refused_and_the_store_still_reopens() {
+        let (heap, _, records) = workload(2);
+        let mut fs = MemFs::new();
+        let mut store = DurableStore::create(&mut fs, DurableConfig::default()).unwrap();
+        for r in &records {
+            store.append(r).unwrap();
+        }
+        store.tag("ok", 1).unwrap();
+        let swaps = store.io_stats().manifest_swaps;
+        let long = "x".repeat(70_000);
+        assert_eq!(store.tag(&long, 1).unwrap_err(), DurableError::LabelTooLong { len: 70_000 });
+        let err = store.rewrite(&records, &[Vec::new(), Vec::new()], &[(long, 1)]).unwrap_err();
+        assert_eq!(err, DurableError::LabelTooLong { len: 70_000 });
+        assert_eq!(store.io_stats().manifest_swaps, swaps, "refused before any I/O");
+        // The longest label the manifest can carry still round-trips.
+        store.tag(&"y".repeat(usize::from(u16::MAX)), 0).unwrap();
+        drop(store);
+
+        let (reopened, recovered) =
+            DurableStore::open(&mut fs, DurableConfig::default(), heap.registry()).unwrap();
+        assert_eq!(recovered.len(), 2);
+        assert_eq!(reopened.tags().len(), 2);
+        assert_eq!(reopened.tags()[0], ("ok".to_string(), 1));
     }
 
     #[test]

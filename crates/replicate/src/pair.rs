@@ -37,7 +37,7 @@
 use std::ops::Range;
 
 use ickp_core::{
-    decode, object_slices, CheckpointRecord, CheckpointStore, CoreError, RecordSink, TraversalStats,
+    object_slices, CheckpointRecord, CheckpointStore, CoreError, RecordSink, TraversalStats,
 };
 use ickp_durable::{DedupStats, DurableConfig, DurableError, DurableStore, Vfs};
 use ickp_heap::ClassRegistry;
@@ -92,7 +92,7 @@ pub enum ReplicateError {
     },
     /// A frame failed integrity checks or could not be decoded.
     Wire(String),
-    /// Re-decoding a shipped payload failed on the follower.
+    /// A shipped payload failed stream validation on the follower.
     Core(CoreError),
 }
 
@@ -160,8 +160,7 @@ impl<F: Vfs> FollowerNode<F> {
         }
         match msg {
             WireMessage::Batch { payloads, .. } => {
-                let records = records_from_payloads(payloads, registry)?;
-                let layouts = layouts_for(&records, registry, dedup)?;
+                let (records, layouts) = records_from_payloads(payloads, registry, dedup)?;
                 self.store
                     .append_batch_deduped(&records, &layouts)
                     .map_err(ReplicateError::Follower)?;
@@ -173,8 +172,7 @@ impl<F: Vfs> FollowerNode<F> {
                 self.store.remove_tag(&label).map_err(ReplicateError::Follower)?;
             }
             WireMessage::Rewrite { payloads, tags, .. } => {
-                let records = records_from_payloads(payloads, registry)?;
-                let layouts = layouts_for(&records, registry, dedup)?;
+                let (records, layouts) = records_from_payloads(payloads, registry, dedup)?;
                 self.store.rewrite(&records, &layouts, &tags).map_err(ReplicateError::Follower)?;
             }
             WireMessage::Ack { .. } => {
@@ -186,36 +184,45 @@ impl<F: Vfs> FollowerNode<F> {
     }
 }
 
-/// Rebuilds owned records from shipped payload bytes. The payload *is*
-/// the record's exact byte stream, so the rebuilt record is
-/// byte-identical to the primary's; `seq`, `kind` and the root set are
-/// re-derived by decoding.
+/// One dedup chunk layout per record, as the durable store takes them.
+type ChunkLayouts = Vec<Vec<Range<usize>>>;
+
+/// Rebuilds owned records from shipped payload bytes, with one
+/// validating scan per payload ([`object_slices`], which rejects
+/// everything `decode` rejects). The payload *is* the record's exact
+/// byte stream, so the rebuilt record is byte-identical to the
+/// primary's; the scan yields its `seq`, `kind` and root set, and its
+/// chunk layout for dedup-aware storage (object-record boundaries when
+/// dedup is on, empty when off).
 fn records_from_payloads(
     payloads: Vec<Vec<u8>>,
     registry: &ClassRegistry,
-) -> Result<Vec<CheckpointRecord>, ReplicateError> {
+    dedup: bool,
+) -> Result<(Vec<CheckpointRecord>, ChunkLayouts), ReplicateError> {
     payloads
         .into_iter()
         .map(|payload| {
-            let d = decode(&payload, registry).map_err(ReplicateError::Core)?;
-            Ok(CheckpointRecord::from_parts(
-                d.seq,
-                d.kind,
-                d.roots,
+            let layout = object_slices(&payload, registry).map_err(ReplicateError::Core)?;
+            let chunks = if dedup { layout.objects } else { Vec::new() };
+            let record = CheckpointRecord::from_parts(
+                layout.seq,
+                layout.kind,
+                layout.roots,
                 payload,
                 TraversalStats::default(),
-            ))
+            );
+            Ok((record, chunks))
         })
         .collect()
 }
 
-/// Chunk layouts for dedup-aware storage: object-record boundaries when
-/// dedup is on, empty (store literally) when off.
+/// Chunk layouts for the primary's own records: object-record
+/// boundaries when dedup is on, empty (store literally) when off.
 fn layouts_for(
     records: &[CheckpointRecord],
     registry: &ClassRegistry,
     dedup: bool,
-) -> Result<Vec<Vec<Range<usize>>>, ReplicateError> {
+) -> Result<ChunkLayouts, ReplicateError> {
     if !dedup {
         return Ok(vec![Vec::new(); records.len()]);
     }
@@ -622,6 +629,47 @@ mod tests {
         assert_eq!(pair.acked_records(), 1, "second record never acked");
         assert_eq!(pair.primary_store().record_count(), 2, "but primary committed it");
         assert_eq!(pair.follower_store().record_count(), 1);
+    }
+
+    #[test]
+    fn follower_refuses_a_crc_valid_batch_with_an_invalid_bool_byte() {
+        let mut reg = ClassRegistry::new();
+        let c = reg.define("Flag", None, &[("b", FieldType::Bool)]).unwrap();
+        let mut heap = Heap::new(reg);
+        let o = heap.alloc(c).unwrap();
+        heap.set_field(o, 0, Value::Bool(true)).unwrap();
+        let table = MethodTable::derive(heap.registry());
+        let record = Checkpointer::new(CheckpointConfig::incremental())
+            .checkpoint(&mut heap, &table, &[o])
+            .unwrap();
+        let mut payload = record.bytes().to_vec();
+        let bool_at = payload.len() - 6; // the field sits right before the 5-byte footer
+        assert_eq!(payload[bool_at], 1);
+        payload[bool_at] = 7;
+        // The frame itself is intact: only the stream inside is invalid.
+        let frame = WireMessage::Batch { op_seq: 1, payloads: vec![payload] }.encode();
+        assert!(WireMessage::decode(&frame).is_ok());
+
+        let mut pair = ReplicaPair::create(
+            MemFs::new(),
+            MemFs::new(),
+            ChannelTransport::new(TransportPlan::none()),
+            ReplicateConfig::default(),
+            heap.registry(),
+        )
+        .unwrap();
+        pair.transport.send_to_follower(frame).unwrap();
+        let err = pair.pump().unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                ReplicateError::Core(CoreError::Decode { what, .. })
+                    if what == "invalid boolean byte 7"
+            ),
+            "{err}"
+        );
+        assert_eq!(pair.follower_store().record_count(), 0, "nothing appended");
+        assert_eq!(pair.follower_applied_ops(), 0);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! discarding) anything older — which makes duplicated and retransmitted
 //! frames idempotent. Checkpoint payloads travel as their *exact*
 //! `StreamWriter` bytes, so a shipped record is byte-identical on both
-//! nodes and the follower re-derives `seq`/`kind`/roots by decoding the
-//! payload it was handed.
+//! nodes and the follower re-derives `seq`/`kind`/roots by scanning the
+//! payload it was handed (`ickp_core::object_slices`).
 
 use ickp_durable::crc32;
 
@@ -191,6 +191,8 @@ fn put_payloads(out: &mut Vec<u8>, payloads: &[Vec<u8>]) {
     }
 }
 
+/// Labels reach the wire only after the primary's store accepted them,
+/// and `DurableStore::tag`/`rewrite` refuse any longer than `u16::MAX`.
 fn put_label(out: &mut Vec<u8>, label: &str) {
     out.extend_from_slice(&(label.len() as u16).to_le_bytes());
     out.extend_from_slice(label.as_bytes());
