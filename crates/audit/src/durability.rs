@@ -1,7 +1,7 @@
 //! Pass 6: the durability-ordering auditor (`AUD401`–`AUD408`).
 //!
-//! The crash and failover matrices prove the storage protocols correct
-//! *dynamically* — by replaying recovery at every injected fault index.
+//! The crash matrix proves the storage protocols correct *dynamically*
+//! — by replaying recovery at every injected fault index.
 //! This pass proves the same acked-prefix contract *statically*, from a
 //! recorded [`TraceEvent`] stream (see `ickp_durable::trace`): it walks
 //! the typed op stream under the explicit persistence model, tracking
@@ -9,7 +9,7 @@
 //! client-acknowledgement marker rests on a fully durable, fully
 //! published commit. It also computes the crash-state equivalence
 //! classes ([`crash_classes`]) — the same classes the pruned crash
-//! matrix replays one representative of.
+//! matrix replays the first and last member of.
 //!
 //! ## The persistence model (normative, see `docs/FORMAT.md`)
 //!
@@ -39,17 +39,15 @@
 //! [`audit_barriers`](crate::audit_barriers), the pass is generic over a
 //! spec trait ([`OpTraceSpec`]) so injection tests can express broken
 //! protocols the sound [`DurableStore`](ickp_durable::DurableStore)
-//! cannot produce; [`cross_validate_durability`] backs the static
-//! verdicts by replaying sampled crash classes through the real
-//! [`MemFs`](ickp_durable::MemFs) crash machinery.
+//! cannot produce. The crash matrix (`ickp_durable::crash_matrix`) backs
+//! the static verdicts dynamically: it replays the first and last member
+//! of every crash class through the real
+//! [`MemFs`](ickp_durable::MemFs) crash machinery and holds each replay
+//! to its class's `recovers_to`.
 
 use std::collections::BTreeMap;
 
-use ickp_durable::{
-    crash_classes, CrashClass, DurableConfig, DurableStore, FailFs, FaultPlan, OpTrace, TraceEvent,
-    TraceNode, TraceOp, MANIFEST,
-};
-use ickp_heap::ClassRegistry;
+use ickp_durable::{crash_classes, CrashClass, OpTrace, TraceEvent, TraceNode, TraceOp, MANIFEST};
 
 use crate::diag::{AuditReport, DiagCode, Diagnostic, Location, Severity};
 
@@ -115,8 +113,7 @@ pub struct DurabilityAudit {
     /// The findings.
     pub report: AuditReport,
     /// Crash-state equivalence classes of the trace (what the pruned
-    /// crash matrix replays one representative of, and what
-    /// [`cross_validate_durability`] samples).
+    /// crash matrix replays the first and last member of).
     pub classes: Vec<CrashClass>,
     /// Completed manifest commits, across all nodes.
     pub commits: usize,
@@ -594,86 +591,6 @@ fn check_ack(
             );
         }
     }
-}
-
-/// What the dynamic oracle established.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DurabilityOracleReport {
-    /// Total crash classes in the audited trace.
-    pub classes: usize,
-    /// Classes sampled (every `stride`-th).
-    pub sampled: usize,
-    /// Crash replays executed (first and last member of each sampled
-    /// class).
-    pub replays: usize,
-}
-
-/// Replays a sampled subset of crash classes through the real
-/// [`MemFs`](ickp_durable::MemFs) crash machinery and reconciles each
-/// class's static `recovers_to` verdict with what recovery actually
-/// returns.
-///
-/// `drive` must rebuild the identical deterministic single-node workload
-/// on every call (the one whose traced baseline produced `classes`,
-/// with client-acknowledgement markers recorded after each commit).
-/// Every `stride`-th class is sampled; for each, the **first and last**
-/// member index are replayed with an injected crash, recovered with
-/// [`DurableStore::open`], and required to hold exactly
-/// `recovers_to` records — so both ends of each equivalence range are
-/// pinned to the static verdict.
-///
-/// # Errors
-///
-/// A description of the first disagreement (or of a replay that failed
-/// to crash/recover), naming the class and crash index.
-pub fn cross_validate_durability<D>(
-    registry: &ClassRegistry,
-    config: DurableConfig,
-    classes: &[CrashClass],
-    stride: usize,
-    mut drive: D,
-) -> Result<DurabilityOracleReport, String>
-where
-    D: FnMut(&mut FailFs) -> Result<(), String>,
-{
-    let mut sampled = 0usize;
-    let mut replays = 0usize;
-    for class in classes.iter().step_by(stride.max(1)) {
-        let rep = class.representative;
-        let last = *class.indices.last().unwrap_or(&rep);
-        let mut points = vec![rep];
-        if last != rep {
-            points.push(last);
-        }
-        for k in points {
-            let mut fs = FailFs::new(FaultPlan::crash_at(k));
-            match drive(&mut fs) {
-                Err(_) if fs.crashed() => {}
-                Err(e) => {
-                    return Err(format!(
-                        "class at op {rep}: replay {k} errored without the crash firing: {e}"
-                    ));
-                }
-                Ok(()) => {
-                    return Err(format!("class at op {rep}: crash point {k} was never reached"));
-                }
-            }
-            let mut disk = fs.into_recovered();
-            let (_, recovered) = DurableStore::open(&mut disk, config, registry)
-                .map_err(|e| format!("class at op {rep}: recovery at crash {k} failed: {e}"))?;
-            if recovered.len() as u64 != class.recovers_to {
-                return Err(format!(
-                    "class at op {rep} disagrees with the MemFs oracle: crash {k} recovered \
-                     {} record(s), the static verdict says {}",
-                    recovered.len(),
-                    class.recovers_to
-                ));
-            }
-            replays += 1;
-        }
-        sampled += 1;
-    }
-    Ok(DurabilityOracleReport { classes: classes.len(), sampled, replays })
 }
 
 #[cfg(test)]

@@ -51,9 +51,9 @@
 //!    rests on a fully fsynced, fully published manifest commit
 //!    (`AUD401`–`AUD406` are ordering errors, `AUD407`/`AUD408` perf
 //!    lints), and computes the crash-state equivalence classes the
-//!    pruned crash matrix replays one representative of.
-//!    [`cross_validate_durability`] backs the verdicts by replaying
-//!    sampled classes through the real `MemFs` crash machinery.
+//!    pruned crash matrix replays. `ickp_durable::crash_matrix` backs the
+//!    verdicts by replaying the first and last member of every class
+//!    through the real `MemFs` crash machinery.
 //!
 //! Diagnostics carry stable `AUDnnn` codes, severities, locations, and
 //! suggestions; [`AuditReport::render`] prints them one per line and
@@ -108,10 +108,7 @@ pub use barriers::{
 };
 pub use coverage::{expected_events, fmt_path, Event, Path, Step};
 pub use diag::{AuditReport, DiagCode, Diagnostic, Location, Severity};
-pub use durability::{
-    audit_durability, cross_validate_durability, DurabilityAudit, DurabilityOracleReport,
-    OpTraceSpec,
-};
+pub use durability::{audit_durability, DurabilityAudit, OpTraceSpec};
 pub use oracle::{cross_validate, OracleReport};
 pub use shards::{
     audit_shards, audit_shards_with, cross_validate_shards, shard_footprints, ShardAudit,

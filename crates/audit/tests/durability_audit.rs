@@ -1,15 +1,15 @@
 //! Durability-ordering auditor, end to end: the real protocols must
 //! audit error-clean, every injected ordering violation must surface
 //! its exact `AUD4xx` code, and the static crash-class verdicts must
-//! agree with the real `MemFs` crash oracle.
+//! agree with the real `MemFs` crash machinery (via the crash matrix).
 
-use ickp_audit::{audit_durability, cross_validate_durability, OpTraceSpec};
+use ickp_audit::{audit_durability, OpTraceSpec};
 use ickp_core::{
     object_slices, CheckpointConfig, CheckpointRecord, Checkpointer, MethodTable, RecordSink,
 };
 use ickp_durable::{
-    DurableConfig, DurableStore, FailFs, FaultPlan, MemFs, OpCounter, TraceEvent, TraceLog,
-    TraceNode, TraceOp, TraceVfs, MANIFEST,
+    crash_matrix, DurableConfig, DurableStore, MatrixOptions, MemFs, OpCounter, StoreTopology,
+    TraceEvent, TraceLog, TraceNode, TraceOp, TraceVfs, MANIFEST,
 };
 use ickp_heap::{ClassRegistry, FieldType, Heap, ObjectId, Value};
 use ickp_replicate::{ChannelTransport, ReplicaPair, ReplicateConfig, TransportPlan};
@@ -352,46 +352,40 @@ fn single_record_commit_runs_are_linted_as_aud408() {
 // ---------------------------------------------------------------------
 
 /// Every crash class of a real traced workload agrees with the MemFs
-/// crash oracle: replaying the first and last member of each class
-/// recovers exactly the statically predicted record count.
+/// crash oracle: the pruned crash matrix replays the first and last
+/// member of each class and holds the recovery to the class's statically
+/// predicted record count; its traced baseline audits error-clean.
 #[test]
 fn crash_classes_agree_with_the_memfs_oracle() {
     let (registry, records) = produce(6);
-    let drive = |fs: &mut FailFs, log: Option<&TraceLog>| -> Result<(), String> {
-        let mut store = DurableStore::create(&mut *fs, config()).map_err(|e| e.to_string())?;
-        let mut acked = 0u64;
-        for record in &records[..3] {
-            store.append(record).map_err(|e| e.to_string())?;
-            acked += 1;
-            if let Some(log) = log {
-                log.client_ack(acked);
+    let report = crash_matrix(
+        &StoreTopology { config: config() },
+        &registry,
+        &records,
+        MatrixOptions::default(),
+        |fs, acks| {
+            let mut store = DurableStore::create(fs, config())?;
+            for (i, record) in records[..3].iter().enumerate() {
+                store.append(record)?;
+                acks.ack(i as u64 + 1);
             }
-        }
-        store.append_batch(&records[3..]).map_err(|e| e.to_string())?;
-        acked += (records.len() - 3) as u64;
-        if let Some(log) = log {
-            log.client_ack(acked);
-        }
-        Ok(())
-    };
+            store.append_batch(&records[3..])?;
+            acks.ack(records.len() as u64);
+            Ok(())
+        },
+        |_, _| None,
+    )
+    .expect("static verdicts must match the MemFs oracle");
 
-    // Traced baseline: the static pass sees the full op stream.
-    let log = TraceLog::new();
-    let mut baseline = FailFs::new(FaultPlan::none());
-    baseline.set_trace(log.clone(), TraceNode::Local);
-    drive(&mut baseline, Some(&log)).unwrap();
-    let trace = log.snapshot(&baseline.counter());
-    let audit = audit_durability(&trace);
+    // The static pass sees the matrix's traced baseline.
+    let audit = audit_durability(&report.trace);
     assert!(audit.is_sound(), "{}", audit.report.render());
     assert!(audit.classes.len() >= 4, "expected several classes, got {}", audit.classes.len());
-    let pruned: u64 = audit.classes.iter().map(|c| c.indices.len() as u64 - 1).sum();
-    assert!(pruned > 0, "equivalence classing must collapse some crash points");
-
+    assert_eq!(report.classes, audit.classes.len());
     // Every class, both ends, against the real crash machinery.
-    let oracle =
-        cross_validate_durability(&registry, config(), &audit.classes, 1, |fs| drive(fs, None))
-            .expect("static verdicts must match the MemFs oracle");
-    assert_eq!(oracle.classes, audit.classes.len());
-    assert_eq!(oracle.sampled, audit.classes.len());
-    assert!(oracle.replays >= audit.classes.len());
+    assert!(report.replays >= audit.classes.len());
+    assert!(
+        (report.replays as u64) < report.total_ops,
+        "equivalence classing must collapse some crash points"
+    );
 }

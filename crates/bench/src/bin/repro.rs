@@ -260,16 +260,19 @@ fn audit() -> i32 {
 // --------------------------------------------------------------- crashes
 
 /// Enumerates every crash point of two real workloads against the
-/// durable store (see `ickp_durable::enumerate_crash_points`): for each
-/// mutating I/O operation, crash there, recover, and require exactly the
-/// acknowledged checkpoints back — byte-identical and restorable to the
-/// matching program state. Deterministic (no timing dependence); returns
-/// the process exit code.
+/// durable store (see `ickp_durable::crash_matrix`, run with
+/// `MatrixOptions { full: true }`): for each mutating I/O operation,
+/// crash there, recover, and require exactly the acknowledged
+/// checkpoints back — byte-identical and restorable to the matching
+/// program state. Deterministic (no timing dependence); returns the
+/// process exit code.
 fn crashes() -> i32 {
     use ickp_analysis::{AnalysisEngine, Division};
     use ickp_backend::{GenericBackend, ParallelBackend};
     use ickp_core::{verify_restore, CheckpointRecord};
-    use ickp_durable::{enumerate_crash_points, CrashMatrixReport, DurableConfig};
+    use ickp_durable::{
+        crash_matrix, DurableConfig, DurableStore, MatrixOptions, MatrixReport, StoreTopology,
+    };
     use ickp_heap::{ClassRegistry, Heap, ObjectId};
     use ickp_synth::{SynthConfig, SynthWorld};
 
@@ -328,13 +331,27 @@ fn crashes() -> i32 {
         [("synthetic", synthetic), ("analysis-engine", analysis)]
     {
         // Small segment target so the matrix also crosses segment rolls.
-        let config = DurableConfig { segment_target_bytes: 512 };
-        let outcome = enumerate_crash_points(&registry, &records, config, |acked, restored| {
-            let (heap, roots) = &states[acked - 1];
-            verify_restore(heap, roots, restored).expect("verify_restore runs")
-        });
+        let store = StoreTopology { config: DurableConfig { segment_target_bytes: 512 } };
+        let outcome = crash_matrix(
+            &store,
+            &registry,
+            &records,
+            MatrixOptions { full: true },
+            |fs, acks| {
+                let mut durable = DurableStore::create(fs, store.config)?;
+                for (i, record) in records.iter().enumerate() {
+                    durable.append(record)?;
+                    acks.ack(i as u64 + 1);
+                }
+                Ok(())
+            },
+            |acked, restored| {
+                let (heap, roots) = &states[acked - 1];
+                verify_restore(heap, roots, restored).expect("verify_restore runs")
+            },
+        );
         match outcome {
-            Ok(CrashMatrixReport { total_ops, records, .. }) => {
+            Ok(MatrixReport { total_ops, records, .. }) => {
                 println!(
                     "{name}: {records} checkpoints, {total_ops} I/O ops — every crash point \
                      recovered exactly the acknowledged prefix"
@@ -360,8 +377,9 @@ fn crashes() -> i32 {
 
 /// The replication gate. Three deterministic checks, one exit code:
 ///
-/// 1. **Failover matrix** — `enumerate_failover_points` over a
-///    parallel-backend workload: kill the primary, the follower, or the
+/// 1. **Failover matrix** — the full `crash_matrix` (`MatrixOptions {
+///    full: true }`) over a `PairTopology` running a parallel-backend
+///    workload: kill the primary, the follower, or the
 ///    wire at every interleaved operation, inject loss / duplication /
 ///    reordering / partition at every frame, and require the survivor's
 ///    disk to hold a byte-identical, restorable, promotable prefix of
@@ -374,9 +392,9 @@ fn crashes() -> i32 {
 fn replicate() -> i32 {
     use ickp_backend::ParallelBackend;
     use ickp_core::{verify_restore, CheckpointRecord};
-    use ickp_durable::{DurableConfig, DurableStore, MemFs};
+    use ickp_durable::{crash_matrix, DurableConfig, DurableStore, MatrixOptions, MemFs};
     use ickp_replicate::{
-        enumerate_failover_points, ChannelTransport, ReplicaPair, ReplicateConfig, TransportPlan,
+        ChannelTransport, PairTopology, ReplicaPair, ReplicateConfig, TransportPlan,
     };
     use ickp_synth::{SynthConfig, SynthWorld};
 
@@ -413,10 +431,26 @@ fn replicate() -> i32 {
         max_retries: 3,
         dedup: true,
     };
-    match enumerate_failover_points(&registry, &records, config, |acked, restored| {
-        let (heap, roots) = &states[acked - 1];
-        verify_restore(heap, roots, restored).expect("verify_restore runs")
-    }) {
+    let matrix = crash_matrix(
+        &PairTopology { config },
+        &registry,
+        &records,
+        MatrixOptions { full: true },
+        |pair, acks| {
+            for record in &records {
+                pair.append(record.clone())?;
+                acks.ack(pair.acked_records());
+            }
+            pair.commit()?;
+            acks.ack(pair.acked_records());
+            Ok(())
+        },
+        |acked, restored| {
+            let (heap, roots) = &states[acked - 1];
+            verify_restore(heap, roots, restored).expect("verify_restore runs")
+        },
+    );
+    match matrix {
         Ok(report) => {
             println!(
                 "failover matrix: {} checkpoints, {} interleaved ops ({} on the wire)",
@@ -425,10 +459,7 @@ fn replicate() -> i32 {
             println!(
                 "  {} kill points survived ({} with the survivor ahead of the ack), \
                  {} masked faults, {} partitions",
-                report.kill_points,
-                report.promoted_extra,
-                report.masked_faults,
-                report.partition_points
+                report.replays, report.promoted_extra, report.masked_faults, report.clean_failures
             );
         }
         Err(e) => {
@@ -1639,19 +1670,20 @@ fn journal(opts: &Options) {
 ///    prover additionally checks every client acknowledgement waited
 ///    for durable-on-both.
 /// 4. **Injections + oracle** — six hand-built ordering violations must
-///    land on exactly their own AUD4xx code, and every crash-class
-///    verdict of the store workload is replayed against the real
-///    `MemFs` crash machinery (first and last member of every class).
+///    land on exactly their own AUD4xx code, and the store workload's
+///    pruned crash matrix (whose traced baseline the static pass audits)
+///    replays the first and last member of every crash class through the
+///    real `MemFs` crash machinery, held to the class's static verdict.
 fn durability() -> i32 {
-    use ickp_audit::{audit_durability, cross_validate_durability, Severity};
+    use ickp_audit::{audit_durability, Severity};
     use ickp_backend::ParallelBackend;
     use ickp_core::{object_slices, CheckpointRecord};
     use ickp_durable::{
-        DurableConfig, DurableStore, MemFs, OpCounter, TraceEvent, TraceLog, TraceNode, TraceOp,
-        TraceVfs, MANIFEST,
+        crash_matrix, DurableConfig, DurableStore, MatrixOptions, MemFs, OpCounter, StoreTopology,
+        TraceEvent, TraceLog, TraceNode, TraceOp, TraceVfs, MANIFEST,
     };
     use ickp_lifecycle::{CheckpointManager, LifecycleConfig, RetentionPolicy};
-    use ickp_replicate::{ChannelTransport, ReplicaPair, ReplicateConfig, TransportPlan};
+    use ickp_replicate::{PairFaults, PairTopology, ReplicateConfig};
     use ickp_synth::{SynthConfig, SynthWorld};
 
     println!("# ickp durability — static crash-consistency proofs over op traces\n");
@@ -1700,43 +1732,35 @@ fn durability() -> i32 {
     };
 
     // ---- 1. The single-node store protocol -----------------------------
-    // The same deterministic drive is reused below by the oracle, with
-    // fault injection instead of tracing.
-    let store_drive = |fs: &mut dyn ickp_durable::Vfs,
-                       log: Option<&TraceLog>|
-     -> Result<(), ickp_durable::DurableError> {
-        let mut store = DurableStore::create(&mut *fs, config)?;
-        let mut acked = 0u64;
-        for record in &records[..4] {
-            store.append(record)?;
-            acked += 1;
-            if let Some(log) = log {
-                log.client_ack(acked);
+    // The crash matrix traces its fault-free baseline for the static
+    // pass; its replays are the oracle reported in 4b.
+    let matrix = crash_matrix(
+        &StoreTopology { config },
+        &registry,
+        &records,
+        MatrixOptions::default(),
+        |fs, acks| {
+            let mut store = DurableStore::create(fs, config)?;
+            for (i, record) in records[..4].iter().enumerate() {
+                store.append(record)?;
+                acks.ack(i as u64 + 1);
             }
-        }
-        store.append_batch(&records[4..])?;
-        acked += (records.len() - 4) as u64;
-        if let Some(log) = log {
-            log.client_ack(acked);
-        }
-        store.tag("stable", records[3].seq())?;
-        let layouts: Vec<_> = records
-            .iter()
-            .map(|r| object_slices(r.bytes(), &registry).expect("records decode").objects)
-            .collect();
-        let tags = store.tags().to_vec();
-        store.rewrite(&records, &layouts, &tags)?;
-        Ok(())
-    };
-    let store_classes;
-    {
-        let log = TraceLog::new();
-        let mut fs = TraceVfs::new(MemFs::new(), log.clone());
-        store_drive(&mut fs, Some(&log)).expect("fault-free store drive");
-        let trace = log.snapshot(&fs.counter());
-        let audit = audit_durability(&trace);
-        report_subject("store", &audit);
-        store_classes = audit.classes;
+            store.append_batch(&records[4..])?;
+            acks.ack(records.len() as u64);
+            store.tag("stable", records[3].seq())?;
+            let layouts = records
+                .iter()
+                .map(|r| object_slices(r.bytes(), &registry).map(|layout| layout.objects))
+                .collect::<Result<Vec<_>, _>>()?;
+            let tags = store.tags().to_vec();
+            store.rewrite(&records, &layouts, &tags)?;
+            Ok(())
+        },
+        |_, _| None,
+    );
+    match &matrix {
+        Ok(report) => report_subject("store", &audit_durability(&report.trace)),
+        Err(_) => println!("store: not audited — its crash matrix failed (see the oracle)"),
     }
 
     // ---- 2. The lifecycle protocol -------------------------------------
@@ -1767,25 +1791,27 @@ fn durability() -> i32 {
     {
         let log = TraceLog::new();
         let counter = OpCounter::new();
-        let mut pfs =
-            TraceVfs::with_counter(MemFs::new(), log.clone(), counter.clone(), TraceNode::Primary);
-        let mut ffs =
-            TraceVfs::with_counter(MemFs::new(), log.clone(), counter.clone(), TraceNode::Follower);
-        let mut link = ChannelTransport::with_counter(TransportPlan::none(), counter.clone());
-        link.set_trace(log.clone());
-        let rcfg =
-            ReplicateConfig { durable: config, batch_records: 2, max_retries: 3, dedup: true };
-        let mut pair =
-            ReplicaPair::create(&mut pfs, &mut ffs, &mut link, rcfg, &registry).expect("pair");
-        for record in &records {
-            pair.append(record.clone()).expect("append");
-            if pair.acked_records() > 0 {
-                log.client_ack(pair.acked_records());
+        let topology = PairTopology {
+            config: ReplicateConfig {
+                durable: config,
+                batch_records: 2,
+                max_retries: 3,
+                dedup: true,
+            },
+        };
+        let faults = PairFaults::default();
+        let run = topology.run_once(&registry, faults, &counter, Some(&log), |pair| {
+            for record in &records {
+                pair.append(record.clone())?;
+                if pair.acked_records() > 0 {
+                    log.client_ack(pair.acked_records());
+                }
             }
-        }
-        pair.commit().expect("commit");
-        log.client_ack(pair.acked_records());
-        drop(pair);
+            pair.commit()?;
+            log.client_ack(pair.acked_records());
+            Ok(())
+        });
+        run.result.expect("fault-free replicated drive");
         let trace = log.snapshot(&counter);
         let audit = audit_durability(&trace);
         let name = format!(
@@ -1929,14 +1955,12 @@ fn durability() -> i32 {
     }
 
     // ---- 4b. The MemFs crash oracle ------------------------------------
-    match cross_validate_durability(&registry, config, &store_classes, 1, |fs| {
-        store_drive(fs, None).map_err(|e| e.to_string())
-    }) {
-        Ok(oracle) => {
+    match matrix {
+        Ok(report) => {
             println!(
                 "\noracle: {} class(es), {} sampled, {} crash replay(s) — static verdicts \
                  match the MemFs crash machinery",
-                oracle.classes, oracle.sampled, oracle.replays
+                report.classes, report.classes, report.replays
             );
         }
         Err(e) => {

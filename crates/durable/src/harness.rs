@@ -1,44 +1,80 @@
-//! Crash-point enumeration: prove the store safe at *every* crash point.
+//! The crash matrix: prove a storage topology safe at *every* fault point.
 //!
-//! The harness runs a workload once fault-free to count its mutating I/O
-//! operations, N. It then replays the identical workload N times, with
-//! [`FailFs`] simulating a crash at operation k for every k < N, and
-//! after each crash reopens the store and checks the durability
-//! invariant:
+//! [`crash_matrix`] runs a deterministic workload once fault-free on a
+//! [`Topology`] — a lone [`DurableStore`] ([`StoreTopology`]) or a
+//! replica pair (`ickp-replicate`'s `PairTopology`). Every mutating I/O
+//! operation of every node, and every wire send, is numbered on one
+//! shared [`OpCounter`] and recorded into a [`TraceLog`]. The driver
+//! reports each client acknowledgement through [`Acks`], which both
+//! counts it and places a [`TraceEvent::ClientAck`] marker in the traced
+//! baseline, so every crash-equivalence class ([`crash_classes`]) knows
+//! how many records it must recover (`recovers_to`).
 //!
-//! > The recovered store holds **exactly** the checkpoints whose
-//! > `append` was acknowledged before the crash, byte-identical to what
-//! > was appended — never a torn, reordered, or phantom record — and the
-//! > recovered prefix restores to the matching program state.
+//! The harness then kills the run at operation k — every layer armed,
+//! whichever owns k fires — reboots every node's disk and checks, in
+//! order:
+//!
+//! 1. the static verdict: the node that carries on (the store, or the
+//!    live replica) recovers exactly (a lone store) or at least (a
+//!    replica) its class's `recovers_to` records;
+//! 2. every rebooted disk holds a byte-identical prefix of the expected
+//!    records — never a torn, reordered or phantom record;
+//! 3. the node that carries on holds the acknowledged prefix: exactly
+//!    for a lone store, at least for a replica (a batch durable on both
+//!    nodes whose acknowledgement was still in flight is legitimately
+//!    extra, and counted in [`MatrixReport::promoted_extra`]);
+//! 4. that prefix restores to the matching program state
+//!    (`verify_state`);
+//! 5. it finishes the workload, and a clean reopen shows every record.
+//!
+//! By default the sweep is pruned: it replays the first and last member
+//! of each crash class, requires both to reach the same [`Verdict`],
+//! and lets every other member inherit it. Equivalent indices provably
+//! leave byte-identical durable states, so this loses nothing;
+//! [`MatrixOptions::full`] replays every index instead. A topology may
+//! add fault scenarios of its own ([`Topology::scenarios`]) — the pair
+//! sweeps frame loss, duplication and reordering (which must be masked)
+//! and partitions (which must fail cleanly, then promote).
 //!
 //! Because the fault schedule is a pure function of the operation index,
 //! the whole matrix is deterministic: a failure is a unit-test failure
-//! with a reproducible crash index, not a flake.
+//! with a reproducible op index, not a flake.
 
 use std::collections::HashMap;
-
-use crate::error::DurableError;
-use crate::fail::{FailFs, FaultPlan};
-use crate::store::{DurableConfig, DurableStore};
-use crate::trace::{crash_classes, TraceLog, TraceNode};
-use ickp_core::{decode, restore, CheckpointRecord, CoreError, RestorePolicy, RestoredHeap};
-use ickp_heap::{ClassRegistry, Heap};
 use std::error::Error;
 use std::fmt;
 
+use crate::fail::{FailFs, FaultPlan, OpCounter};
+use crate::store::{DurableConfig, DurableStore};
+use crate::trace::{crash_classes, OpTrace, TraceEvent, TraceLog, TraceNode, TraceOp};
+use crate::vfs::MemFs;
+use ickp_core::{
+    decode, restore, CheckpointRecord, CheckpointStore, CoreError, RestorePolicy, RestoredHeap,
+};
+use ickp_heap::{ClassRegistry, Heap};
+
+/// What a workload driver returns. Any error ends the run; the harness
+/// decides from the nodes' crash flags whether it was the injected fault
+/// propagating or a real failure.
+pub type DriveResult = Result<(), Box<dyn Error>>;
+
 /// A failed crash-matrix run.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CrashMatrixError {
-    /// The fault-free baseline run itself failed.
-    Baseline(DurableError),
-    /// The fault-free baseline of a driven run failed or diverged from
-    /// the expected records.
-    BaselineDriver(String),
-    /// The durability invariant broke at one crash point.
+pub enum MatrixError {
+    /// The fault-free baseline failed or diverged from the expected
+    /// records.
+    Baseline(String),
+    /// An invariant broke under one injected fault.
     Invariant {
-        /// The mutating-operation index the crash was injected at.
-        crash_at: u64,
-        /// The operation at that index — kind and path (e.g.
+        /// The injected fault: `"crash"`, or a topology scenario such as
+        /// `"partition"`.
+        fault: &'static str,
+        /// The operation index the fault was injected at.
+        at: u64,
+        /// For a crash, the representative (smallest index) of its
+        /// crash-equivalence class.
+        class: Option<u64>,
+        /// The operation at that index — node, kind and path (e.g.
         /// `fsync "seg-000001.ickd"`). Empty if unknown.
         op: String,
         /// What went wrong.
@@ -46,314 +82,567 @@ pub enum CrashMatrixError {
     },
 }
 
-impl fmt::Display for CrashMatrixError {
+impl fmt::Display for MatrixError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CrashMatrixError::Baseline(e) => write!(f, "baseline run failed: {e}"),
-            CrashMatrixError::BaselineDriver(what) => {
-                write!(f, "driven baseline run failed: {what}")
-            }
-            CrashMatrixError::Invariant { crash_at, op, what } if op.is_empty() => {
-                write!(f, "crash at op {crash_at}: {what}")
-            }
-            CrashMatrixError::Invariant { crash_at, op, what } => {
-                write!(f, "crash at op {crash_at} ({op}): {what}")
+            MatrixError::Baseline(what) => write!(f, "baseline run failed: {what}"),
+            MatrixError::Invariant { fault, at, class, op, what } => {
+                write!(f, "{fault} at op {at}")?;
+                if !op.is_empty() {
+                    write!(f, " ({op})")?;
+                }
+                if let Some(rep) = class {
+                    write!(f, ", class at op {rep}")?;
+                }
+                write!(f, ": {what}")
             }
         }
     }
 }
 
-impl Error for CrashMatrixError {}
+impl Error for MatrixError {}
 
-impl From<DurableError> for CrashMatrixError {
-    fn from(e: DurableError) -> CrashMatrixError {
-        CrashMatrixError::Baseline(e)
+/// Sweep options for [`crash_matrix`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MatrixOptions {
+    /// Replay every crash index. By default only the first and last
+    /// member of each crash-equivalence class are replayed, and the other
+    /// members inherit their verdict.
+    pub full: bool,
+}
+
+/// The driver's channel for client acknowledgements: one call both
+/// counts the acknowledgement and, in the traced baseline, logs it as a
+/// [`TraceEvent::ClientAck`] marker at its position in the op stream.
+#[derive(Debug, Default)]
+pub struct Acks {
+    records: u64,
+    log: Option<TraceLog>,
+}
+
+impl Acks {
+    /// Reports that `records` checkpoint records (cumulative) are now
+    /// acknowledged to the client. A watermark that does not advance is
+    /// ignored.
+    pub fn ack(&mut self, records: u64) {
+        if records > self.records {
+            self.records = records;
+            if let Some(log) = &self.log {
+                log.client_ack(records);
+            }
+        }
+    }
+
+    /// Records acknowledged so far.
+    pub fn records(&self) -> u64 {
+        self.records
+    }
+
+    /// The log a traced run records every operation into.
+    pub fn log(&self) -> Option<&TraceLog> {
+        self.log.as_ref()
     }
 }
 
-/// Sweep options for the crash-matrix harness.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MatrixOptions {
-    /// Replay only one representative per crash-equivalence class (see
-    /// [`crash_classes`](crate::crash_classes)) instead of every index.
-    /// Sound because equivalent indices provably leave byte-identical
-    /// durable states — and for a workload that only acknowledges after
-    /// a completed commit (every commit changes the durable state), an
-    /// identical durable state implies an identical acknowledged count.
-    /// The report's `acked` vector still covers every index, with class
-    /// members inheriting their representative's verdict.
-    pub prune_equivalent: bool,
+/// One node's disk after a run.
+#[derive(Debug)]
+pub struct NodeDisk {
+    /// Which node.
+    pub node: TraceNode,
+    /// What the rebooted node finds: volatile state is gone if it died.
+    pub disk: MemFs,
+    /// Whether the run killed this node.
+    pub dead: bool,
 }
 
-/// What a full crash-matrix sweep established.
+/// Everything observable after one run of a workload on a topology.
+#[derive(Debug)]
+pub struct Run {
+    /// What the driver returned.
+    pub result: Result<(), String>,
+    /// Records acknowledged to the client when the run ended.
+    pub acked: u64,
+    /// The faulted operation — node, kind and path — if a fault fired.
+    pub faulted: Option<String>,
+    /// Every node's disk, in the topology's node order. The last live
+    /// node (or, if none lives, the last node) carries on.
+    pub nodes: Vec<NodeDisk>,
+}
+
+/// What recovery established after one fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CrashMatrixReport {
-    /// Mutating I/O operations in the fault-free run — also the number of
-    /// crash points exercised.
-    pub total_ops: u64,
-    /// Number of checkpoint records in the workload.
-    pub records: usize,
-    /// For each crash point k, how many appends had been acknowledged
-    /// when the crash hit (and hence how many records recovery returned).
-    pub acked: Vec<usize>,
-    /// Distinct crash-equivalence classes in the baseline trace.
-    pub classes: usize,
-    /// Crash points skipped as provably equivalent to an already-replayed
-    /// representative (0 unless [`MatrixOptions::prune_equivalent`]).
-    pub pruned_points: u64,
+pub struct Verdict {
+    /// Records acknowledged to the client when the fault hit.
+    pub acked: u64,
+    /// The node the fault killed, if any.
+    pub dead: Option<TraceNode>,
+    /// Records each node's disk recovered on reboot, in node order.
+    pub recovered: Vec<usize>,
+    /// Records on the node that carries on.
+    pub survivor: usize,
 }
 
-/// Runs the workload `records` through the store at every possible crash
-/// point and checks the durability invariant at each.
+/// What a topology's extra fault scenario must do.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Expect {
+    /// The fault is invisible: the run completes, every record is
+    /// acknowledged, and every node holds them all.
+    Masked,
+    /// The run fails with an error containing this text, kills no node,
+    /// and the last node carries on.
+    FailsWith(&'static str),
+}
+
+/// One extra fault scenario a topology sweeps after the kill matrix.
+#[derive(Debug, Clone)]
+pub struct Scenario<P> {
+    /// The fault's name, for reports and failures.
+    pub fault: &'static str,
+    /// The operation index it is aimed at.
+    pub at: u64,
+    /// The plan that injects it.
+    pub plan: P,
+    /// What the run must do.
+    pub expect: Expect,
+}
+
+/// A storage system [`crash_matrix`] can drive: how to run a workload on
+/// fresh fault-injectable disks, and what its recovery must promise.
+pub trait Topology {
+    /// What the driver writes through.
+    type Handle<'a>;
+    /// A fault schedule for one run.
+    type Plan;
+
+    /// The store configuration every node uses.
+    fn durable(&self) -> DurableConfig;
+
+    /// `true` if the node that carries on must recover exactly the
+    /// acknowledged prefix; `false` if it may hold more.
+    fn exact(&self) -> bool;
+
+    /// Records per batch when the node that carries on finishes the
+    /// workload.
+    fn batch_records(&self) -> usize;
+
+    /// A plan that crashes every layer at operation `k` (whichever owns
+    /// it fires), or injects nothing for `None`.
+    fn kill(&self, k: Option<u64>) -> Self::Plan;
+
+    /// Extra scenarios to sweep after the kill matrix, aimed at the
+    /// operations of the baseline `trace`. None by default.
+    fn scenarios(&self, trace: &OpTrace) -> Vec<Scenario<Self::Plan>> {
+        let _ = trace;
+        Vec::new()
+    }
+
+    /// Runs `drive` once on fresh disks under `plan`, numbering every
+    /// layer's operations on `counter` and, if `acks` carries a log,
+    /// recording them into it.
+    fn run<D>(
+        &self,
+        registry: &ClassRegistry,
+        plan: Self::Plan,
+        counter: &OpCounter,
+        acks: &mut Acks,
+        drive: &mut D,
+    ) -> Run
+    where
+        D: for<'a> FnMut(&mut Self::Handle<'a>, &mut Acks) -> DriveResult;
+}
+
+/// A lone [`DurableStore`] on a [`FailFs`]: recovery must return exactly
+/// the acknowledged prefix.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StoreTopology {
+    /// The store's configuration.
+    pub config: DurableConfig,
+}
+
+impl Topology for StoreTopology {
+    type Handle<'a> = FailFs;
+    type Plan = FaultPlan;
+
+    fn durable(&self) -> DurableConfig {
+        self.config
+    }
+
+    fn exact(&self) -> bool {
+        true
+    }
+
+    fn batch_records(&self) -> usize {
+        1
+    }
+
+    fn kill(&self, k: Option<u64>) -> FaultPlan {
+        k.map_or(FaultPlan::none(), FaultPlan::crash_at)
+    }
+
+    fn run<D>(
+        &self,
+        _registry: &ClassRegistry,
+        plan: FaultPlan,
+        counter: &OpCounter,
+        acks: &mut Acks,
+        drive: &mut D,
+    ) -> Run
+    where
+        D: for<'a> FnMut(&mut FailFs, &mut Acks) -> DriveResult,
+    {
+        let mut fs = FailFs::with_counter(MemFs::new(), plan, counter.clone());
+        if let Some(log) = acks.log() {
+            fs.set_trace(log.clone(), TraceNode::Local);
+        }
+        let result = drive(&mut fs, acks).map_err(|e| e.to_string());
+        let faulted = fs.faulted_op().map(|(_, op)| op);
+        let dead = fs.crashed();
+        Run {
+            result,
+            acked: acks.records(),
+            faulted,
+            nodes: vec![NodeDisk { node: TraceNode::Local, disk: fs.into_recovered(), dead }],
+        }
+    }
+}
+
+/// What a crash-matrix sweep established.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MatrixReport {
+    /// Mutating operations in the fault-free run — every node's I/O plus
+    /// wire sends — and hence the number of crash points.
+    pub total_ops: u64,
+    /// Checkpoint records in the workload.
+    pub records: usize,
+    /// For each crash point, what recovery established. In a pruned
+    /// sweep, members of a class inherit the verdict of its replayed
+    /// ends.
+    pub verdicts: Vec<Verdict>,
+    /// Crash-equivalence classes in the baseline trace.
+    pub classes: usize,
+    /// Crash replays executed.
+    pub replays: usize,
+    /// Wire sends in the baseline (0 for a lone store).
+    pub transport_ops: usize,
+    /// Topology scenarios proven invisible.
+    pub masked_faults: usize,
+    /// Topology scenarios proven to fail cleanly and then carry on.
+    pub clean_failures: usize,
+    /// Faults after which the node that carried on held records beyond
+    /// the acknowledged prefix (an acknowledgement still in flight).
+    pub promoted_extra: usize,
+    /// The traced fault-free baseline, client-ack markers included.
+    pub trace: OpTrace,
+}
+
+impl MatrixReport {
+    /// The acknowledged record count at each crash point.
+    pub fn acked(&self) -> Vec<u64> {
+        self.verdicts.iter().map(|v| v.acked).collect()
+    }
+}
+
+/// Sweeps the crash matrix of a workload on `topology`.
 ///
-/// `verify_state(acked, restored)` is called after each recovery with
-/// `acked > 0`; it should compare `restored` against the caller's
-/// snapshot of the program state at checkpoint `acked - 1` (e.g. via
+/// `drive` must rebuild the identical deterministic workload on every
+/// call, writing through the handle it is given and reporting every
+/// client acknowledgement through [`Acks::ack`]. `expected` is the
+/// record sequence of a fault-free run; the baseline must reproduce it
+/// on every node, and every recovery is held to a byte-identical prefix
+/// of it. `verify_state(n, restored)` is called after each recovery of
+/// `n > 0` records; it should compare `restored` against the caller's
+/// snapshot of the program state at checkpoint `n - 1` (e.g. via
 /// [`verify_restore`](ickp_core::verify_restore)) and return a mismatch
 /// description, or `None` if the states agree.
 ///
-/// After each recovery the harness also finishes the workload — appends
-/// the remaining records and reopens once more — proving a post-crash
-/// store is fully usable, not merely readable.
-///
 /// # Errors
 ///
-/// [`CrashMatrixError::Baseline`] if the fault-free run fails;
-/// [`CrashMatrixError::Invariant`] with the offending crash index if any
-/// replay breaks the invariant.
-pub fn enumerate_crash_points<V>(
-    registry: &ClassRegistry,
-    records: &[CheckpointRecord],
-    config: DurableConfig,
-    verify_state: V,
-) -> Result<CrashMatrixReport, CrashMatrixError>
-where
-    V: FnMut(usize, &RestoredHeap) -> Option<String>,
-{
-    enumerate_crash_points_with(registry, records, config, MatrixOptions::default(), verify_state)
-}
-
-/// [`enumerate_crash_points`] with explicit [`MatrixOptions`] — set
-/// [`MatrixOptions::prune_equivalent`] to sweep one representative per
-/// crash-equivalence class instead of every index.
-///
-/// # Errors
-///
-/// As [`enumerate_crash_points`].
-pub fn enumerate_crash_points_with<V>(
-    registry: &ClassRegistry,
-    records: &[CheckpointRecord],
-    config: DurableConfig,
-    options: MatrixOptions,
-    verify_state: V,
-) -> Result<CrashMatrixReport, CrashMatrixError>
-where
-    V: FnMut(usize, &RestoredHeap) -> Option<String>,
-{
-    enumerate_crash_points_driven_with(
-        registry,
-        records,
-        config,
-        options,
-        |fs, acked| {
-            let mut store = DurableStore::create(fs, config).map_err(describe)?;
-            for record in records {
-                store.append(record).map_err(describe)?;
-                *acked += 1;
-            }
-            Ok(())
-        },
-        verify_state,
-    )
-}
-
-/// Maps a driver error to the harness's message form, keeping the typed
-/// crash recognizable (the driven harness re-checks `FailFs::crashed`, so
-/// the string is only ever shown for *unexpected* failures).
-fn describe<E: fmt::Display>(e: E) -> String {
-    e.to_string()
-}
-
-/// [`enumerate_crash_points`] for workloads that *produce* their records
-/// while writing — the parallel backend streaming `checkpoint_into` a
-/// [`DurableStore`] — rather than appending a pre-built list.
-///
-/// `drive` must rebuild the identical deterministic workload on every
-/// call: given a fresh [`FailFs`], it creates the store, runs the
-/// workload, and increments `acked` after each acknowledged append. Any
-/// error is returned as a string; the harness decides from
-/// [`FailFs::crashed`] whether it was the injected crash propagating
-/// (expected) or a real failure. `expected` is the record sequence of a
-/// fault-free run (obtained by the caller, e.g. against an in-memory
-/// sink); the harness validates the baseline against it and holds every
-/// recovery to the byte-identical acknowledged prefix of it.
-///
-/// # Errors
-///
-/// [`CrashMatrixError::BaselineDriver`] if the fault-free drive fails or
-/// diverges from `expected`; [`CrashMatrixError::Invariant`] with the
-/// offending crash index if any replay breaks the invariant.
-pub fn enumerate_crash_points_driven<D, V>(
+/// [`MatrixError::Baseline`] if the fault-free run fails or diverges;
+/// [`MatrixError::Invariant`] naming the fault, its op index and (for a
+/// crash) its class if any replay breaks an invariant.
+pub fn crash_matrix<T, D, V>(
+    topology: &T,
     registry: &ClassRegistry,
     expected: &[CheckpointRecord],
-    config: DurableConfig,
-    drive: D,
-    verify_state: V,
-) -> Result<CrashMatrixReport, CrashMatrixError>
-where
-    D: FnMut(&mut FailFs, &mut usize) -> Result<(), String>,
-    V: FnMut(usize, &RestoredHeap) -> Option<String>,
-{
-    enumerate_crash_points_driven_with(
-        registry,
-        expected,
-        config,
-        MatrixOptions::default(),
-        drive,
-        verify_state,
-    )
-}
-
-/// [`enumerate_crash_points_driven`] with explicit [`MatrixOptions`].
-///
-/// # Errors
-///
-/// As [`enumerate_crash_points_driven`].
-pub fn enumerate_crash_points_driven_with<D, V>(
-    registry: &ClassRegistry,
-    expected: &[CheckpointRecord],
-    config: DurableConfig,
     options: MatrixOptions,
     mut drive: D,
     mut verify_state: V,
-) -> Result<CrashMatrixReport, CrashMatrixError>
+) -> Result<MatrixReport, MatrixError>
 where
-    D: FnMut(&mut FailFs, &mut usize) -> Result<(), String>,
+    T: Topology,
+    D: for<'a> FnMut(&mut T::Handle<'a>, &mut Acks) -> DriveResult,
     V: FnMut(usize, &RestoredHeap) -> Option<String>,
 {
-    // Fault-free baseline: count the mutating I/O operations, record the
-    // typed op trace (for equivalence classing), and prove the driver
-    // reproduces the expected records on disk.
-    let mut baseline = FailFs::new(FaultPlan::none());
-    let log = TraceLog::new();
-    baseline.set_trace(log.clone(), TraceNode::Local);
-    let mut baseline_acked = 0usize;
-    drive(&mut baseline, &mut baseline_acked).map_err(CrashMatrixError::BaselineDriver)?;
-    if baseline_acked != expected.len() {
-        return Err(CrashMatrixError::BaselineDriver(format!(
-            "baseline acknowledged {baseline_acked} records, expected {}",
-            expected.len()
-        )));
-    }
-    let total_ops = baseline.ops();
-    let trace = log.snapshot(&baseline.counter());
-    let classes = crash_classes(&trace);
-    let mut disk = baseline.into_recovered();
-    let (_, on_disk) = DurableStore::open(&mut disk, config, registry)
-        .map_err(|e| CrashMatrixError::BaselineDriver(format!("baseline reopen failed: {e}")))?;
-    for (want, got) in expected.iter().zip(on_disk.records()) {
-        if want.bytes() != got.bytes() {
-            return Err(CrashMatrixError::BaselineDriver(format!(
-                "baseline record seq {} diverges from the expected workload",
-                got.seq()
-            )));
-        }
-    }
-
-    let sweep: Vec<u64> = if options.prune_equivalent {
-        classes.iter().map(|c| c.representative).collect()
-    } else {
-        (0..total_ops).collect()
+    let check = Check {
+        exact: topology.exact(),
+        batch: topology.batch_records(),
+        config: topology.durable(),
+        registry,
+        expected,
     };
-    let pruned_points = total_ops - sweep.len() as u64;
 
-    let mut acked_per_point = vec![usize::MAX; total_ops as usize];
-    for &crash_at in &sweep {
-        // Replay until the injected crash kills the run.
-        let mut fs = FailFs::new(FaultPlan::crash_at(crash_at));
-        let mut acked = 0usize;
-        let outcome = drive(&mut fs, &mut acked);
-        let op_desc = fs.faulted_op().map(|(_, desc)| desc).unwrap_or_default();
-        let fail =
-            |what: String| CrashMatrixError::Invariant { crash_at, op: op_desc.clone(), what };
-        match outcome {
-            Err(_) if fs.crashed() => {}
-            Err(what) => return Err(fail(format!("run errored without the crash firing: {what}"))),
-            Ok(()) => return Err(fail("crash point was never reached".into())),
-        }
+    // Traced fault-free baseline: size the op space, place the ack
+    // markers, and prove every node ends with the whole workload.
+    let (counter, log) = (OpCounter::new(), TraceLog::new());
+    let mut acks = Acks { records: 0, log: Some(log.clone()) };
+    let baseline = topology.run(registry, topology.kill(None), &counter, &mut acks, &mut drive);
+    let trace = log.snapshot(&counter);
+    check.complete(baseline).map_err(MatrixError::Baseline)?;
+    let total_ops = trace.counted;
+    let classes = crash_classes(&trace);
 
-        // Reboot: recover from what survived on disk.
-        let mut disk = fs.into_recovered();
-        let (mut store, recovered) = DurableStore::open(&mut disk, config, registry)
-            .map_err(|e| fail(format!("recovery failed: {e}")))?;
-
-        // The invariant: exactly the acknowledged prefix, byte-identical.
-        if recovered.len() != acked {
-            return Err(fail(format!(
-                "recovered {} records but {acked} appends were acknowledged",
-                recovered.len()
-            )));
-        }
-        for (appended, got) in expected.iter().zip(recovered.records()) {
-            if appended.seq() != got.seq() {
-                return Err(fail(format!(
-                    "recovered seq {} where {} was appended",
-                    got.seq(),
-                    appended.seq()
-                )));
+    // The kill matrix, one class at a time.
+    let mut verdicts: Vec<Option<Verdict>> = vec![None; total_ops as usize];
+    let mut replays = 0usize;
+    for class in &classes {
+        let first = class.representative;
+        let last = *class.indices.last().unwrap_or(&first);
+        let sweep = if options.full {
+            class.indices.clone()
+        } else if last == first {
+            vec![first]
+        } else {
+            vec![first, last]
+        };
+        for k in sweep {
+            let run = topology.run(
+                registry,
+                topology.kill(Some(k)),
+                &OpCounter::new(),
+                &mut Acks::default(),
+                &mut drive,
+            );
+            let op = run.faulted.clone().unwrap_or_default();
+            let fail = |what: String| MatrixError::Invariant {
+                fault: "crash",
+                at: k,
+                class: Some(first),
+                op: op.clone(),
+                what,
+            };
+            let dead = run.nodes.iter().filter(|n| n.dead).count();
+            match (&run.result, dead) {
+                (Ok(()), _) => return Err(fail("crash point was never reached".into())),
+                (Err(e), 0) => {
+                    return Err(fail(format!("run errored without the crash firing: {e}")))
+                }
+                (Err(e), 2..) => return Err(fail(format!("{dead} nodes died at one op: {e}"))),
+                (Err(_), _) => {}
             }
-            if appended.bytes() != got.bytes() {
-                return Err(fail(format!("record seq {} is not byte-identical", got.seq())));
+            let verdict =
+                check.settle(run, Some(class.recovers_to), &mut verify_state).map_err(fail)?;
+            verdicts[k as usize] = Some(verdict);
+            replays += 1;
+        }
+        if !options.full {
+            let verdict = verdicts[first as usize].clone();
+            if verdicts[last as usize] != verdict {
+                return Err(MatrixError::Invariant {
+                    fault: "crash",
+                    at: last,
+                    class: Some(first),
+                    op: String::new(),
+                    what: format!(
+                        "class members disagree: op {first} gives {verdict:?}, op {last} gives {:?}",
+                        verdicts[last as usize]
+                    ),
+                });
             }
-        }
-
-        // The recovered prefix must restore to the acknowledged state.
-        if acked > 0 {
-            let rebuilt = restore(&recovered, registry, RestorePolicy::Lenient)
-                .map_err(|e| fail(format!("restore of recovered store failed: {e}")))?;
-            if let Some(mismatch) = verify_state(acked, &rebuilt) {
-                return Err(fail(format!("restored state diverges: {mismatch}")));
-            }
-        }
-
-        // A recovered store must be fully usable: finish the workload and
-        // confirm a final clean reopen sees everything.
-        for record in &expected[acked..] {
-            store.append(record).map_err(|e| fail(format!("post-recovery append failed: {e}")))?;
-        }
-        drop(store);
-        let (_, full) = DurableStore::open(&mut disk, config, registry)
-            .map_err(|e| fail(format!("post-recovery reopen failed: {e}")))?;
-        if full.len() != expected.len() {
-            return Err(fail(format!(
-                "store finished with {} records, expected {}",
-                full.len(),
-                expected.len()
-            )));
-        }
-
-        acked_per_point[crash_at as usize] = acked;
-    }
-
-    // Pruned sweep: every class member inherits its representative's
-    // verdict (equivalent indices leave byte-identical durable states,
-    // hence identical recoveries).
-    if options.prune_equivalent {
-        for class in &classes {
-            let verdict = acked_per_point[class.representative as usize];
             for &k in &class.indices {
-                acked_per_point[k as usize] = verdict;
+                verdicts[k as usize] = verdict.clone();
+            }
+        }
+    }
+    let verdicts = verdicts
+        .into_iter()
+        .enumerate()
+        .map(|(k, v)| v.ok_or_else(|| MatrixError::Baseline(format!("op {k} is not traced"))))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut promoted_extra = verdicts.iter().filter(|v| v.survivor as u64 > v.acked).count();
+
+    // The topology's own scenarios.
+    let mut masked_faults = 0usize;
+    let mut clean_failures = 0usize;
+    for scenario in topology.scenarios(&trace) {
+        let run = topology.run(
+            registry,
+            scenario.plan,
+            &OpCounter::new(),
+            &mut Acks::default(),
+            &mut drive,
+        );
+        let op = run.faulted.clone().unwrap_or_default();
+        let fault = scenario.fault;
+        let fail =
+            |what: String| MatrixError::Invariant { fault, at: scenario.at, class: None, op, what };
+        match scenario.expect {
+            Expect::Masked => {
+                check.complete(run).map_err(|e| fail(format!("fault was not masked: {e}")))?;
+                masked_faults += 1;
+            }
+            Expect::FailsWith(needle) => {
+                let outcome = match &run.result {
+                    Ok(()) => Err(format!("{fault} was silently masked")),
+                    Err(_) if run.nodes.iter().any(|n| n.dead) => {
+                        Err(format!("{fault} must not kill a node"))
+                    }
+                    Err(e) if !e.contains(needle) => {
+                        Err(format!("expected a `{needle}` failure, got: {e}"))
+                    }
+                    Err(_) => check.settle(run, None, &mut verify_state),
+                };
+                let verdict = outcome.map_err(fail)?;
+                promoted_extra += usize::from(verdict.survivor as u64 > verdict.acked);
+                clean_failures += 1;
             }
         }
     }
 
-    Ok(CrashMatrixReport {
+    let transport_ops = trace
+        .events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::Op { op: TraceOp::WireSend | TraceOp::WireAck, .. }))
+        .count();
+    Ok(MatrixReport {
         total_ops,
         records: expected.len(),
-        acked: acked_per_point,
+        verdicts,
         classes: classes.len(),
-        pruned_points,
+        replays,
+        transport_ops,
+        masked_faults,
+        clean_failures,
+        promoted_extra,
+        trace,
     })
+}
+
+/// The recovery checks shared by every fault.
+struct Check<'r> {
+    exact: bool,
+    batch: usize,
+    config: DurableConfig,
+    registry: &'r ClassRegistry,
+    expected: &'r [CheckpointRecord],
+}
+
+impl Check<'_> {
+    /// A run that must have completed: every record acknowledged and on
+    /// every node.
+    fn complete(&self, mut run: Run) -> Result<(), String> {
+        run.result.map_err(|e| format!("run failed: {e}"))?;
+        let want = self.expected.len();
+        if run.acked != want as u64 {
+            return Err(format!("acknowledged {} of {want} records", run.acked));
+        }
+        for n in &mut run.nodes {
+            let recovered = self.reboot(&mut n.disk).map_err(|e| format!("{}: {e}", n.node))?;
+            if recovered.len() != want {
+                return Err(format!("{} holds {} of {want} records", n.node, recovered.len()));
+            }
+        }
+        Ok(())
+    }
+
+    /// Reboots every node after a fault and holds the node that carries
+    /// on to `recovers_to`, then to the acknowledged prefix; restores it,
+    /// finishes the workload on it and reopens it once more.
+    fn settle(
+        &self,
+        mut run: Run,
+        recovers_to: Option<u64>,
+        verify_state: &mut dyn FnMut(usize, &RestoredHeap) -> Option<String>,
+    ) -> Result<Verdict, String> {
+        let mut stores = Vec::with_capacity(run.nodes.len());
+        for n in &mut run.nodes {
+            let (_, recovered) = DurableStore::open(&mut n.disk, self.config, self.registry)
+                .map_err(|e| format!("{} recovery failed: {e}", n.node))?;
+            stores.push(recovered);
+        }
+        let recovered: Vec<usize> = stores.iter().map(CheckpointStore::len).collect();
+        let s = run.nodes.iter().rposition(|n| !n.dead).unwrap_or(run.nodes.len() - 1);
+        let (node, survivor) = (run.nodes[s].node, recovered[s]);
+        let bound = if self.exact { "exactly" } else { "at least" };
+        let short = |want: u64| survivor as u64 != want && (self.exact || (survivor as u64) < want);
+
+        if let Some(want) = recovers_to.filter(|&want| short(want)) {
+            return Err(format!(
+                "{node} recovered {survivor} record(s) where the class's static verdict is \
+                 {bound} {want}"
+            ));
+        }
+        for (n, store) in run.nodes.iter().zip(&stores) {
+            self.prefix(store).map_err(|e| format!("{}: {e}", n.node))?;
+        }
+        if short(run.acked) {
+            return Err(format!(
+                "{node} recovered {survivor} records but {} were acknowledged to the client",
+                run.acked
+            ));
+        }
+        if survivor > 0 {
+            let rebuilt = restore(&stores[s], self.registry, RestorePolicy::Lenient)
+                .map_err(|e| format!("restore of {node} failed: {e}"))?;
+            if let Some(mismatch) = verify_state(survivor, &rebuilt) {
+                return Err(format!("{node} state diverges: {mismatch}"));
+            }
+        }
+
+        // Carry on: finish the workload and reopen cleanly.
+        let disk = &mut run.nodes[s].disk;
+        let (mut store, _) = DurableStore::open(&mut *disk, self.config, self.registry)
+            .map_err(|e| format!("{node} reopen failed: {e}"))?;
+        for batch in self.expected[survivor..].chunks(self.batch.max(1)) {
+            store.append_batch(batch).map_err(|e| format!("post-recovery append failed: {e}"))?;
+        }
+        drop(store);
+        let full = self.reboot(disk).map_err(|e| format!("post-recovery reopen: {e}"))?;
+        if full.len() != self.expected.len() {
+            return Err(format!(
+                "{node} finished with {} of {} records",
+                full.len(),
+                self.expected.len()
+            ));
+        }
+
+        let dead = run.nodes.iter().find(|n| n.dead).map(|n| n.node);
+        Ok(Verdict { acked: run.acked, dead, recovered, survivor })
+    }
+
+    /// Opens `disk` and holds it to a byte-identical prefix of the
+    /// expected records.
+    fn reboot(&self, disk: &mut MemFs) -> Result<CheckpointStore, String> {
+        let (_, recovered) = DurableStore::open(disk, self.config, self.registry)
+            .map_err(|e| format!("recovery failed: {e}"))?;
+        self.prefix(&recovered)?;
+        Ok(recovered)
+    }
+
+    fn prefix(&self, recovered: &CheckpointStore) -> Result<(), String> {
+        if recovered.len() > self.expected.len() {
+            return Err(format!(
+                "recovered {} records, the workload has only {}",
+                recovered.len(),
+                self.expected.len()
+            ));
+        }
+        for (want, got) in self.expected.iter().zip(recovered.records()) {
+            if want.seq() != got.seq() {
+                return Err(format!(
+                    "recovered seq {} where {} was written",
+                    got.seq(),
+                    want.seq()
+                ));
+            }
+            if want.bytes() != got.bytes() {
+                return Err(format!(
+                    "record seq {} diverges from the expected workload",
+                    got.seq()
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Re-marks as modified every object that `record` captured and that is
@@ -416,84 +705,138 @@ mod tests {
         (registry, states, records)
     }
 
+    /// Appends `records` one by one, acknowledging each after its commit.
+    fn append_each(
+        config: DurableConfig,
+        records: &[CheckpointRecord],
+    ) -> impl FnMut(&mut FailFs, &mut Acks) -> DriveResult + '_ {
+        move |fs, acks| {
+            let mut store = DurableStore::create(fs, config)?;
+            for (i, record) in records.iter().enumerate() {
+                store.append(record)?;
+                acks.ack(i as u64 + 1);
+            }
+            Ok(())
+        }
+    }
+
+    fn verify(states: &[HeapSnapshot]) -> impl FnMut(usize, &RestoredHeap) -> Option<String> + '_ {
+        |acked, restored| {
+            let (heap, roots) = &states[acked - 1];
+            verify_restore(heap, roots, restored).expect("verify runs")
+        }
+    }
+
     #[test]
     fn every_crash_point_recovers_the_acked_prefix() {
         let (registry, states, records) = workload(4);
-        let report = enumerate_crash_points(
+        let store = StoreTopology { config: DurableConfig { segment_target_bytes: 64 } };
+        let report = crash_matrix(
+            &store,
             &registry,
             &records,
-            DurableConfig { segment_target_bytes: 64 },
-            |acked, restored| {
-                let (heap, roots) = &states[acked - 1];
-                verify_restore(heap, roots, restored).expect("verify runs")
-            },
+            MatrixOptions::default(),
+            append_each(store.config, &records),
+            verify(&states),
         )
         .unwrap();
         assert_eq!(report.records, 4);
         assert!(report.total_ops >= 24, "4 appends are at least 24 ops");
-        assert_eq!(report.acked.len(), report.total_ops as usize);
+        let acked = report.acked();
+        assert_eq!(acked.len(), report.total_ops as usize);
         // Acked counts are monotone in the crash index and span 0..=3.
-        assert_eq!(*report.acked.first().unwrap(), 0);
-        assert_eq!(*report.acked.last().unwrap(), records.len() - 1);
-        assert!(report.acked.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(*acked.first().unwrap(), 0);
+        assert_eq!(*acked.last().unwrap(), records.len() as u64 - 1);
+        assert!(acked.windows(2).all(|w| w[0] <= w[1]));
+        assert!(report.verdicts.iter().all(|v| v.dead == Some(TraceNode::Local)));
+        assert_eq!(report.transport_ops + report.masked_faults + report.clean_failures, 0);
     }
 
+    /// The store's pruned ≡ full proof: replaying every index gives each
+    /// point exactly the verdict the pruned sweep lets it inherit.
     #[test]
     fn pruned_matrix_matches_the_full_matrix() {
         let (registry, states, records) = workload(4);
-        let config = DurableConfig { segment_target_bytes: 64 };
-        let verify = |states: &[HeapSnapshot]| {
-            let states = states.to_vec();
-            move |acked: usize, restored: &RestoredHeap| {
-                let (heap, roots) = &states[acked - 1];
-                verify_restore(heap, roots, restored).expect("verify runs")
-            }
+        let store = StoreTopology { config: DurableConfig { segment_target_bytes: 64 } };
+        let sweep = |full| {
+            crash_matrix(
+                &store,
+                &registry,
+                &records,
+                MatrixOptions { full },
+                append_each(store.config, &records),
+                verify(&states),
+            )
+            .unwrap()
         };
-        let full = enumerate_crash_points(&registry, &records, config, verify(&states)).unwrap();
-        let pruned = enumerate_crash_points_with(
-            &registry,
-            &records,
-            config,
-            MatrixOptions { prune_equivalent: true },
-            verify(&states),
-        )
-        .unwrap();
-        assert_eq!(pruned.acked, full.acked, "pruned verdicts must equal the full matrix");
+        let (full, pruned) = (sweep(true), sweep(false));
+        assert_eq!(pruned.verdicts, full.verdicts, "pruned verdicts must equal the full matrix");
         assert_eq!(pruned.total_ops, full.total_ops);
         assert_eq!(pruned.classes, full.classes);
-        assert_eq!(full.pruned_points, 0);
-        assert!(pruned.pruned_points > 0, "commit protocols have equivalent crash points");
-        assert_eq!(pruned.pruned_points, pruned.total_ops - pruned.classes as u64);
+        assert_eq!(full.replays as u64, full.total_ops);
+        assert!(pruned.replays <= 2 * pruned.classes);
+        assert!((pruned.replays as u64) < pruned.total_ops, "commits have equivalent crash points");
+    }
+
+    /// The static-verdict check: a driver that acknowledges a record
+    /// before its append commits is caught at a crash inside that append,
+    /// and the failure names the crash index and its class.
+    #[test]
+    fn an_ack_before_the_commit_is_rejected_with_its_class() {
+        let (registry, _, records) = workload(3);
+        let store = StoreTopology { config: DurableConfig::default() };
+        let err = crash_matrix(
+            &store,
+            &registry,
+            &records,
+            MatrixOptions::default(),
+            |fs, acks| {
+                let mut store = DurableStore::create(fs, store.config)?;
+                for (i, record) in records.iter().enumerate() {
+                    acks.ack(i as u64 + 1);
+                    store.append(record)?;
+                }
+                Ok(())
+            },
+            |_, _| None,
+        )
+        .unwrap_err();
+        let MatrixError::Invariant { fault, at, class: Some(class), ref what, .. } = err else {
+            panic!("expected a crash-point failure, got: {err}");
+        };
+        assert_eq!(fault, "crash");
+        assert!(class <= at, "class {class} must contain op {at}");
+        assert!(what.contains("static verdict is exactly 1"), "{what}");
+        let shown = err.to_string();
+        assert!(
+            shown.contains(&format!("crash at op {at}"))
+                && shown.contains(&format!("class at op {class}")),
+            "failure must name the crash index and the class: {shown}"
+        );
     }
 
     #[test]
     fn invariant_failures_name_the_op_kind_and_path() {
         let (registry, _, records) = workload(2);
-        let err = enumerate_crash_points(&registry, &records, DurableConfig::default(), |_, _| {
-            Some("deliberate mismatch".into())
-        })
+        let store = StoreTopology::default();
+        let err = crash_matrix(
+            &store,
+            &registry,
+            &records,
+            MatrixOptions::default(),
+            append_each(store.config, &records),
+            |_, _| Some("deliberate mismatch".into()),
+        )
         .unwrap_err();
-        let CrashMatrixError::Invariant { ref op, .. } = err else {
+        let MatrixError::Invariant { ref op, ref what, .. } = err else {
             panic!("expected an invariant failure, got: {err}");
         };
         assert!(!op.is_empty(), "faulted op description missing: {err}");
+        assert!(what.contains("deliberate"), "unexpected error: {err}");
         let shown = err.to_string();
         // The failing index is a store op: kind and quoted path, not just
         // a bare counter value.
         assert!(shown.contains('(') && shown.contains('"'), "weak failure output: {shown}");
-    }
-
-    #[test]
-    fn a_divergent_state_check_surfaces_the_crash_index() {
-        let (registry, _, records) = workload(2);
-        let err = enumerate_crash_points(&registry, &records, DurableConfig::default(), |_, _| {
-            Some("deliberate mismatch".into())
-        })
-        .unwrap_err();
-        assert!(
-            matches!(err, CrashMatrixError::Invariant { ref what, .. } if what.contains("deliberate")),
-            "unexpected error: {err}"
-        );
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //!   durable/volatile split, and [`FailFs`] wraps it with
 //!   index-addressed fault injection ([`FaultPlan`]): crash or fail any
 //!   single mutating I/O operation.
-//! * **[`enumerate_crash_points`]** — the harness that replays a
-//!   workload with a simulated crash at *every* I/O operation and checks
-//!   that recovery yields exactly the acknowledged prefix,
-//!   byte-identical and restorable.
+//! * **[`crash_matrix`]** — the harness that replays a workload with a
+//!   simulated crash at *every* I/O operation of a [`Topology`] (a lone
+//!   store, or `ickp-replicate`'s replica pair) and checks that recovery
+//!   yields the acknowledged prefix, byte-identical and restorable.
 //!
 //! The store implements [`RecordSink`](ickp_core::RecordSink), so any
 //! checkpoint producer can stream records straight to disk.
@@ -70,9 +70,8 @@ pub use dedup::{content_hash, DedupStats};
 pub use error::DurableError;
 pub use fail::{FailFs, FaultPlan, OpCounter};
 pub use harness::{
-    enumerate_crash_points, enumerate_crash_points_driven, enumerate_crash_points_driven_with,
-    enumerate_crash_points_with, redirty_record, CrashMatrixError, CrashMatrixReport,
-    MatrixOptions,
+    crash_matrix, redirty_record, Acks, DriveResult, Expect, MatrixError, MatrixOptions,
+    MatrixReport, NodeDisk, Run, Scenario, StoreTopology, Topology, Verdict,
 };
 pub use store::{segment_name, DurableConfig, DurableStore, IoStats, FORMAT_VERSION, MANIFEST};
 pub use trace::{

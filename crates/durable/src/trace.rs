@@ -17,9 +17,9 @@
 //! * [`crash_classes`] collapses the crash points of a deterministic
 //!   workload into **equivalence classes**: two crash indices are
 //!   equivalent when they provably leave byte-identical durable
-//!   filesystem states, so the crash-matrix harness need only replay one
-//!   representative per class (the `prune_equivalent` mode of
-//!   [`enumerate_crash_points`](crate::enumerate_crash_points)).
+//!   filesystem states, so [`crash_matrix`](crate::crash_matrix) need
+//!   only replay the first and last member of each class (its default,
+//!   pruned sweep).
 //!
 //! ## The persistence model (normative)
 //!
@@ -288,11 +288,6 @@ impl<F: Vfs> TraceVfs<F> {
     /// The inner filesystem, for inspection.
     pub fn inner(&self) -> &F {
         &self.inner
-    }
-
-    /// Mutable access to the inner filesystem.
-    pub fn inner_mut(&mut self) -> &mut F {
-        &mut self.inner
     }
 
     fn trace(&mut self, op: TraceOp) {

@@ -11,7 +11,8 @@ use ickp_core::{
     object_slices, verify_restore, CheckpointConfig, CheckpointRecord, Checkpointer, MethodTable,
 };
 use ickp_durable::{
-    enumerate_crash_points_driven, DurableConfig, DurableStore, FailFs, FaultPlan, MemFs,
+    crash_matrix, DurableConfig, DurableStore, FailFs, FaultPlan, MatrixOptions, MemFs,
+    StoreTopology,
 };
 use ickp_heap::{ClassRegistry, FieldType, Heap, ObjectId, Value};
 
@@ -171,11 +172,7 @@ fn a_torn_batch_vanishes_whole_and_never_poisons_earlier_chunks() {
         store.append_batch_deduped(first, &first_layouts).unwrap();
         let torn = store.append_batch_deduped(second, &second_layouts);
         drop(store);
-        // The reopen between batches in the baseline shifts op indices
-        // slightly; a crash landing there aborts the run just the same.
-        if torn.is_ok() && !fs.crashed() {
-            continue; // crash point fell past this run's ops
-        }
+        assert!(torn.is_err(), "crash {crash_at}: the torn batch was acknowledged");
         assert!(fs.crashed(), "crash {crash_at}: run failed without the fault firing");
 
         let mut disk = fs.into_recovered();
@@ -215,15 +212,16 @@ fn batched_writes_survive_the_full_crash_matrix() {
     let config = DurableConfig { segment_target_bytes: 256 };
     let all_layouts = layouts(&records, &registry);
 
-    let report = enumerate_crash_points_driven(
+    let report = crash_matrix(
+        &StoreTopology { config },
         &registry,
         &records,
-        config,
-        |fs, acked| {
-            let mut store = DurableStore::create(fs, config).map_err(|e| e.to_string())?;
+        MatrixOptions::default(),
+        |fs, acks| {
+            let mut store = DurableStore::create(fs, config)?;
             for (batch, lay) in records.chunks(3).zip(all_layouts.chunks(3)) {
-                store.append_batch_deduped(batch, lay).map_err(|e| e.to_string())?;
-                *acked += batch.len();
+                store.append_batch_deduped(batch, lay)?;
+                acks.ack(acks.records() + batch.len() as u64);
             }
             Ok(())
         },
@@ -236,9 +234,9 @@ fn batched_writes_survive_the_full_crash_matrix() {
     assert!(report.total_ops > 0);
     // Acknowledgment moves in whole batches: the acked counts seen
     // across the matrix are exactly {0, 3, 6, 7} — never mid-batch.
-    let mut seen: Vec<usize> = report.acked.clone();
+    let mut seen = report.acked();
     seen.sort_unstable();
     seen.dedup();
     assert_eq!(seen, vec![0, 3, 6], "a crash mid-batch must ack at a batch boundary");
-    assert_eq!(*report.acked.last().unwrap(), 6, "final crash point sits in the last batch");
+    assert_eq!(*report.acked().last().unwrap(), 6, "final crash point sits in the last batch");
 }

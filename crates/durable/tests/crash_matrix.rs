@@ -7,7 +7,9 @@
 use ickp_analysis::{AnalysisEngine, Division, Phase};
 use ickp_backend::{Engine, GenericBackend, ParallelBackend};
 use ickp_core::{verify_restore, CheckpointRecord, RecordSink};
-use ickp_durable::{enumerate_crash_points, DurableConfig, DurableStore, MemFs};
+use ickp_durable::{
+    crash_matrix, DurableConfig, DurableStore, MatrixOptions, MemFs, StoreTopology,
+};
 use ickp_heap::{ClassRegistry, Heap, ObjectId};
 use ickp_synth::{ModificationSpec, SynthConfig, SynthWorld};
 
@@ -72,18 +74,33 @@ fn run_matrix(
     config: DurableConfig,
 ) {
     assert!(records.len() >= 3, "{name}: workload too small to be interesting");
-    let report = enumerate_crash_points(registry, records, config, |acked, restored| {
-        let (heap, roots) = &states[acked - 1];
-        verify_restore(heap, roots, restored).expect("verify_restore runs")
-    })
+    let report = crash_matrix(
+        &StoreTopology { config },
+        registry,
+        records,
+        MatrixOptions::default(),
+        |fs, acks| {
+            let mut store = DurableStore::create(fs, config)?;
+            for (i, record) in records.iter().enumerate() {
+                store.append(record)?;
+                acks.ack(i as u64 + 1);
+            }
+            Ok(())
+        },
+        |acked, restored| {
+            let (heap, roots) = &states[acked - 1];
+            verify_restore(heap, roots, restored).expect("verify_restore runs")
+        },
+    )
     .unwrap_or_else(|e| panic!("{name}: {e}"));
     // Every append is at least 6 mutating ops; all were enumerated.
     assert!(report.total_ops >= 6 * records.len() as u64, "{name}: too few ops enumerated");
-    assert_eq!(report.acked.len(), report.total_ops as usize);
+    let acked = report.acked();
+    assert_eq!(acked.len(), report.total_ops as usize);
     // The matrix covers every acknowledgment state from "nothing durable"
     // up to "all but the final append durable".
-    assert_eq!(report.acked[0], 0, "{name}");
-    assert_eq!(*report.acked.last().unwrap(), records.len() - 1, "{name}");
+    assert_eq!(acked[0], 0, "{name}");
+    assert_eq!(*acked.last().unwrap(), records.len() as u64 - 1, "{name}");
 }
 
 #[test]

@@ -8,7 +8,8 @@
 use ickp_backend::ParallelBackend;
 use ickp_core::{verify_restore, CheckpointRecord};
 use ickp_durable::{
-    enumerate_crash_points_driven, CrashMatrixError, DurableConfig, DurableStore, FailFs,
+    crash_matrix, Acks, DriveResult, DurableConfig, DurableStore, FailFs, MatrixError,
+    MatrixOptions, StoreTopology,
 };
 use ickp_heap::{ClassRegistry, FieldType, Heap, ObjectId, Value};
 
@@ -55,27 +56,35 @@ fn expected_workload() -> (ClassRegistry, Vec<HeapSnapshot>, Vec<CheckpointRecor
     (registry, states, records)
 }
 
+/// Streams `ROUNDS` parallel checkpoints into a store, mutating with
+/// `schedule(round)`, acknowledging each after its commit.
+fn drive(
+    config: DurableConfig,
+    schedule: fn(usize) -> usize,
+) -> impl FnMut(&mut FailFs, &mut Acks) -> DriveResult {
+    move |fs, acks| {
+        let (mut heap, roots) = world();
+        let mut backend = ParallelBackend::new(WORKERS, heap.registry());
+        let mut store = DurableStore::create(fs, config)?;
+        for round in 0..ROUNDS {
+            mutate(&mut heap, &roots, schedule(round));
+            backend.checkpoint_into(&mut heap, &roots, &mut store)?;
+            acks.ack(round as u64 + 1);
+        }
+        Ok(())
+    }
+}
+
 #[test]
 fn every_crash_point_of_the_parallel_path_recovers_the_acked_prefix() {
     let (registry, states, records) = expected_workload();
-    let config = DurableConfig { segment_target_bytes: 64 };
-    let report = enumerate_crash_points_driven(
+    let store = StoreTopology { config: DurableConfig { segment_target_bytes: 64 } };
+    let report = crash_matrix(
+        &store,
         &registry,
         &records,
-        config,
-        |fs: &mut FailFs, acked: &mut usize| {
-            let (mut heap, roots) = world();
-            let mut backend = ParallelBackend::new(WORKERS, heap.registry());
-            let mut store = DurableStore::create(fs, config).map_err(|e| e.to_string())?;
-            for round in 0..ROUNDS {
-                mutate(&mut heap, &roots, round);
-                backend
-                    .checkpoint_into(&mut heap, &roots, &mut store)
-                    .map_err(|e| e.to_string())?;
-                *acked += 1;
-            }
-            Ok(())
-        },
+        MatrixOptions::default(),
+        drive(store.config, |round| round),
         |acked, restored| {
             let (heap, roots) = &states[acked - 1];
             verify_restore(heap, roots, restored).expect("verify runs")
@@ -85,10 +94,11 @@ fn every_crash_point_of_the_parallel_path_recovers_the_acked_prefix() {
 
     assert_eq!(report.records, ROUNDS);
     assert!(report.total_ops > 0);
-    assert_eq!(report.acked.len(), report.total_ops as usize);
-    assert_eq!(*report.acked.first().unwrap(), 0);
-    assert_eq!(*report.acked.last().unwrap(), ROUNDS - 1);
-    assert!(report.acked.windows(2).all(|w| w[0] <= w[1]));
+    let acked = report.acked();
+    assert_eq!(acked.len(), report.total_ops as usize);
+    assert_eq!(*acked.first().unwrap(), 0);
+    assert_eq!(*acked.last().unwrap(), ROUNDS as u64 - 1);
+    assert!(acked.windows(2).all(|w| w[0] <= w[1]));
 }
 
 /// A drive whose workload diverges from the expected records is caught
@@ -96,30 +106,19 @@ fn every_crash_point_of_the_parallel_path_recovers_the_acked_prefix() {
 #[test]
 fn a_divergent_driver_is_rejected_at_baseline() {
     let (registry, _, records) = expected_workload();
-    let config = DurableConfig::default();
-    let err = enumerate_crash_points_driven(
+    let store = StoreTopology::default();
+    // Wrong mutation schedule: same record count, other bytes.
+    let err = crash_matrix(
+        &store,
         &registry,
         &records,
-        config,
-        |fs: &mut FailFs, acked: &mut usize| {
-            let (mut heap, roots) = world();
-            let mut backend = ParallelBackend::new(WORKERS, heap.registry());
-            let mut store = DurableStore::create(fs, config).map_err(|e| e.to_string())?;
-            for round in 0..ROUNDS {
-                // Wrong mutation schedule: same record count, other bytes.
-                mutate(&mut heap, &roots, round + 1);
-                backend
-                    .checkpoint_into(&mut heap, &roots, &mut store)
-                    .map_err(|e| e.to_string())?;
-                *acked += 1;
-            }
-            Ok(())
-        },
+        MatrixOptions::default(),
+        drive(store.config, |round| round + 1),
         |_, _| None,
     )
     .unwrap_err();
     assert!(
-        matches!(err, CrashMatrixError::BaselineDriver(ref what) if what.contains("diverges")),
+        matches!(err, MatrixError::Baseline(ref what) if what.contains("diverges")),
         "unexpected error: {err}"
     );
 }

@@ -215,8 +215,8 @@ fn lifecycle_script_survives_every_crash_point() {
 /// this 16-step workload: the trace's crash-equivalence classes
 /// partition the op space, genuinely collapse it, and replaying *every*
 /// member of every class recovers the identical store image — so
-/// sweeping one representative per class (`MatrixOptions::
-/// prune_equivalent`) loses nothing.
+/// sweeping only part of each class (the crash matrix's default, pruned
+/// sweep) loses nothing.
 #[test]
 fn pruned_matrix_is_equivalent_to_the_full_matrix_on_the_lifecycle_script() {
     let (registry, records, post_reset) = workload();

@@ -1,500 +1,233 @@
-//! Two-node failover enumeration: prove the pair safe at *every* fault
-//! point of the composed system.
+//! The replica-pair topology of the crash matrix.
 //!
-//! The harness runs the replicated workload once fault-free on a
-//! **shared** [`OpCounter`] threaded through the primary's [`FailFs`],
-//! the follower's [`FailFs`] and the [`ChannelTransport`], so every
-//! mutating I/O operation on either node and every wire send is numbered
-//! in one interleaved fault space of size N. It then sweeps:
+//! [`PairTopology`] plugs a [`ReplicaPair`] into
+//! [`ickp_durable::crash_matrix`]: two [`FailFs`] disks and a
+//! [`ChannelTransport`] share one [`OpCounter`], so every mutating I/O
+//! operation on either node and every wire send is numbered in one
+//! interleaved fault space. The matrix then sweeps:
 //!
-//! * **Kill matrix** — for every k < N, arm *all three layers* with a
-//!   crash at k; exactly one (whichever owns operation k) fires. Both
-//!   nodes are then rebooted from their surviving disks and must each
-//!   hold a byte-identical prefix of the workload. The survivor must
-//!   hold **at least the acknowledged prefix** (an acknowledged record
-//!   is never lost), restore cleanly, and complete the remaining
-//!   workload as the promoted primary.
-//! * **Masked-fault sweeps** — for every wire operation, injecting
-//!   loss, duplication or reordering must be *invisible*: the run
-//!   completes and both nodes finish byte-identical to the workload.
-//! * **Partition sweep** — a partition at any wire operation must
-//!   surface as [`ReplicateError::NotReplicated`] with neither node
-//!   dead, and the follower must still promote and complete.
+//! * **Kills** — at every operation k, all three layers are armed with a
+//!   crash at k and exactly one (whichever owns k) fires. Both nodes
+//!   reboot from their surviving disks and must each hold a
+//!   byte-identical prefix of the workload. The survivor must hold **at
+//!   least the acknowledged prefix** (an acknowledged record is never
+//!   lost), restore cleanly, and finish the workload as the promoted
+//!   primary.
+//! * **Masked faults** — loss, duplication or reordering at any wire
+//!   operation must be invisible: the run completes and both nodes
+//!   finish byte-identical to the workload.
+//! * **Partitions** — a partition at any wire operation must surface as
+//!   [`ReplicateError::NotReplicated`] with neither node dead, and the
+//!   follower must still promote and finish.
 //!
 //! The survivor may legitimately hold *more* than the acknowledged
 //! prefix: a batch can be durable on both nodes while the final
 //! acknowledgement was still in flight when the fault hit (the
-//! two-generals window). The harness asserts the prefix property and
-//! counts these in [`FailoverReport::promoted_extra`] — what can never
-//! happen is the reverse, an acknowledged record missing from the
-//! survivor.
+//! two-generals window). The matrix counts these in
+//! `MatrixReport::promoted_extra`.
 //!
-//! Workloads driven through this harness must be append/tag-shaped
-//! (retention generation 0): after promotion the harness finishes the
-//! *record* workload on the survivor. Rewrite-heavy lifecycle workloads
-//! get their own bespoke sweeps (see the crate's integration tests).
+//! Workloads driven through the matrix must be append/tag-shaped
+//! (retention generation 0): after promotion the survivor finishes the
+//! *record* workload. Rewrite-heavy lifecycle workloads run their own
+//! sweeps on [`PairTopology::run_once`] (see the crate's integration
+//! tests).
 //!
 //! [`ReplicateError::NotReplicated`]: crate::pair::ReplicateError::NotReplicated
 
-use ickp_core::{restore, CheckpointRecord, RestorePolicy, RestoredHeap};
-use ickp_durable::{DurableConfig, DurableStore, FailFs, FaultPlan, MemFs, OpCounter};
+use ickp_durable::{
+    Acks, DriveResult, DurableConfig, Expect, FailFs, FaultPlan, MemFs, NodeDisk, OpCounter,
+    OpTrace, Run, Scenario, Topology, TraceEvent, TraceLog, TraceNode, TraceOp,
+};
 use ickp_heap::ClassRegistry;
 
 use crate::pair::{ReplicaPair, ReplicateConfig};
 use crate::transport::{ChannelTransport, Node, TransportFault, TransportPlan};
 
-/// The fault-injectable pair type the failover harness drives.
+/// The fault-injectable pair a [`PairTopology`] driver writes through.
 pub type MatrixPair<'a> = ReplicaPair<&'a mut FailFs, &'a mut FailFs, &'a mut ChannelTransport>;
 
-/// A failed failover-matrix sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FailoverError {
-    /// The fault-free baseline run itself failed.
-    Baseline(String),
-    /// An invariant broke under one injected fault.
-    Invariant {
-        /// Which fault was injected (kind and operation index).
-        scenario: String,
-        /// What went wrong.
-        what: String,
-    },
+/// Fault plans for the three layers of one pair run, all indexed in the
+/// shared op space.
+#[derive(Debug, Clone, Default)]
+pub struct PairFaults {
+    /// The primary's filesystem.
+    pub primary: FaultPlan,
+    /// The follower's filesystem.
+    pub follower: FaultPlan,
+    /// The link between them.
+    pub wire: TransportPlan,
 }
 
-impl std::fmt::Display for FailoverError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FailoverError::Baseline(what) => write!(f, "baseline run failed: {what}"),
-            FailoverError::Invariant { scenario, what } => write!(f, "{scenario}: {what}"),
+impl PairFaults {
+    /// Every layer armed to crash at op `k`: whichever owns it fires.
+    pub fn kill_at(k: u64) -> PairFaults {
+        PairFaults {
+            primary: FaultPlan::crash_at(k),
+            follower: FaultPlan::crash_at(k),
+            wire: TransportPlan::fault_at(k, TransportFault::Crash),
         }
     }
-}
 
-impl std::error::Error for FailoverError {}
-
-/// What a full failover sweep established.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FailoverReport {
-    /// Interleaved mutating operations (fs + wire) in the fault-free
-    /// run — also the number of kill points exercised.
-    pub total_ops: u64,
-    /// How many of those were wire sends (each swept with loss,
-    /// duplication, reordering and partition on top of the kill).
-    pub transport_ops: usize,
-    /// Checkpoint records in the workload.
-    pub records: usize,
-    /// Kill scenarios exercised (one per interleaved operation).
-    pub kill_points: usize,
-    /// For each kill point k, the client-acknowledged record count when
-    /// the fault hit.
-    pub acked: Vec<u64>,
-    /// Loss/duplicate/reorder injections proven invisible.
-    pub masked_faults: usize,
-    /// Partition injections proven to fail cleanly and promote.
-    pub partition_points: usize,
-    /// Scenarios where the survivor held replicated-but-unacknowledged
-    /// records beyond the acknowledged prefix (the two-generals window).
-    pub promoted_extra: usize,
-}
-
-/// Everything observable after one faulted run of the workload.
-struct RunOutcome {
-    result: Result<(), String>,
-    acked: u64,
-    primary_disk: MemFs,
-    follower_disk: MemFs,
-    primary_dead: bool,
-    follower_dead: bool,
-    transport_ops: Vec<u64>,
-    total_ops: u64,
-    /// Kind and path of the faulted operation (e.g. `primary fsync
-    /// "seg-000001.ickd"`), for failure output that names the op rather
-    /// than a bare index.
-    faulted: Option<String>,
-}
-
-/// Sweeps the full two-node fault matrix for a workload that appends
-/// `expected` through a [`ReplicaPair`] and commits.
-///
-/// `verify_state(n, restored)` is called with the survivor's recovered
-/// record count `n > 0`; compare against your snapshot of the program
-/// state at checkpoint `n - 1` and return a mismatch description, or
-/// `None`.
-///
-/// # Errors
-///
-/// [`FailoverError::Baseline`] if the fault-free run fails;
-/// [`FailoverError::Invariant`] naming the fault scenario otherwise.
-pub fn enumerate_failover_points<V>(
-    registry: &ClassRegistry,
-    expected: &[CheckpointRecord],
-    config: ReplicateConfig,
-    verify_state: V,
-) -> Result<FailoverReport, FailoverError>
-where
-    V: FnMut(usize, &RestoredHeap) -> Option<String>,
-{
-    enumerate_failover_points_driven(
-        registry,
-        expected,
-        config,
-        |pair| {
-            for record in expected {
-                pair.append(record.clone()).map_err(|e| e.to_string())?;
-            }
-            pair.commit().map_err(|e| e.to_string())
-        },
-        verify_state,
-    )
-}
-
-/// [`enumerate_failover_points`] for workloads that produce records
-/// while replicating (an engine streaming into the pair as a
-/// [`RecordSink`](ickp_core::RecordSink)) rather than appending a
-/// pre-built list.
-///
-/// `drive` must rebuild the identical deterministic workload on every
-/// call. `expected` is the record sequence of a fault-free run; every
-/// surviving disk is held to a byte-identical prefix of it.
-///
-/// # Errors
-///
-/// As [`enumerate_failover_points`].
-pub fn enumerate_failover_points_driven<D, V>(
-    registry: &ClassRegistry,
-    expected: &[CheckpointRecord],
-    config: ReplicateConfig,
-    mut drive: D,
-    mut verify_state: V,
-) -> Result<FailoverReport, FailoverError>
-where
-    D: for<'a> FnMut(&mut MatrixPair<'a>) -> Result<(), String>,
-    V: FnMut(usize, &RestoredHeap) -> Option<String>,
-{
-    // Fault-free baseline: size the interleaved op space, locate the
-    // wire sends within it, and prove both nodes end byte-identical.
-    let mut baseline = run(
-        registry,
-        config,
-        &mut drive,
-        FaultPlan::none(),
-        FaultPlan::none(),
-        TransportPlan::none(),
-    );
-    baseline.result.clone().map_err(FailoverError::Baseline)?;
-    if baseline.acked != expected.len() as u64 {
-        return Err(FailoverError::Baseline(format!(
-            "baseline acknowledged {} records, expected {}",
-            baseline.acked,
-            expected.len()
-        )));
+    /// Only the link faulted.
+    pub fn wire(plan: TransportPlan) -> PairFaults {
+        PairFaults { wire: plan, ..PairFaults::default() }
     }
-    for (node, disk) in
-        [("primary", &mut baseline.primary_disk), ("follower", &mut baseline.follower_disk)]
+}
+
+/// A [`ReplicaPair`] over two [`FailFs`] disks and a
+/// [`ChannelTransport`] sharing one [`OpCounter`]: the survivor of any
+/// fault must hold at least the acknowledged prefix.
+#[derive(Debug, Clone, Copy)]
+pub struct PairTopology {
+    /// The pair's configuration.
+    pub config: ReplicateConfig,
+}
+
+impl PairTopology {
+    /// One run of `drive` over a fresh pair under `faults`, with both
+    /// disks and the link numbering their operations on `counter` and,
+    /// given a `log`, tracing them into it.
+    ///
+    /// The returned nodes are the primary's and then the follower's disk,
+    /// as a rebooted node finds it: a node killed at the wire (not by its
+    /// own disk) still loses its volatile filesystem state — the process
+    /// died, not the link. `acked` is the pair's client-acknowledged
+    /// record count when the drive returned.
+    pub fn run_once<D>(
+        &self,
+        registry: &ClassRegistry,
+        faults: PairFaults,
+        counter: &OpCounter,
+        log: Option<&TraceLog>,
+        drive: D,
+    ) -> Run
+    where
+        D: FnOnce(&mut MatrixPair<'_>) -> DriveResult,
     {
-        let (len, _) = recovered_prefix(disk, config.durable, registry, expected)
-            .map_err(FailoverError::Baseline)?;
-        if len != expected.len() {
-            return Err(FailoverError::Baseline(format!(
-                "baseline {node} holds {len} of {} records",
-                expected.len()
-            )));
+        let mut pfs = FailFs::with_counter(MemFs::new(), faults.primary, counter.clone());
+        let mut ffs = FailFs::with_counter(MemFs::new(), faults.follower, counter.clone());
+        let mut link = ChannelTransport::with_counter(faults.wire, counter.clone());
+        if let Some(log) = log {
+            pfs.set_trace(log.clone(), TraceNode::Primary);
+            ffs.set_trace(log.clone(), TraceNode::Follower);
+            link.set_trace(log.clone());
         }
-    }
-    let total_ops = baseline.total_ops;
-    let wire_ops = baseline.transport_ops.clone();
-
-    let mut acked_per_kill = Vec::with_capacity(total_ops as usize);
-    let mut promoted_extra = 0usize;
-
-    // Kill matrix: all three layers armed; whichever owns op k fires.
-    for k in 0..total_ops {
-        let out = run(
-            registry,
-            config,
-            &mut drive,
-            FaultPlan::crash_at(k),
-            FaultPlan::crash_at(k),
-            TransportPlan::fault_at(k, TransportFault::Crash),
-        );
-        let scenario = match &out.faulted {
-            Some(op) => format!("kill at interleaved op {k} ({op})"),
-            None => format!("kill at interleaved op {k}"),
+        let mut acked = 0u64;
+        let result = match ReplicaPair::create(&mut pfs, &mut ffs, &mut link, self.config, registry)
+        {
+            Err(e) => Err(e.to_string()),
+            Ok(mut pair) => {
+                let r = drive(&mut pair).map_err(|e| e.to_string());
+                acked = pair.acked_records();
+                r
+            }
         };
-        let fail = |what: String| FailoverError::Invariant { scenario: scenario.clone(), what };
-        if out.result.is_ok() {
-            return Err(fail("kill point was never reached".into()));
-        }
-        if out.primary_dead == out.follower_dead {
-            return Err(fail(format!(
-                "expected exactly one dead node, primary_dead={} follower_dead={}: {}",
-                out.primary_dead,
-                out.follower_dead,
-                out.result.unwrap_err()
-            )));
-        }
-        let acked = out.acked;
-        promoted_extra += settle(out, registry, config, expected, &mut verify_state, &fail, None)?;
-        acked_per_kill.push(acked);
+        // The wire op description already names its direction; disk ops
+        // get their node prepended.
+        let faulted = pfs
+            .faulted_op()
+            .map(|(_, op)| format!("primary {op}"))
+            .or_else(|| ffs.faulted_op().map(|(_, op)| format!("follower {op}")))
+            .or_else(|| link.faulted_op().map(|(_, op)| op));
+        let killed_by_wire = link.crashed_node();
+        let nodes =
+            [(TraceNode::Primary, Node::Primary, pfs), (TraceNode::Follower, Node::Follower, ffs)]
+                .map(|(node, wire_node, fs)| {
+                    let dead = fs.crashed() || killed_by_wire == Some(wire_node);
+                    let mut disk = fs.into_recovered();
+                    if killed_by_wire == Some(wire_node) {
+                        disk.crash();
+                    }
+                    NodeDisk { node, disk, dead }
+                });
+        Run { result, acked, faulted, nodes: nodes.into() }
+    }
+}
+
+impl Topology for PairTopology {
+    type Handle<'a> = MatrixPair<'a>;
+    type Plan = PairFaults;
+
+    fn durable(&self) -> DurableConfig {
+        self.config.durable
     }
 
-    // Masked faults: loss, duplication, reordering at every wire send
-    // must be invisible end to end.
-    let mut masked_faults = 0usize;
-    for &t in &wire_ops {
-        for (name, fault) in [
-            ("loss", TransportFault::Loss),
-            ("duplicate", TransportFault::Duplicate),
-            ("reorder", TransportFault::Reorder),
-        ] {
-            let scenario = format!("{name} at wire op {t}");
-            let fail = |what: String| FailoverError::Invariant { scenario: scenario.clone(), what };
-            let mut out = run(
-                registry,
-                config,
-                &mut drive,
-                FaultPlan::none(),
-                FaultPlan::none(),
-                TransportPlan::fault_at(t, fault),
-            );
-            if let Err(e) = &out.result {
-                return Err(fail(format!("fault was not masked: {e}")));
-            }
-            if out.acked != expected.len() as u64 {
-                return Err(fail(format!(
-                    "run completed but acknowledged {} of {} records",
-                    out.acked,
-                    expected.len()
-                )));
-            }
-            for (node, disk) in
-                [("primary", &mut out.primary_disk), ("follower", &mut out.follower_disk)]
-            {
-                let (len, _) =
-                    recovered_prefix(disk, config.durable, registry, expected).map_err(&fail)?;
-                if len != expected.len() {
-                    return Err(fail(format!(
-                        "{node} holds {len} of {} records after a masked fault",
-                        expected.len()
-                    )));
+    fn exact(&self) -> bool {
+        false
+    }
+
+    fn batch_records(&self) -> usize {
+        self.config.batch_records
+    }
+
+    fn kill(&self, k: Option<u64>) -> PairFaults {
+        k.map_or_else(PairFaults::default, PairFaults::kill_at)
+    }
+
+    /// Loss, duplication and reordering at every wire op (masked), then
+    /// a partition at every wire op (fails with `unacknowledged`).
+    fn scenarios(&self, trace: &OpTrace) -> Vec<Scenario<PairFaults>> {
+        let wire_ops: Vec<u64> = trace
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Op { index, op: TraceOp::WireSend | TraceOp::WireAck, .. } => {
+                    Some(*index)
                 }
-            }
-            masked_faults += 1;
-        }
+                _ => None,
+            })
+            .collect();
+        let masked = wire_ops.iter().flat_map(|&at| {
+            [
+                ("loss", TransportFault::Loss),
+                ("duplicate", TransportFault::Duplicate),
+                ("reorder", TransportFault::Reorder),
+            ]
+            .map(|(fault, kind)| Scenario {
+                fault,
+                at,
+                plan: PairFaults::wire(TransportPlan::fault_at(at, kind)),
+                expect: Expect::Masked,
+            })
+        });
+        let partitions = wire_ops.iter().map(|&at| Scenario {
+            fault: "partition",
+            at,
+            plan: PairFaults::wire(TransportPlan::fault_at(at, TransportFault::Partition)),
+            expect: Expect::FailsWith("unacknowledged"),
+        });
+        masked.chain(partitions).collect()
     }
 
-    // Partitions: the primary must give up cleanly (nobody dies, the
-    // batch stays unacknowledged) and the follower must promote.
-    let mut partition_points = 0usize;
-    for &t in &wire_ops {
-        let scenario = format!("partition at wire op {t}");
-        let fail = |what: String| FailoverError::Invariant { scenario: scenario.clone(), what };
-        let out = run(
-            registry,
-            config,
-            &mut drive,
-            FaultPlan::none(),
-            FaultPlan::none(),
-            TransportPlan::fault_at(t, TransportFault::Partition),
-        );
-        if out.result.is_ok() {
-            return Err(fail("partition was silently masked".into()));
-        }
-        if out.primary_dead || out.follower_dead {
-            return Err(fail("a partition must not kill a node".into()));
-        }
-        promoted_extra += settle(
-            out,
-            registry,
-            config,
-            expected,
-            &mut verify_state,
-            &fail,
-            Some("unacknowledged"),
-        )?;
-        partition_points += 1;
-    }
-
-    Ok(FailoverReport {
-        total_ops,
-        transport_ops: wire_ops.len(),
-        records: expected.len(),
-        kill_points: total_ops as usize,
-        acked: acked_per_kill,
-        masked_faults,
-        partition_points,
-        promoted_extra,
-    })
-}
-
-/// One faulted (or fault-free) run of the workload over fresh disks,
-/// with all three layers numbered on one shared counter.
-fn run<D>(
-    registry: &ClassRegistry,
-    config: ReplicateConfig,
-    drive: &mut D,
-    primary_plan: FaultPlan,
-    follower_plan: FaultPlan,
-    transport_plan: TransportPlan,
-) -> RunOutcome
-where
-    D: for<'a> FnMut(&mut MatrixPair<'a>) -> Result<(), String>,
-{
-    let counter = OpCounter::new();
-    let mut pfs = FailFs::with_counter(MemFs::new(), primary_plan, counter.clone());
-    let mut ffs = FailFs::with_counter(MemFs::new(), follower_plan, counter.clone());
-    let mut link = ChannelTransport::with_counter(transport_plan, counter.clone());
-    let mut acked = 0u64;
-    let result = match ReplicaPair::create(&mut pfs, &mut ffs, &mut link, config, registry) {
-        Err(e) => Err(e.to_string()),
-        Ok(mut pair) => {
-            let r = drive(&mut pair);
-            acked = pair.acked_records();
+    fn run<D>(
+        &self,
+        registry: &ClassRegistry,
+        plan: PairFaults,
+        counter: &OpCounter,
+        acks: &mut Acks,
+        drive: &mut D,
+    ) -> Run
+    where
+        D: for<'a> FnMut(&mut MatrixPair<'a>, &mut Acks) -> DriveResult,
+    {
+        let log = acks.log().cloned();
+        let mut run = self.run_once(registry, plan, counter, log.as_ref(), |pair| {
+            let r = drive(pair, acks);
+            acks.ack(pair.acked_records());
             r
-        }
-    };
-    let killed_by_wire = link.crashed_node();
-    let primary_dead = pfs.crashed() || killed_by_wire == Some(Node::Primary);
-    let follower_dead = ffs.crashed() || killed_by_wire == Some(Node::Follower);
-    // The wire op description already names its direction; disk ops get
-    // their node prepended.
-    let faulted = pfs
-        .faulted_op()
-        .map(|(_, op)| format!("primary {op}"))
-        .or_else(|| ffs.faulted_op().map(|(_, op)| format!("follower {op}")))
-        .or_else(|| link.faulted_op().map(|(_, op)| op));
-    let transport_ops = link.op_log().to_vec();
-    let total_ops = counter.count();
-    let mut primary_disk = pfs.into_recovered();
-    let mut follower_disk = ffs.into_recovered();
-    // A node killed at the wire (not by its own disk) still loses its
-    // volatile filesystem state — the process died, not the link.
-    if killed_by_wire == Some(Node::Primary) {
-        primary_disk.crash();
+        });
+        run.acked = run.acked.max(acks.records());
+        run
     }
-    if killed_by_wire == Some(Node::Follower) {
-        follower_disk.crash();
-    }
-    RunOutcome {
-        result,
-        acked,
-        primary_disk,
-        follower_disk,
-        primary_dead,
-        follower_dead,
-        transport_ops,
-        total_ops,
-        faulted,
-    }
-}
-
-/// Post-fault settlement: reboot both disks, hold each to a
-/// byte-identical prefix, hold the survivor to at least the
-/// acknowledged prefix, restore-verify it, then promote it and finish
-/// the workload. Returns 1 if the survivor held unacknowledged extra
-/// records (for [`FailoverReport::promoted_extra`]).
-#[allow(clippy::too_many_arguments)]
-fn settle<V>(
-    mut out: RunOutcome,
-    registry: &ClassRegistry,
-    config: ReplicateConfig,
-    expected: &[CheckpointRecord],
-    verify_state: &mut V,
-    fail: &dyn Fn(String) -> FailoverError,
-    expect_error_containing: Option<&str>,
-) -> Result<usize, FailoverError>
-where
-    V: FnMut(usize, &RestoredHeap) -> Option<String>,
-{
-    if let (Some(needle), Err(e)) = (expect_error_containing, &out.result) {
-        if !e.contains(needle) {
-            return Err(fail(format!("expected a `{needle}` failure, got: {e}")));
-        }
-    }
-    let (plen, _) = recovered_prefix(&mut out.primary_disk, config.durable, registry, expected)
-        .map_err(|e| fail(format!("primary reboot: {e}")))?;
-    let (flen, frecovered) =
-        recovered_prefix(&mut out.follower_disk, config.durable, registry, expected)
-            .map_err(|e| fail(format!("follower reboot: {e}")))?;
-
-    // The survivor: the live node after a kill; after a partition (both
-    // alive) the follower, which is what a real cluster would promote —
-    // the isolated primary is the one that lost its quorum.
-    let (survivor_disk, survivor_len, srecovered) = if out.primary_dead || !out.follower_dead {
-        (&mut out.follower_disk, flen, frecovered)
-    } else {
-        let (_, precovered) = DurableStore::open(&mut out.primary_disk, config.durable, registry)
-            .map_err(|e| fail(format!("primary re-open: {e}")))?;
-        (&mut out.primary_disk, plen, precovered)
-    };
-
-    if (survivor_len as u64) < out.acked {
-        return Err(fail(format!(
-            "survivor holds {survivor_len} records but {} were acknowledged to the client",
-            out.acked
-        )));
-    }
-    if survivor_len > 0 {
-        let rebuilt = restore(&srecovered, registry, RestorePolicy::Lenient)
-            .map_err(|e| fail(format!("restore of survivor failed: {e}")))?;
-        if let Some(mismatch) = verify_state(survivor_len, &rebuilt) {
-            return Err(fail(format!("survivor state diverges: {mismatch}")));
-        }
-    }
-
-    // Promote: the survivor must finish the workload as a standalone
-    // store and end byte-identical to the full expected sequence.
-    let (mut store, _) = DurableStore::open(&mut *survivor_disk, config.durable, registry)
-        .map_err(|e| fail(format!("promotion failed: {e}")))?;
-    for batch in expected[survivor_len..].chunks(config.batch_records.max(1)) {
-        store
-            .append_batch(batch)
-            .map_err(|e| fail(format!("post-promotion append failed: {e}")))?;
-    }
-    drop(store);
-    let (full_len, _) = recovered_prefix(&mut *survivor_disk, config.durable, registry, expected)
-        .map_err(|e| fail(format!("post-promotion reboot: {e}")))?;
-    if full_len != expected.len() {
-        return Err(fail(format!(
-            "promoted store finished with {full_len} of {} records",
-            expected.len()
-        )));
-    }
-
-    Ok(usize::from(survivor_len as u64 > out.acked))
-}
-
-/// Reboots a disk and checks it holds a byte-identical prefix of
-/// `expected`, returning the prefix length and the recovered store.
-fn recovered_prefix(
-    disk: &mut MemFs,
-    config: DurableConfig,
-    registry: &ClassRegistry,
-    expected: &[CheckpointRecord],
-) -> Result<(usize, ickp_core::CheckpointStore), String> {
-    let (_, recovered) = DurableStore::open(&mut *disk, config, registry)
-        .map_err(|e| format!("recovery failed: {e}"))?;
-    if recovered.len() > expected.len() {
-        return Err(format!(
-            "recovered {} records, the workload has only {}",
-            recovered.len(),
-            expected.len()
-        ));
-    }
-    for (want, got) in expected.iter().zip(recovered.records()) {
-        if want.seq() != got.seq() {
-            return Err(format!("recovered seq {} where {} was written", got.seq(), want.seq()));
-        }
-        if want.bytes() != got.bytes() {
-            return Err(format!("record seq {} is not byte-identical", got.seq()));
-        }
-    }
-    Ok((recovered.len(), recovered))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ickp_core::{verify_restore, CheckpointConfig, Checkpointer, MethodTable};
+    use ickp_core::{
+        verify_restore, CheckpointConfig, CheckpointRecord, Checkpointer, MethodTable,
+    };
+    use ickp_durable::{crash_matrix, MatrixError, MatrixOptions};
     use ickp_heap::{FieldType, Heap, ObjectId, Value};
 
     type HeapSnapshot = (Heap, Vec<ObjectId>);
@@ -521,24 +254,48 @@ mod tests {
         (registry, states, records)
     }
 
+    /// Appends every record, then commits the partial final batch.
+    fn append_all(
+        records: &[CheckpointRecord],
+    ) -> impl FnMut(&mut MatrixPair<'_>, &mut Acks) -> DriveResult + '_ {
+        move |pair, acks| {
+            for record in records {
+                pair.append(record.clone())?;
+                acks.ack(pair.acked_records());
+            }
+            pair.commit()?;
+            acks.ack(pair.acked_records());
+            Ok(())
+        }
+    }
+
     #[test]
     fn failover_matrix_passes_for_a_small_workload() {
         let (registry, states, records) = workload(4);
-        let config = ReplicateConfig {
-            durable: DurableConfig { segment_target_bytes: 64 },
-            batch_records: 2,
-            ..ReplicateConfig::default()
+        let pair = PairTopology {
+            config: ReplicateConfig {
+                durable: DurableConfig { segment_target_bytes: 64 },
+                batch_records: 2,
+                ..ReplicateConfig::default()
+            },
         };
-        let report = enumerate_failover_points(&registry, &records, config, |n, restored| {
-            let (heap, roots) = &states[n - 1];
-            verify_restore(heap, roots, restored).expect("verify runs")
-        })
+        let report = crash_matrix(
+            &pair,
+            &registry,
+            &records,
+            MatrixOptions::default(),
+            append_all(&records),
+            |n, restored| {
+                let (heap, roots) = &states[n - 1];
+                verify_restore(heap, roots, restored).expect("verify runs")
+            },
+        )
         .unwrap();
         assert_eq!(report.records, 4);
         assert!(report.transport_ops >= 4, "2 batches = at least 2 sends + 2 acks");
-        assert_eq!(report.kill_points as u64, report.total_ops);
+        assert_eq!(report.verdicts.len() as u64, report.total_ops);
         assert_eq!(report.masked_faults, report.transport_ops * 3);
-        assert_eq!(report.partition_points, report.transport_ops);
+        assert_eq!(report.clean_failures, report.transport_ops);
         assert!(
             report.promoted_extra > 0,
             "some kill window must catch a replicated-but-unacked batch"
@@ -548,15 +305,21 @@ mod tests {
     #[test]
     fn a_divergent_state_check_names_the_scenario() {
         let (registry, _, records) = workload(2);
-        let err =
-            enumerate_failover_points(&registry, &records, ReplicateConfig::default(), |_, _| {
-                Some("deliberate mismatch".into())
-            })
-            .unwrap_err();
+        let pair = PairTopology { config: ReplicateConfig::default() };
+        let err = crash_matrix(
+            &pair,
+            &registry,
+            &records,
+            MatrixOptions::default(),
+            append_all(&records),
+            |_, _| Some("deliberate mismatch".into()),
+        )
+        .unwrap_err();
         assert!(
             matches!(
                 err,
-                FailoverError::Invariant { ref what, .. } if what.contains("deliberate")
+                MatrixError::Invariant { ref what, ref op, .. }
+                    if what.contains("deliberate") && !op.is_empty()
             ),
             "unexpected error: {err}"
         );

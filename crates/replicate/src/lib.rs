@@ -13,9 +13,10 @@
 //!
 //! The protocol is deliberately simple — monotone operation numbers,
 //! idempotent application, bounded retransmission — and its failure
-//! story is proven rather than argued: [`enumerate_failover_points`]
-//! numbers every mutating I/O operation on both nodes *and* every wire
-//! send in one interleaved fault space (sharing
+//! story is proven rather than argued: [`PairTopology`] drives the pair
+//! through [`ickp_durable::crash_matrix`], numbering every mutating I/O
+//! operation on both nodes *and* every wire send in one interleaved
+//! fault space (sharing
 //! [`OpCounter`](ickp_durable::OpCounter) between two
 //! [`FailFs`](ickp_durable::FailFs) instances and the
 //! [`ChannelTransport`]), then proves that killing either node at any
@@ -72,10 +73,7 @@ mod pair;
 mod transport;
 pub mod wire;
 
-pub use harness::{
-    enumerate_failover_points, enumerate_failover_points_driven, FailoverError, FailoverReport,
-    MatrixPair,
-};
+pub use harness::{MatrixPair, PairFaults, PairTopology};
 pub use pair::{promote, ReplicaPair, ReplicateConfig, ReplicateError, ReplicationStats};
 pub use transport::{
     ChannelTransport, Node, Transport, TransportError, TransportFault, TransportPlan,

@@ -29,10 +29,8 @@
 //! client-acknowledged prefix is exactly the follower's durable state
 //! with at most one in-flight batch of slack. Killing either node at
 //! any operation and promoting the survivor therefore never loses an
-//! acknowledged record — the property [`enumerate_failover_points`]
-//! proves by exhaustion.
-//!
-//! [`enumerate_failover_points`]: crate::harness::enumerate_failover_points
+//! acknowledged record — the property the crash matrix proves by
+//! exhaustion over a [`PairTopology`](crate::PairTopology).
 
 use std::ops::Range;
 
@@ -444,11 +442,6 @@ impl<P: Vfs, F: Vfs, T: Transport> ReplicaPair<P, F, T> {
     /// Records acknowledged to the client — durable on **both** nodes.
     pub fn acked_records(&self) -> u64 {
         self.acked_records
-    }
-
-    /// Records staged on the primary awaiting the next group commit.
-    pub fn staged_records(&self) -> usize {
-        self.staged.len()
     }
 
     /// The follower's replication high-water mark: the sequence number

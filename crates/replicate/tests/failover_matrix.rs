@@ -2,19 +2,27 @@
 //! class (loss, reorder, duplicate, partition, primary kill mid-batch)
 //! and an engine-to-wire end-to-end check.
 //!
-//! The matrix composes the existing single-store crash harness idea
-//! with transport faults: one shared [`OpCounter`] numbers the
-//! primary's I/O, the follower's I/O and every wire send, and
-//! `enumerate_failover_points` sweeps a fault at every index. The
-//! pinned tests freeze one representative scenario per fault class so a
-//! regression names the class directly instead of an opaque index.
+//! The matrix is the single-store crash matrix over a
+//! [`PairTopology`]: one shared [`OpCounter`] numbers the primary's
+//! I/O, the follower's I/O and every wire send, and `crash_matrix`
+//! sweeps a fault at every index. The pinned tests freeze one
+//! representative scenario per fault class so a regression names the
+//! class directly instead of an opaque index.
+
+use std::collections::BTreeMap;
 
 use ickp_backend::ParallelBackend;
-use ickp_core::{verify_restore, CheckpointConfig, Checkpointer, MethodTable, RecordSink};
-use ickp_durable::{DurableConfig, FailFs, FaultPlan, MemFs, OpCounter};
+use ickp_core::{
+    verify_restore, CheckpointConfig, CheckpointRecord, Checkpointer, MethodTable, RecordSink,
+    RestoredHeap,
+};
+use ickp_durable::{
+    crash_classes, crash_matrix, Acks, DriveResult, DurableConfig, FailFs, FaultPlan,
+    MatrixOptions, MatrixReport, MemFs, OpCounter, TraceEvent,
+};
 use ickp_heap::{ClassRegistry, FieldType, Heap, ObjectId, Value};
 use ickp_replicate::{
-    enumerate_failover_points, promote, ChannelTransport, ReplicaPair, ReplicateConfig,
+    promote, ChannelTransport, MatrixPair, PairTopology, ReplicaPair, ReplicateConfig,
     ReplicateError, TransportFault, TransportPlan,
 };
 
@@ -59,27 +67,101 @@ fn config() -> ReplicateConfig {
     }
 }
 
+/// Appends every record, then commits the partial final batch.
+fn append_all(
+    records: &[CheckpointRecord],
+) -> impl FnMut(&mut MatrixPair<'_>, &mut Acks) -> DriveResult + '_ {
+    move |pair, acks| {
+        for record in records {
+            pair.append(record.clone())?;
+            acks.ack(pair.acked_records());
+        }
+        pair.commit()?;
+        acks.ack(pair.acked_records());
+        Ok(())
+    }
+}
+
+/// The failover matrix of the 7-record workload (7 % 3 != 0: a partial
+/// final batch).
+fn failover_matrix(options: MatrixOptions) -> MatrixReport {
+    let (registry, states, records) = workload(7);
+    let verify = |n: usize, restored: &RestoredHeap| {
+        let (heap, roots) = &states[n - 1];
+        verify_restore(heap, roots, restored).expect("verify runs")
+    };
+    crash_matrix(
+        &PairTopology { config: config() },
+        &registry,
+        &records,
+        options,
+        append_all(&records),
+        verify,
+    )
+    .unwrap()
+}
+
 /// The acceptance gate: every interleaved fs/transport fault index
 /// passes, for a batched, deduplicating pair crossing segment rolls.
 #[test]
 fn every_failover_point_recovers_the_acknowledged_prefix() {
-    let (registry, states, records) = workload(7); // 7 % 3 != 0: a partial final batch
-    let report = enumerate_failover_points(&registry, &records, config(), |n, restored| {
-        let (heap, roots) = &states[n - 1];
-        verify_restore(heap, roots, restored).expect("verify runs")
-    })
-    .unwrap();
+    let report = failover_matrix(MatrixOptions::default());
     assert_eq!(report.records, 7);
-    assert_eq!(report.kill_points as u64, report.total_ops);
+    assert_eq!(report.verdicts.len() as u64, report.total_ops);
     // 3 batches + acks at minimum; retransmit-free baseline.
     assert!(report.transport_ops >= 6, "got {} wire ops", report.transport_ops);
     assert_eq!(report.masked_faults, report.transport_ops * 3);
-    assert_eq!(report.partition_points, report.transport_ops);
+    assert_eq!(report.clean_failures, report.transport_ops);
     // Acked counts are monotone in the kill index and start at zero.
-    assert_eq!(report.acked.first(), Some(&0));
-    assert!(report.acked.windows(2).all(|w| w[0] <= w[1]));
-    assert_eq!(*report.acked.last().unwrap(), records.len() as u64 - 1);
+    let acked = report.acked();
+    assert_eq!(acked.first(), Some(&0));
+    assert!(acked.windows(2).all(|w| w[0] <= w[1]));
+    assert_eq!(*acked.last().unwrap(), report.records as u64 - 1);
     assert!(report.promoted_extra > 0, "the ack-in-flight window must be exercised");
+}
+
+/// The pair's pruned ≡ full proof: replaying every kill point gives each
+/// one exactly the verdict (acked count, dead node, records on each
+/// rebooted disk) the pruned sweep lets it inherit, and no crash class
+/// mixes operations owned by different nodes.
+#[test]
+fn pruned_pair_matrix_matches_the_full_matrix() {
+    let full = failover_matrix(MatrixOptions { full: true });
+    let pruned = failover_matrix(MatrixOptions::default());
+    assert_eq!(pruned.verdicts, full.verdicts, "pruned verdicts must equal the full matrix");
+    assert_eq!(pruned.trace, full.trace);
+    assert_eq!(full.replays as u64, full.total_ops);
+    assert!(
+        pruned.replays < full.replays,
+        "pruning must collapse something: {} replays over {} ops",
+        pruned.replays,
+        full.total_ops
+    );
+    assert_eq!(pruned.promoted_extra, full.promoted_extra);
+    assert_eq!(
+        (pruned.masked_faults, pruned.clean_failures),
+        (full.masked_faults, full.clean_failures)
+    );
+
+    let owner: BTreeMap<u64, _> = full
+        .trace
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Op { index, node, .. } => Some((*index, *node)),
+            TraceEvent::ClientAck { .. } => None,
+        })
+        .collect();
+    let classes = crash_classes(&full.trace);
+    assert_eq!(classes.len(), full.classes);
+    for class in &classes {
+        let node = owner[&class.representative];
+        assert!(
+            class.indices.iter().all(|k| owner[k] == node),
+            "class at op {} mixes ops owned by different nodes",
+            class.representative
+        );
+    }
 }
 
 /// Builds a pair over caller-owned filesystems so the test can inspect

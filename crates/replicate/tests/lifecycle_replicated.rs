@@ -18,10 +18,10 @@ use ickp_core::{
     merge_records, restore, CheckpointConfig, CheckpointRecord, Checkpointer, MethodTable,
     RestorePolicy,
 };
-use ickp_durable::{DurableConfig, DurableStore, FailFs, FaultPlan, MemFs, OpCounter};
+use ickp_durable::{DurableConfig, DurableStore, MemFs, NodeDisk, OpCounter};
 use ickp_heap::{ClassRegistry, FieldType, Heap, Value};
 use ickp_lifecycle::RetentionPolicy;
-use ickp_replicate::{ChannelTransport, Node, ReplicaPair, ReplicateConfig, TransportPlan};
+use ickp_replicate::{MatrixPair, PairFaults, PairTopology, ReplicateConfig};
 
 fn config() -> ReplicateConfig {
     ReplicateConfig {
@@ -90,8 +90,6 @@ fn workload() -> (ClassRegistry, Vec<CheckpointRecord>, CheckpointRecord) {
 }
 
 const STEPS: usize = 16;
-
-type MatrixPair<'a> = ReplicaPair<&'a mut FailFs, &'a mut FailFs, &'a mut ChannelTransport>;
 
 /// A driver-side mirror of the replicated chain, used to compute the
 /// retention merge and the reset exactly as the lifecycle manager does.
@@ -211,44 +209,26 @@ fn run_script(
     registry: &ClassRegistry,
     records: &[CheckpointRecord],
     post_reset: &CheckpointRecord,
-    primary_plan: FaultPlan,
-    follower_plan: FaultPlan,
-    transport_plan: TransportPlan,
+    faults: PairFaults,
 ) -> ScriptRun {
     let counter = OpCounter::new();
-    let mut pfs = FailFs::with_counter(MemFs::new(), primary_plan, counter.clone());
-    let mut ffs = FailFs::with_counter(MemFs::new(), follower_plan, counter.clone());
-    let mut link = ChannelTransport::with_counter(transport_plan, counter.clone());
     let mut images = Vec::new();
     let mut bounds = Vec::new();
-    {
-        let pair = ReplicaPair::create(&mut pfs, &mut ffs, &mut link, config(), registry);
-        if let Ok(mut pair) = pair {
+    let run =
+        PairTopology { config: config() }.run_once(registry, faults, &counter, None, |pair| {
             let mut mirror = Mirror { chain: Vec::new(), tags: Vec::new() };
             images.push(mirror.image());
             bounds.push(counter.count());
             for step in 1..STEPS {
-                match apply_step(&mut pair, &mut mirror, step, registry, records, post_reset) {
-                    Ok(()) => {
-                        images.push(mirror.image());
-                        bounds.push(counter.count());
-                    }
-                    Err(_) => break,
-                }
+                apply_step(pair, &mut mirror, step, registry, records, post_reset)?;
+                images.push(mirror.image());
+                bounds.push(counter.count());
             }
-        }
-    }
-    let killed_by_wire = link.crashed_node();
-    let crashed = pfs.crashed() || ffs.crashed() || killed_by_wire.is_some();
-    let mut primary_disk = pfs.into_recovered();
-    let mut follower_disk = ffs.into_recovered();
-    if killed_by_wire == Some(Node::Primary) {
-        primary_disk.crash();
-    }
-    if killed_by_wire == Some(Node::Follower) {
-        follower_disk.crash();
-    }
-    ScriptRun { images, bounds, primary_disk, follower_disk, crashed }
+            Ok(())
+        });
+    let crashed = run.nodes.iter().any(|n| n.dead);
+    let [primary, follower]: [NodeDisk; 2] = run.nodes.try_into().expect("a pair has two nodes");
+    ScriptRun { images, bounds, primary_disk: primary.disk, follower_disk: follower.disk, crashed }
 }
 
 #[test]
@@ -257,14 +237,7 @@ fn replicated_lifecycle_script_survives_every_kill_point() {
 
     // Fault-free baseline: every step acknowledges on both nodes and the
     // script has the shape the single-node matrix pinned.
-    let mut baseline = run_script(
-        &registry,
-        &records,
-        &post_reset,
-        FaultPlan::none(),
-        FaultPlan::none(),
-        TransportPlan::none(),
-    );
+    let mut baseline = run_script(&registry, &records, &post_reset, PairFaults::default());
     assert!(!baseline.crashed);
     assert_eq!(baseline.images.len(), STEPS, "baseline must acknowledge every step");
     let total_ops = *baseline.bounds.last().unwrap();
@@ -291,14 +264,7 @@ fn replicated_lifecycle_script_survives_every_kill_point() {
     // The kill matrix: every interleaved fs/wire op of the composed
     // system, all three layers armed; whichever owns op k dies.
     for k in 0..total_ops {
-        let out = run_script(
-            &registry,
-            &records,
-            &post_reset,
-            FaultPlan::crash_at(k),
-            FaultPlan::crash_at(k),
-            TransportPlan::fault_at(k, ickp_replicate::TransportFault::Crash),
-        );
+        let out = run_script(&registry, &records, &post_reset, PairFaults::kill_at(k));
         assert!(out.crashed, "op {k} must kill a node");
         // Which lifecycle step was in flight.
         let step = bounds.iter().position(|&b| b > k).expect("k < total_ops");
@@ -341,14 +307,7 @@ fn replicated_lifecycle_script_survives_every_kill_point() {
 #[test]
 fn follower_never_observes_a_half_applied_rewrite() {
     let (registry, records, post_reset) = workload();
-    let baseline = run_script(
-        &registry,
-        &records,
-        &post_reset,
-        FaultPlan::none(),
-        FaultPlan::none(),
-        TransportPlan::none(),
-    );
+    let baseline = run_script(&registry, &records, &post_reset, PairFaults::default());
     let images = baseline.images;
     let bounds = baseline.bounds;
     // Ops belonging to step 11 (maintain) and step 13 (reset).
@@ -357,14 +316,7 @@ fn follower_never_observes_a_half_applied_rewrite() {
         let hi = bounds[step];
         assert!(hi > lo, "step {step} performs I/O");
         for k in lo..hi {
-            let out = run_script(
-                &registry,
-                &records,
-                &post_reset,
-                FaultPlan::crash_at(k),
-                FaultPlan::crash_at(k),
-                TransportPlan::fault_at(k, ickp_replicate::TransportFault::Crash),
-            );
+            let out = run_script(&registry, &records, &post_reset, PairFaults::kill_at(k));
             assert!(out.crashed, "op {k} must kill a node");
             let mut disk = out.follower_disk;
             let image = Image::of_disk(&mut disk, &registry)

@@ -20,12 +20,10 @@ use ickp_core::{
     restore, verify_restore, CheckpointConfig, CheckpointRecord, Checkpointer, MethodTable,
     RestorePolicy,
 };
-use ickp_durable::{DurableConfig, DurableStore, FailFs, FaultPlan, MemFs, OpCounter};
+use ickp_durable::{DurableConfig, DurableStore, FaultPlan, MemFs, NodeDisk, OpCounter};
 use ickp_heap::{ClassRegistry, FieldType, Heap, ObjectId, Value};
 use ickp_prng::Prng;
-use ickp_replicate::{
-    ChannelTransport, Node, ReplicaPair, ReplicateConfig, TransportFault, TransportPlan,
-};
+use ickp_replicate::{PairFaults, PairTopology, ReplicateConfig, TransportFault, TransportPlan};
 
 /// A random DAG: node `i` only points at nodes with larger indices, so
 /// the graph is acyclic but shares substructure freely.
@@ -174,35 +172,24 @@ fn promoted_follower_bytes_equal_acknowledged_prefix() {
             }
         };
 
-        let counter = OpCounter::new();
-        let mut pfs = FailFs::with_counter(MemFs::new(), pplan, counter.clone());
-        let mut ffs = FailFs::with_counter(MemFs::new(), fplan, counter.clone());
-        let mut link = ChannelTransport::with_counter(tplan, counter.clone());
-        let mut acked = 0u64;
-        let result = match ReplicaPair::create(&mut pfs, &mut ffs, &mut link, cfg, &registry) {
-            Err(e) => Err(e.to_string()),
-            Ok(mut pair) => {
-                let r = (|| {
-                    for record in &records {
-                        pair.append(record.clone()).map_err(|e| e.to_string())?;
-                    }
-                    pair.commit().map_err(|e| e.to_string())
-                })();
-                acked = pair.acked_records();
-                r
-            }
-        };
-        let killed_by_wire = link.crashed_node();
-        let primary_dead = pfs.crashed() || killed_by_wire == Some(Node::Primary);
-        let follower_dead = ffs.crashed() || killed_by_wire == Some(Node::Follower);
-        let mut pdisk = pfs.into_recovered();
-        let mut fdisk = ffs.into_recovered();
-        if killed_by_wire == Some(Node::Primary) {
-            pdisk.crash();
-        }
-        if killed_by_wire == Some(Node::Follower) {
-            fdisk.crash();
-        }
+        let faults = PairFaults { primary: pplan, follower: fplan, wire: tplan };
+        let run = PairTopology { config: cfg }.run_once(
+            &registry,
+            faults,
+            &OpCounter::new(),
+            None,
+            |pair| {
+                for record in &records {
+                    pair.append(record.clone())?;
+                }
+                pair.commit()?;
+                Ok(())
+            },
+        );
+        let (result, acked) = (run.result, run.acked);
+        let [p, f]: [NodeDisk; 2] = run.nodes.try_into().expect("a pair has two nodes");
+        let (primary_dead, follower_dead) = (p.dead, f.dead);
+        let (mut pdisk, mut fdisk) = (p.disk, f.disk);
 
         match (&result, mode) {
             (Ok(()), _) => {
