@@ -2,7 +2,7 @@
 //!
 //! A long run accumulates one incremental checkpoint per iteration; a
 //! recovery must replay all of them, and the store grows without bound.
-//! Both rewrites here re-encode the one last-writer-wins fold of
+//! Both rewrites here write out the one last-writer-wins fold of
 //! [`fold_records`], so a rewritten history restores exactly like the
 //! original:
 //!
@@ -13,39 +13,31 @@
 //! * [`merge_records`] folds a run of records into one record, keeping
 //!   every object, for binomial retention.
 //!
-//! Objects are re-encoded with the ordinary [`StreamWriter`], so an
-//! object whose state came through unchanged re-encodes to exactly the
-//! bytes the original record held — which is what lets the durable
-//! layer's content-hash dedup recognise it.
+//! Each surviving object's newest object record is copied verbatim. A
+//! record's bytes are a pure function of the object's identity, class and
+//! field values, so the copy is byte for byte what re-encoding the decoded
+//! state would write — which is what lets the durable layer's content-hash
+//! dedup recognise an unchanged object.
 
 use crate::checkpoint::CheckpointRecord;
 use crate::error::CoreError;
 use crate::restore::fold_records;
 use crate::stats::TraversalStats;
 use crate::store::CheckpointStore;
-use crate::stream::{CheckpointKind, RecordedObject, RecordedValue, StreamWriter};
+use crate::stream::{CheckpointKind, RecordedValue, StreamWriter};
 use ickp_heap::{ClassRegistry, StableId};
-use std::collections::HashSet;
 
-/// Encodes `objects`, in order, as one record with the given header.
-fn encode_record<'a>(
+/// One record with the given header holding the object records `objects`,
+/// in order.
+fn splice<'a>(
     seq: u64,
     kind: CheckpointKind,
     roots: &[StableId],
-    objects: impl IntoIterator<Item = &'a RecordedObject>,
+    objects: impl IntoIterator<Item = &'a [u8]>,
 ) -> CheckpointRecord {
     let mut w = StreamWriter::new(seq, kind, roots);
-    for obj in objects {
-        w.begin_object(obj.stable, obj.class, obj.fields.len());
-        for field in &obj.fields {
-            match *field {
-                RecordedValue::Int(v) => w.write_int(v),
-                RecordedValue::Long(v) => w.write_long(v),
-                RecordedValue::Double(v) => w.write_double(v),
-                RecordedValue::Bool(v) => w.write_bool(v),
-                RecordedValue::Ref(v) => w.write_ref(v),
-            }
-        }
+    for object in objects {
+        w.append_shard(object, 1);
     }
     CheckpointRecord::from_parts(seq, kind, roots.to_vec(), w.finish(), TraversalStats::default())
 }
@@ -74,16 +66,16 @@ pub fn compact(
 
     // Depth-first from the roots, children in field order.
     let mut reachable = Vec::new();
-    let mut visited = HashSet::new();
+    let mut visited = vec![false; history.len()];
     let mut stack: Vec<StableId> = history.roots().iter().rev().copied().collect();
     while let Some(id) = stack.pop() {
-        if !visited.insert(id) {
+        let pos = history.position(id).ok_or(CoreError::MissingObject(id))?;
+        if std::mem::replace(&mut visited[pos], true) {
             continue;
         }
-        let obj = history.get(id).ok_or(CoreError::MissingObject(id))?;
-        reachable.push(obj);
+        reachable.push(history.slice(pos));
         let before = stack.len();
-        stack.extend(obj.fields.iter().filter_map(|f| match *f {
+        stack.extend(history.fields(pos).filter_map(|f| match f {
             RecordedValue::Ref(child) => child,
             _ => None,
         }));
@@ -91,7 +83,7 @@ pub fn compact(
     }
 
     let mut compacted = CheckpointStore::new();
-    compacted.push(encode_record(latest_seq, CheckpointKind::Full, history.roots(), reachable))?;
+    compacted.push(splice(latest_seq, CheckpointKind::Full, history.roots(), reachable))?;
     Ok(compacted)
 }
 
@@ -116,7 +108,8 @@ pub fn merge_records(
         return Err(CoreError::EmptyStore);
     };
     let history = fold_records(records, registry)?;
-    Ok(encode_record(last.seq(), first.kind(), history.roots(), history.objects()))
+    let objects = (0..history.len()).map(|pos| history.slice(pos));
+    Ok(splice(last.seq(), first.kind(), history.roots(), objects))
 }
 
 #[cfg(test)]

@@ -6,15 +6,17 @@
 //! of a history per [`StableId`]; [`restore`] materializes it into a fresh
 //! heap under the original identities and re-links references, while
 //! [`compact`](crate::compact) and [`merge_records`](crate::merge_records)
-//! re-encode it.
+//! write it out as one record.
 
 use crate::checkpoint::CheckpointRecord;
 use crate::error::CoreError;
 use crate::store::CheckpointStore;
-use crate::stream::{decode, RecordedObject, RecordedValue};
-use ickp_heap::{ClassRegistry, Heap, HeapSnapshot, ObjectId, StableId, Value};
-use std::collections::hash_map::Entry;
+use crate::stream::{
+    object_fields, object_identity, walk, RecordedValue, Visit, RECORD_HEADER_BYTES,
+};
+use ickp_heap::{ClassDef, ClassId, ClassRegistry, Heap, HeapSnapshot, ObjectId, StableId, Value};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// A history folded last-writer-wins: for each stable id the newest
 /// recorded state, in first-touch order, plus the last record's roots.
@@ -22,18 +24,36 @@ use std::collections::HashMap;
 /// First-touch order is the order in which replaying the records one by
 /// one would first meet each object, so everything built from a fold —
 /// a restored heap, a merged record — comes out the same however the
-/// history was split into records.
-#[derive(Debug, Default)]
-pub struct FoldedHistory {
-    objects: Vec<RecordedObject>,
-    index: HashMap<StableId, usize>,
+/// history was split into records. Survivors are addressed by their
+/// first-touch position, which is below [`FoldedHistory::len`]; the
+/// accessors panic for any other. Each survivor's state stays in the record that
+/// last wrote it and is decoded only on demand.
+#[derive(Debug)]
+pub struct FoldedHistory<'a> {
+    records: &'a [CheckpointRecord],
+    registry: &'a ClassRegistry,
+    index: IdIndex,
+    newest: Vec<Newest>,
     roots: Vec<StableId>,
 }
 
-impl FoldedHistory {
-    /// The surviving objects, in first-touch order.
-    pub fn objects(&self) -> &[RecordedObject] {
-        &self.objects
+/// Where a survivor's newest state lies: which record, and the offset of
+/// its object record in that record's bytes.
+#[derive(Debug, Clone, Copy)]
+struct Newest {
+    record: u32,
+    offset: u32,
+}
+
+impl<'a> FoldedHistory<'a> {
+    /// Number of surviving objects.
+    pub fn len(&self) -> usize {
+        self.newest.len()
+    }
+
+    /// `true` if no record held an object.
+    pub fn is_empty(&self) -> bool {
+        self.newest.is_empty()
     }
 
     /// The roots of the last folded record.
@@ -41,37 +61,160 @@ impl FoldedHistory {
         &self.roots
     }
 
-    /// The newest recorded state of `id`, if any record holds it.
-    pub fn get(&self, id: StableId) -> Option<&RecordedObject> {
-        self.index.get(&id).map(|&i| &self.objects[i])
+    /// The first-touch position of `id`, if any record holds it.
+    pub fn position(&self, id: StableId) -> Option<usize> {
+        self.index.get(id)
+    }
+
+    /// The newest object record of the survivor at `pos`, byte for byte as
+    /// its checkpoint holds it.
+    pub fn slice(&self, pos: usize) -> &'a [u8] {
+        let bytes = self.newest_bytes(pos);
+        let len = RECORD_HEADER_BYTES + self.class(object_identity(bytes).1).encoded_state_size();
+        &bytes[..len]
+    }
+
+    /// The stable id and class of the survivor at `pos`.
+    pub fn identity(&self, pos: usize) -> (StableId, ClassId) {
+        object_identity(self.newest_bytes(pos))
+    }
+
+    /// The newest field values of the survivor at `pos`, in layout order.
+    pub fn fields(&self, pos: usize) -> impl Iterator<Item = RecordedValue> + 'a {
+        let bytes = self.newest_bytes(pos);
+        object_fields(bytes, self.class(object_identity(bytes).1).layout())
+    }
+
+    /// The bytes of the record holding the newest state of the survivor at
+    /// `pos`, from the start of its object record.
+    fn newest_bytes(&self, pos: usize) -> &'a [u8] {
+        let Newest { record, offset } = self.newest[pos];
+        &self.records[record as usize].bytes()[offset as usize..]
+    }
+
+    /// A class the scan validated.
+    fn class(&self, class: ClassId) -> &'a ClassDef {
+        self.registry.class(class).expect("the scan validated every class")
+    }
+}
+
+/// Stable id → first-touch position. Dense ids index a table directly;
+/// once an id lies beyond [`IdIndex::SPREAD`] times the number of objects
+/// the records hold, the table turns into a map, so its size follows the
+/// recorded object count and never an untrusted id.
+#[derive(Debug)]
+enum IdIndex {
+    Dense(Vec<u32>),
+    Sparse(HashMap<StableId, u32>),
+}
+
+impl IdIndex {
+    /// How far beyond the recorded object count a dense table may reach.
+    const SPREAD: usize = 4;
+    /// A dense table entry no object occupies.
+    const ABSENT: u32 = u32::MAX;
+
+    fn get(&self, id: StableId) -> Option<usize> {
+        let pos = match self {
+            IdIndex::Dense(table) => *usize::try_from(id.0).ok().and_then(|i| table.get(i))?,
+            IdIndex::Sparse(map) => *map.get(&id)?,
+        };
+        (pos != IdIndex::ABSENT).then_some(pos as usize)
+    }
+
+    /// The position of `id`, after giving it position `next` if it had
+    /// none. A dense table grows to at most `limit` entries.
+    fn get_or_insert(&mut self, id: StableId, next: u32, limit: usize) -> u32 {
+        if let IdIndex::Dense(table) = self {
+            match usize::try_from(id.0) {
+                Ok(i) if i < table.len() => {
+                    if table[i] == IdIndex::ABSENT {
+                        table[i] = next;
+                    }
+                    return table[i];
+                }
+                Ok(i) if i < limit => {
+                    table.resize(i + 1, IdIndex::ABSENT);
+                    table[i] = next;
+                    return next;
+                }
+                _ => {
+                    let occupied = table.iter().enumerate().filter(|(_, &p)| p != IdIndex::ABSENT);
+                    *self =
+                        IdIndex::Sparse(occupied.map(|(i, &p)| (StableId(i as u64), p)).collect());
+                }
+            }
+        }
+        match self {
+            IdIndex::Sparse(map) => *map.entry(id).or_insert(next),
+            IdIndex::Dense(_) => unreachable!("a dense table was turned into a map above"),
+        }
     }
 }
 
 /// Folds `records` (an ascending run from one chain) last-writer-wins.
 /// An empty run folds to an empty history with no roots.
 ///
+/// One validating scan per record reports each object's stable id and
+/// byte range; the fold keeps, per stable id, its first-touch position and
+/// the location of its newest state. Nothing is decoded.
+///
 /// # Errors
 ///
-/// Decoding errors from [`decode`] if a record does not match `registry`.
-pub fn fold_records(
-    records: &[CheckpointRecord],
-    registry: &ClassRegistry,
-) -> Result<FoldedHistory, CoreError> {
-    let mut history = FoldedHistory::default();
-    for record in records {
-        let decoded = decode(record.bytes(), registry)?;
-        for obj in decoded.objects {
-            match history.index.entry(obj.stable) {
-                Entry::Occupied(at) => history.objects[*at.get()] = obj,
-                Entry::Vacant(slot) => {
-                    slot.insert(history.objects.len());
-                    history.objects.push(obj);
-                }
+/// The errors of [`decode`](crate::decode) if a record does not match
+/// `registry`, and a [`CoreError::Decode`] for a record over 4 GiB or
+/// records that could hold `u32::MAX` objects, which the fold cannot
+/// index.
+pub fn fold_records<'a>(
+    records: &'a [CheckpointRecord],
+    registry: &'a ClassRegistry,
+) -> Result<FoldedHistory<'a>, CoreError> {
+    struct Fold {
+        index: IdIndex,
+        newest: Vec<Newest>,
+        record: u32,
+        limit: usize,
+    }
+    impl Visit<'_> for Fold {
+        fn end_object(&mut self, stable: StableId, _: ClassId, range: Range<usize>) {
+            let at = Newest { record: self.record, offset: range.start as u32 };
+            let pos = self.index.get_or_insert(stable, self.newest.len() as u32, self.limit);
+            match self.newest.get_mut(pos as usize) {
+                Some(slot) => *slot = at,
+                None => self.newest.push(at),
             }
         }
-        history.roots = decoded.roots;
     }
-    Ok(history)
+
+    // Record indices, offsets and positions are kept as u32. Every object
+    // record takes at least a header, which bounds all three; the scan
+    // stops at the first malformed record, so a record's index never
+    // exceeds the objects before it.
+    let capacity: usize = records.iter().map(|r| r.bytes().len() / RECORD_HEADER_BYTES).sum();
+    if capacity >= IdIndex::ABSENT as usize
+        || records.iter().any(|r| u32::try_from(r.bytes().len()).is_err())
+    {
+        let what = "records over 4 GiB or 2^32 objects cannot be folded".into();
+        return Err(CoreError::Decode { offset: 0, what });
+    }
+    // The footers' object counts, capped by what each record's length
+    // allows so a corrupt footer cannot inflate them, size the fold once.
+    let footer = |b: &[u8]| b.last_chunk().map_or(0, |&n| u32::from_be_bytes(n) as usize);
+    let declared: usize =
+        records.iter().map(|r| footer(r.bytes()).min(r.bytes().len() / RECORD_HEADER_BYTES)).sum();
+    let mut fold = Fold {
+        index: IdIndex::Dense(Vec::with_capacity(declared)),
+        newest: Vec::with_capacity(declared),
+        record: 0,
+        limit: declared.saturating_mul(IdIndex::SPREAD),
+    };
+    let mut roots = Vec::new();
+    for record in records {
+        roots = walk(record.bytes(), registry, &mut fold)?.roots;
+        fold.record += 1;
+    }
+    let Fold { index, newest, .. } = fold;
+    Ok(FoldedHistory { records, registry, index, newest, roots })
 }
 
 /// How strictly [`restore`] validates the store before replaying it.
@@ -96,8 +239,7 @@ pub enum RestorePolicy {
 pub struct RestoredHeap {
     heap: Heap,
     roots: Vec<ObjectId>,
-    index: HashMap<StableId, usize>,
-    handles: Vec<ObjectId>,
+    index: IdIndex,
 }
 
 impl RestoredHeap {
@@ -119,29 +261,35 @@ impl RestoredHeap {
 
     /// Maps a recorded stable id to its handle in the reconstructed heap.
     pub fn lookup(&self, id: StableId) -> Option<ObjectId> {
-        self.index.get(&id).map(|&i| self.handles[i])
+        self.heap.handle_at(self.index.get(id)?)
     }
 
     /// Number of reconstructed objects.
     pub fn len(&self) -> usize {
-        self.handles.len()
+        self.heap.len()
     }
 
     /// `true` if nothing was reconstructed.
     pub fn is_empty(&self) -> bool {
-        self.handles.is_empty()
+        self.heap.is_empty()
     }
 }
 
 /// Rebuilds program state from a checkpoint store.
 ///
+/// The store is folded with [`fold_records`] and the survivors are built
+/// with [`Heap::materialize`] in first-touch order, each decoded once
+/// from its newest state.
+///
 /// # Errors
 ///
 /// * [`CoreError::EmptyStore`] for an empty store.
 /// * [`CoreError::BaseNotFull`] under [`RestorePolicy::RequireFullBase`].
-/// * Decoding errors from [`decode`].
+/// * Decoding errors from [`decode`](crate::decode).
 /// * [`CoreError::MissingObject`] if a recorded reference (or a root)
 ///   points to a stable id that no checkpoint in the store recorded.
+/// * [`CoreError::Heap`] if a reference breaks its slot's class
+///   constraint, or for the stable id `u64::MAX`.
 pub fn restore(
     store: &CheckpointStore,
     registry: &ClassRegistry,
@@ -154,37 +302,37 @@ pub fn restore(
         return Err(CoreError::BaseNotFull);
     }
 
-    let FoldedHistory { objects, index, roots } = fold_records(store.records(), registry)?;
+    let history = fold_records(store.records(), registry)?;
+    let position = |id: StableId| history.position(id).ok_or(CoreError::MissingObject(id));
 
-    // Materialize under original identities in first-touch order, flags
-    // clear (the restored state is by definition in sync with the last
-    // checkpoint).
-    let mut heap = Heap::new(registry.clone());
-    let handles = objects
-        .iter()
-        .map(|obj| heap.alloc_restored(obj.class, obj.stable, false))
-        .collect::<Result<Vec<_>, _>>()?;
-    let handle_of =
-        |id: StableId| index.get(&id).map(|&i| handles[i]).ok_or(CoreError::MissingObject(id));
-
-    // Re-link fields. Unbarriered stores keep the flags clear.
-    for (obj, &handle) in objects.iter().zip(&handles) {
-        for (slot, field) in obj.fields.iter().enumerate() {
-            let value = match *field {
+    // Materialize under original identities, flags clear: the restored
+    // state is by definition in sync with the last checkpoint.
+    let ids = (0..history.len()).map(|pos| history.identity(pos));
+    let heap = Heap::materialize(registry.clone(), ids, |pos, out| {
+        for field in history.fields(pos) {
+            let value = match field {
                 RecordedValue::Int(v) => Value::Int(v),
                 RecordedValue::Long(v) => Value::Long(v),
                 RecordedValue::Double(v) => Value::Double(v),
                 RecordedValue::Bool(v) => Value::Bool(v),
                 RecordedValue::Ref(None) => Value::Ref(None),
-                RecordedValue::Ref(Some(child)) => Value::Ref(Some(handle_of(child)?)),
+                RecordedValue::Ref(Some(child)) => {
+                    out.push_ref(position(child)?)?;
+                    continue;
+                }
             };
-            heap.set_field_unbarriered(handle, slot, value)?;
+            out.push(value)?;
         }
-    }
+        Ok::<(), CoreError>(())
+    })?;
 
-    let roots = roots.iter().map(|&r| handle_of(r)).collect::<Result<Vec<_>, _>>()?;
+    let roots = history
+        .roots()
+        .iter()
+        .map(|&r| heap.handle_at(position(r)?).ok_or(CoreError::MissingObject(r)))
+        .collect::<Result<Vec<_>, _>>()?;
 
-    Ok(RestoredHeap { heap, roots, index, handles })
+    Ok(RestoredHeap { heap, roots, index: history.index })
 }
 
 /// Verifies that a restore reproduced the live state: captures logical
@@ -211,7 +359,8 @@ mod tests {
     use super::*;
     use crate::checkpoint::{CheckpointConfig, Checkpointer};
     use crate::methods::MethodTable;
-    use ickp_heap::{ClassId, ClassRegistry, FieldType};
+    use crate::stream::{decode, CheckpointKind, StreamWriter};
+    use ickp_heap::{FieldType, HeapError};
 
     fn registry() -> (ClassRegistry, ClassId) {
         let mut reg = ClassRegistry::new();
@@ -365,11 +514,107 @@ mod tests {
         let history = fold_records(run.store.records(), run.heap.registry()).unwrap();
         let head_sid = run.heap.stable_id(run.head).unwrap();
         let tail_sid = run.heap.stable_id(run.tail).unwrap();
-        let ids: Vec<StableId> = history.objects().iter().map(|o| o.stable).collect();
+        let ids: Vec<StableId> = (0..history.len()).map(|p| history.identity(p).0).collect();
         assert_eq!(ids, [head_sid, tail_sid]);
-        assert_eq!(history.get(tail_sid).unwrap().fields[0], RecordedValue::Int(42));
+        let tail_pos = history.position(tail_sid).unwrap();
+        assert_eq!(history.fields(tail_pos).next(), Some(RecordedValue::Int(42)));
         assert_eq!(history.roots(), [head_sid]);
-        assert!(fold_records(&[], run.heap.registry()).unwrap().objects().is_empty());
+        assert!(fold_records(&[], run.heap.registry()).unwrap().is_empty());
+    }
+
+    /// A store of one full record with the given roots, whose objects
+    /// `write` encodes.
+    fn store_of(roots: &[u64], write: impl FnOnce(&mut StreamWriter)) -> CheckpointStore {
+        let roots: Vec<StableId> = roots.iter().map(|&r| StableId(r)).collect();
+        let mut w = StreamWriter::new(0, CheckpointKind::Full, &roots);
+        write(&mut w);
+        let stats = crate::stats::TraversalStats::default();
+        let mut store = CheckpointStore::new();
+        let record =
+            CheckpointRecord::from_parts(0, CheckpointKind::Full, roots, w.finish(), stats);
+        store.push(record).unwrap();
+        store
+    }
+
+    /// A store of `Node`s with the given stable ids, each `next` linking
+    /// to the following one; the first is the root.
+    fn chain_of(node: ClassId, ids: &[u64]) -> CheckpointStore {
+        store_of(&ids[..1], |w| {
+            for (i, &id) in ids.iter().enumerate() {
+                w.begin_object(StableId(id), node, 2);
+                w.write_int(i as i32);
+                w.write_ref(ids.get(i + 1).map(|&next| StableId(next)));
+            }
+        })
+    }
+
+    #[test]
+    fn the_last_stable_id_is_refused_not_wrapped() {
+        let (reg, node) = registry();
+        let store = chain_of(node, &[1, u64::MAX]);
+        assert_eq!(
+            restore(&store, &reg, RestorePolicy::RequireFullBase).unwrap_err(),
+            CoreError::Heap(HeapError::StableIdOverflow(u64::MAX))
+        );
+    }
+
+    #[test]
+    fn sparse_ids_fold_into_a_map_not_a_table_sized_by_the_id() {
+        let (reg, node) = registry();
+        let store = chain_of(node, &[1, u64::MAX - 1]);
+        let history = fold_records(store.records(), &reg).unwrap();
+        assert!(matches!(history.index, IdIndex::Sparse(_)));
+        let restored = restore(&store, &reg, RestorePolicy::RequireFullBase).unwrap();
+        let far = restored.lookup(StableId(u64::MAX - 1)).unwrap();
+        assert_eq!(restored.heap().field(far, 0).unwrap(), Value::Int(1));
+        let root = restored.roots()[0];
+        assert_eq!(restored.heap().field(root, 1).unwrap(), Value::Ref(Some(far)));
+        assert_eq!(restored.lookup(StableId(2)), None);
+
+        // Dense ids stay in the table, whatever order they come in.
+        let store = chain_of(node, &[3, 1, 2]);
+        let history = fold_records(store.records(), &reg).unwrap();
+        assert!(matches!(history.index, IdIndex::Dense(_)));
+    }
+
+    #[test]
+    fn a_reference_to_an_object_of_the_wrong_class_is_refused() {
+        let mut reg = ClassRegistry::new();
+        let entry = reg.define("Entry", None, &[]).unwrap();
+        let holder = reg.define("Holder", None, &[("e", FieldType::Ref(Some(entry)))]).unwrap();
+        let store = store_of(&[1], |w| {
+            w.begin_object(StableId(1), holder, 1);
+            w.write_ref(Some(StableId(2)));
+            w.begin_object(StableId(2), holder, 1);
+            w.write_ref(None);
+        });
+        // The first object restored is the one whose store breaks the
+        // constraint.
+        let mut expected = Heap::new(reg.clone());
+        let first = expected.alloc_restored(holder, StableId(1), false).unwrap();
+        assert_eq!(
+            restore(&store, &reg, RestorePolicy::Lenient).unwrap_err(),
+            CoreError::Heap(HeapError::ClassConstraint {
+                object: first,
+                slot: 0,
+                expected: entry,
+                actual: holder,
+            })
+        );
+    }
+
+    #[test]
+    fn a_root_no_record_holds_is_reported() {
+        let (reg, node) = registry();
+        let store = store_of(&[9], |w| {
+            w.begin_object(StableId(1), node, 2);
+            w.write_int(0);
+            w.write_ref(None);
+        });
+        assert_eq!(
+            restore(&store, &reg, RestorePolicy::Lenient).unwrap_err(),
+            CoreError::MissingObject(StableId(9))
+        );
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use std::ops::Range;
 
 use crate::error::CoreError;
-use ickp_heap::{ClassId, ClassRegistry, FieldType, StableId};
+use ickp_heap::{ClassId, ClassRegistry, FieldDef, FieldType, StableId};
 
 /// Magic bytes opening every checkpoint stream.
 pub const MAGIC: [u8; 4] = *b"ICKP";
@@ -216,10 +216,11 @@ impl StreamWriter {
         (self.buf, self.records)
     }
 
-    /// Splices a finished shard body into this stream, as if its records
-    /// had been written here directly. `records` must be the count returned
-    /// by [`StreamWriter::finish_shard`] alongside `body`; it flows into
-    /// this stream's footer.
+    /// Splices `body`, a run of `records` whole object records, into this
+    /// stream as if they had been written here directly: a finished shard
+    /// body with the count [`StreamWriter::finish_shard`] returned for it,
+    /// or object records sliced out of another stream. `records` flows
+    /// into this stream's footer.
     pub fn append_shard(&mut self, body: &[u8], records: u32) {
         debug_assert!(!self.finished, "write after finish");
         self.buf.extend_from_slice(body);
@@ -345,18 +346,7 @@ pub fn decode(bytes: &[u8], registry: &ClassRegistry) -> Result<DecodedCheckpoin
             self.fields = Vec::with_capacity(nfields);
         }
         fn field(&mut self, ty: FieldType, bytes: &[u8]) {
-            self.fields.push(match ty {
-                FieldType::Int => RecordedValue::Int(i32::from_be_bytes(fixed(bytes))),
-                FieldType::Long => RecordedValue::Long(i64::from_be_bytes(fixed(bytes))),
-                FieldType::Double => {
-                    RecordedValue::Double(f64::from_bits(u64::from_be_bytes(fixed(bytes))))
-                }
-                FieldType::Bool => RecordedValue::Bool(bytes[0] == 1),
-                FieldType::Ref(_) => {
-                    let raw = u64::from_be_bytes(fixed(bytes));
-                    RecordedValue::Ref(if raw == 0 { None } else { Some(StableId(raw)) })
-                }
-            });
+            self.fields.push(field_value(ty, bytes));
         }
         fn end_object(&mut self, stable: StableId, class: ClassId, _: Range<usize>) {
             let fields = std::mem::take(&mut self.fields);
@@ -379,9 +369,47 @@ fn fixed<const N: usize>(bytes: &[u8]) -> [u8; N] {
     bytes.try_into().expect("the walker hands out whole fields")
 }
 
+/// The value of one field of type `ty` from its validated encoded bytes.
+fn field_value(ty: FieldType, bytes: &[u8]) -> RecordedValue {
+    match ty {
+        FieldType::Int => RecordedValue::Int(i32::from_be_bytes(fixed(bytes))),
+        FieldType::Long => RecordedValue::Long(i64::from_be_bytes(fixed(bytes))),
+        FieldType::Double => {
+            RecordedValue::Double(f64::from_bits(u64::from_be_bytes(fixed(bytes))))
+        }
+        FieldType::Bool => RecordedValue::Bool(bytes[0] == 1),
+        FieldType::Ref(_) => {
+            let raw = u64::from_be_bytes(fixed(bytes));
+            RecordedValue::Ref(if raw == 0 { None } else { Some(StableId(raw)) })
+        }
+    }
+}
+
+/// The stable id and class in the header of an object record that [`walk`]
+/// validated and reported as a range.
+pub(crate) fn object_identity(object: &[u8]) -> (StableId, ClassId) {
+    let stable = StableId(u64::from_be_bytes(fixed(&object[1..9])));
+    (stable, ClassId::from_index(u32::from_be_bytes(fixed(&object[9..13])) as usize))
+}
+
+/// The fields of a validated object record, decoded in the order of
+/// `layout`, its class's layout.
+pub(crate) fn object_fields<'a>(
+    object: &'a [u8],
+    layout: &'a [FieldDef],
+) -> impl Iterator<Item = RecordedValue> + 'a {
+    let mut at = RECORD_HEADER_BYTES;
+    layout.iter().map(move |f| {
+        let ty = f.ty();
+        let start = at;
+        at += ty.encoded_size();
+        field_value(ty, &object[start..at])
+    })
+}
+
 /// What [`walk`] reports while it scans, in stream order: each object
 /// record opens, yields its fields, and closes.
-trait Visit<'a> {
+pub(crate) trait Visit<'a> {
     /// A record with `nfields` fields starts.
     fn begin_object(&mut self, _nfields: usize) {}
     /// The next field of the open record: its type and its validated
@@ -392,18 +420,19 @@ trait Visit<'a> {
 }
 
 /// The stream header, as [`walk`] read it.
-struct Header {
+pub(crate) struct Header {
     seq: u64,
     kind: CheckpointKind,
-    roots: Vec<StableId>,
+    pub(crate) roots: Vec<StableId>,
     len: usize,
 }
 
 /// The one reader of the stream format: checks every byte of `bytes`
 /// against the format and the registry's class layouts and reports what
-/// it passes to `visit`. [`object_slices`] and [`decode`] are its two
-/// views, which is why they accept and reject exactly the same streams.
-fn walk<'a>(
+/// it passes to `visit`. [`object_slices`], [`decode`] and
+/// [`fold_records`](crate::fold_records) are its views, which is why they
+/// accept and reject exactly the same streams.
+pub(crate) fn walk<'a>(
     bytes: &'a [u8],
     registry: &ClassRegistry,
     visit: &mut impl Visit<'a>,

@@ -62,6 +62,9 @@ pub enum HeapError {
     DanglingObject(ObjectId),
     /// A stable id was encountered twice during a restore-style bulk load.
     DuplicateStableId(u64),
+    /// An allocation would take a stable id past the 64-bit range: no
+    /// stable id follows this one.
+    StableIdOverflow(u64),
 }
 
 impl fmt::Display for HeapError {
@@ -88,6 +91,9 @@ impl fmt::Display for HeapError {
             ),
             HeapError::DanglingObject(o) => write!(f, "dangling object handle {o}"),
             HeapError::DuplicateStableId(id) => write!(f, "stable id {id} used twice"),
+            HeapError::StableIdOverflow(id) => {
+                write!(f, "stable id {id} is the last one: no stable id follows it")
+            }
         }
     }
 }
@@ -117,6 +123,7 @@ mod tests {
             },
             HeapError::DanglingObject(obj),
             HeapError::DuplicateStableId(4),
+            HeapError::StableIdOverflow(u64::MAX),
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

@@ -169,7 +169,8 @@ impl Heap {
     ///
     /// # Errors
     ///
-    /// Returns [`HeapError::UnknownClass`] for a foreign class id.
+    /// Returns [`HeapError::UnknownClass`] for a foreign class id, and
+    /// [`HeapError::StableIdOverflow`] once the stable ids are used up.
     pub fn alloc(&mut self, class: ClassId) -> Result<ObjectId, HeapError> {
         let layout = self.registry.class(class)?.layout();
         let fields: Vec<Value> = layout.iter().map(|f| f.ty().default_value()).collect();
@@ -211,7 +212,9 @@ impl Heap {
     ///
     /// # Errors
     ///
-    /// Returns [`HeapError::UnknownClass`] for a foreign class id.
+    /// Returns [`HeapError::UnknownClass`] for a foreign class id, and
+    /// [`HeapError::StableIdOverflow`] for `StableId(u64::MAX)`, which
+    /// leaves the counter no id to move to.
     pub fn alloc_restored(
         &mut self,
         class: ClassId,
@@ -230,17 +233,8 @@ impl Heap {
         stable: Option<StableId>,
         modified: bool,
     ) -> Result<ObjectId, HeapError> {
-        let stable = match stable {
-            Some(s) => {
-                self.next_stable = self.next_stable.max(s.0 + 1);
-                s
-            }
-            None => {
-                let s = StableId(self.next_stable);
-                self.next_stable += 1;
-                s
-            }
-        };
+        let stable = stable.unwrap_or(StableId(self.next_stable));
+        self.next_stable = self.next_stable.max(id_after(stable)?);
         let object = Object {
             class,
             info: CheckpointInfo { stable, modified, journaled: modified },
@@ -266,6 +260,71 @@ impl Heap {
         self.stats.allocs += 1;
         self.structure_version = self.structure_version.wrapping_add(1);
         Ok(id)
+    }
+
+    /// Builds a heap of restored objects: the bulk form of
+    /// [`Heap::alloc_restored`] followed by [`Heap::set_field_unbarriered`]
+    /// on every slot, with every modified flag clear.
+    ///
+    /// `objects` yields each object's stable id and class in allocation
+    /// order; the object at position `p` lives in arena slot `p`
+    /// ([`Heap::handle_at`]). Every class and stable id is checked first,
+    /// as allocating all objects before storing any field would. Then
+    /// `fields` runs once per position, in order, and pushes that object's
+    /// values in layout order into a [`FieldWriter`], which names referents
+    /// by position. The arena is reserved once and each object is built
+    /// straight from the pushed values, with no default field vector. Each
+    /// value passes the same kind and class-constraint checks as a field
+    /// store, and the heap's counters end as if the objects had been
+    /// allocated and every slot stored one by one.
+    ///
+    /// # Errors
+    ///
+    /// * [`HeapError::UnknownClass`] for a foreign class, and
+    ///   [`HeapError::StableIdOverflow`] for `StableId(u64::MAX)`.
+    /// * The errors of [`Heap::set_field`] for a pushed value that does
+    ///   not fit its slot, and [`HeapError::SlotOutOfBounds`] if `fields`
+    ///   pushes fewer values than the layout has.
+    /// * Whatever `fields` returns.
+    pub fn materialize<E: From<HeapError>>(
+        registry: ClassRegistry,
+        objects: impl ExactSizeIterator<Item = (StableId, ClassId)> + Clone,
+        mut fields: impl FnMut(usize, &mut FieldWriter<'_>) -> Result<(), E>,
+    ) -> Result<Heap, E> {
+        let mut heap = Heap::new(registry);
+        let mut classes = Vec::with_capacity(objects.len());
+        for (stable, class) in objects.clone() {
+            heap.registry.class(class)?;
+            heap.next_stable = heap.next_stable.max(id_after(stable)?);
+            classes.push(class);
+        }
+        heap.slots.reserve_exact(classes.len());
+        heap.structure_version = classes.len() as u64;
+        for (index, (stable, class)) in objects.enumerate() {
+            let object = ObjectId { index: index as u32, generation: 0 };
+            let def = heap.registry.class(class)?;
+            let mut out = FieldWriter {
+                registry: &heap.registry,
+                classes: &classes,
+                object,
+                def,
+                values: Vec::with_capacity(def.num_slots()),
+                refs: 0,
+            };
+            fields(index, &mut out)?;
+            let FieldWriter { values, refs, .. } = out;
+            if values.len() != def.num_slots() {
+                let len = def.num_slots();
+                return Err(HeapError::SlotOutOfBounds { object, slot: values.len(), len }.into());
+            }
+            heap.structure_version = heap.structure_version.wrapping_add(refs);
+            let info = CheckpointInfo { stable, modified: false, journaled: false };
+            let object = Object { class, info, fields: values.into_boxed_slice() };
+            heap.slots.push(Slot { generation: 0, object: Some(object) });
+        }
+        heap.live = heap.slots.len();
+        heap.stats.allocs = heap.live as u64;
+        Ok(heap)
     }
 
     /// Frees an object, invalidating its handle. Returns the object.
@@ -296,11 +355,7 @@ impl Heap {
     }
 
     fn object_ref(&self, id: ObjectId) -> Result<&Object, HeapError> {
-        self.slots
-            .get(id.index())
-            .filter(|s| s.generation == id.generation)
-            .and_then(|s| s.object.as_ref())
-            .ok_or(HeapError::DanglingObject(id))
+        live_object(&self.slots, id)
     }
 
     fn object_mut(&mut self, id: ObjectId) -> Result<&mut Object, HeapError> {
@@ -424,29 +479,9 @@ impl Heap {
         value: Value,
         barrier: bool,
     ) -> Result<(), HeapError> {
-        let class = self.object_ref(id)?.class;
-        let def = self.registry.class(class)?;
-        let len = def.num_slots();
-        let ty = def.slot_type(slot).map_err(|_| HeapError::SlotOutOfBounds {
-            object: id,
-            slot,
-            len,
-        })?;
-        if !value.matches_kind(ty) {
-            return Err(HeapError::TypeMismatch { object: id, slot, expected: ty });
-        }
-        if let (FieldType::Ref(Some(required)), Value::Ref(Some(target))) = (ty, value) {
-            let actual = self.class_of(target)?;
-            if !self.registry.is_subclass(actual, required) {
-                return Err(HeapError::ClassConstraint {
-                    object: id,
-                    slot,
-                    expected: required,
-                    actual,
-                });
-            }
-        }
-        let is_ref = matches!(ty, FieldType::Ref(_));
+        let def = self.registry.class(self.object_ref(id)?.class)?;
+        let class_of = |target| live_object(&self.slots, target).map(|o| o.class);
+        let is_ref = check_store(&self.registry, class_of, id, def, slot, value)?.is_ref();
         let obj = self.object_mut(id).expect("existence checked above");
         obj.fields[slot] = value;
         let newly_marked = barrier && !obj.info.modified;
@@ -565,6 +600,15 @@ impl Heap {
         })
     }
 
+    /// The handle of the live object in arena slot `index`, if any. After
+    /// [`Heap::materialize`], slot `p` holds the object built at position
+    /// `p`.
+    pub fn handle_at(&self, index: usize) -> Option<ObjectId> {
+        let slot = self.slots.get(index)?;
+        slot.object.as_ref()?;
+        Some(ObjectId { index: index as u32, generation: slot.generation })
+    }
+
     /// The number of live objects.
     pub fn len(&self) -> usize {
         self.live
@@ -665,6 +709,99 @@ impl Heap {
         self.journal_epoch += 1;
         self.journal.len()
     }
+}
+
+/// Collects one object's field values for [`Heap::materialize`], checking
+/// each value as a field store would.
+#[derive(Debug)]
+pub struct FieldWriter<'a> {
+    registry: &'a ClassRegistry,
+    /// The class of every object being built, by position.
+    classes: &'a [ClassId],
+    object: ObjectId,
+    def: &'a ClassDef,
+    values: Vec<Value>,
+    /// Reference slots written so far.
+    refs: u64,
+}
+
+impl FieldWriter<'_> {
+    /// Appends the value of the next slot in layout order.
+    ///
+    /// # Errors
+    ///
+    /// As [`Heap::set_field`] for the same value: the slot must exist, the
+    /// kind must match, and a reference must satisfy the slot's class
+    /// constraint.
+    pub fn push(&mut self, value: Value) -> Result<(), HeapError> {
+        let slot = self.values.len();
+        let class_of = |target: ObjectId| {
+            let class = self.classes.get(target.index()).filter(|_| target.generation == 0);
+            class.copied().ok_or(HeapError::DanglingObject(target))
+        };
+        let ty = check_store(self.registry, class_of, self.object, self.def, slot, value)?;
+        self.refs += u64::from(ty.is_ref());
+        self.values.push(value);
+        Ok(())
+    }
+
+    /// Appends a reference to the object built at position `referent`.
+    ///
+    /// # Errors
+    ///
+    /// As [`FieldWriter::push`], and [`HeapError::DanglingObject`] if no
+    /// object is built at `referent`.
+    pub fn push_ref(&mut self, referent: usize) -> Result<(), HeapError> {
+        let index = u32::try_from(referent).unwrap_or(u32::MAX);
+        let handle = ObjectId { index, generation: 0 };
+        if referent >= self.classes.len() {
+            return Err(HeapError::DanglingObject(handle));
+        }
+        self.push(Value::Ref(Some(handle)))
+    }
+}
+
+/// The stable id an allocation moves the counter to once it has used
+/// `stable`.
+fn id_after(stable: StableId) -> Result<u64, HeapError> {
+    stable.0.checked_add(1).ok_or(HeapError::StableIdOverflow(stable.0))
+}
+
+fn live_object(slots: &[Slot], id: ObjectId) -> Result<&Object, HeapError> {
+    slots
+        .get(id.index())
+        .filter(|s| s.generation == id.generation)
+        .and_then(|s| s.object.as_ref())
+        .ok_or(HeapError::DanglingObject(id))
+}
+
+/// The checks every field store makes before writing `value` into `slot`
+/// of `object`, an instance of `def`: the slot exists, the value's kind
+/// matches the slot type, and a reference in a class-constrained slot names
+/// a live object (`class_of` finds its class) of that class or a subclass.
+/// Returns the slot type.
+#[inline(always)]
+fn check_store(
+    registry: &ClassRegistry,
+    class_of: impl Fn(ObjectId) -> Result<ClassId, HeapError>,
+    object: ObjectId,
+    def: &ClassDef,
+    slot: usize,
+    value: Value,
+) -> Result<FieldType, HeapError> {
+    let len = def.num_slots();
+    let field = def.layout().get(slot);
+    let ty = field.ok_or(HeapError::SlotOutOfBounds { object, slot, len })?.ty();
+    if !value.matches_kind(ty) {
+        return Err(HeapError::TypeMismatch { object, slot, expected: ty });
+    }
+    if let (FieldType::Ref(Some(expected)), Value::Ref(Some(target))) = (ty, value) {
+        let actual = class_of(target)?;
+        if !registry.is_subclass(actual, expected) {
+            return Err(HeapError::ClassConstraint { object, slot, expected, actual });
+        }
+    }
+    Ok(ty)
 }
 
 #[cfg(test)]
@@ -792,6 +929,126 @@ mod tests {
         assert!(!heap.is_modified(r).unwrap());
         let fresh = heap.alloc(node).unwrap();
         assert!(heap.stable_id(fresh).unwrap().raw() > 100);
+    }
+
+    #[test]
+    fn stable_id_counter_refuses_to_wrap() {
+        let (mut heap, node, _) = small_heap();
+        assert_eq!(
+            heap.alloc_restored(node, StableId(u64::MAX), false).unwrap_err(),
+            HeapError::StableIdOverflow(u64::MAX)
+        );
+        assert_eq!(heap.len(), 0, "a refused restore allocates nothing");
+        heap.alloc_restored(node, StableId(u64::MAX - 1), false).unwrap();
+        assert_eq!(heap.alloc(node).unwrap_err(), HeapError::StableIdOverflow(u64::MAX));
+        assert_eq!(heap.len(), 1);
+    }
+
+    /// A recorded object: stable id, class, and fields, each a value or
+    /// (`Err`) the position of its referent.
+    type Spec = (u64, ClassId, Vec<Result<Value, usize>>);
+
+    /// Builds `objects` with [`Heap::materialize`].
+    fn materialized(reg: &ClassRegistry, objects: &[Spec]) -> Result<Heap, HeapError> {
+        Heap::materialize(
+            reg.clone(),
+            objects.iter().map(|(s, c, _)| (StableId(*s), *c)),
+            |pos, out| {
+                for field in &objects[pos].2 {
+                    match *field {
+                        Ok(value) => out.push(value)?,
+                        Err(referent) => out.push_ref(referent)?,
+                    }
+                }
+                Ok::<(), HeapError>(())
+            },
+        )
+    }
+
+    #[test]
+    fn materialize_matches_restoring_one_object_and_slot_at_a_time() {
+        let (reg, node, other) = {
+            let (heap, node, other) = small_heap();
+            (heap.registry().clone(), node, other)
+        };
+        let objects = vec![
+            (7, node, vec![Ok(Value::Int(3)), Err(1)]),
+            (2, node, vec![Ok(Value::Int(-1)), Ok(Value::Ref(None))]),
+            (40, other, vec![Ok(Value::Double(2.5))]),
+        ];
+        let built = materialized(&reg, &objects).unwrap();
+
+        let mut expected = Heap::new(reg.clone());
+        let handles: Vec<ObjectId> = objects
+            .iter()
+            .map(|(s, c, _)| expected.alloc_restored(*c, StableId(*s), false).unwrap())
+            .collect();
+        for ((_, _, fields), &handle) in objects.iter().zip(&handles) {
+            for (slot, field) in fields.iter().enumerate() {
+                let value = field.unwrap_or_else(|p| Value::Ref(Some(handles[p])));
+                expected.set_field_unbarriered(handle, slot, value).unwrap();
+            }
+        }
+        for (pos, &handle) in handles.iter().enumerate() {
+            assert_eq!(built.handle_at(pos), Some(handle));
+            let (a, b) = (built.object(handle).unwrap(), expected.object(handle).unwrap());
+            assert_eq!((a.class(), a.info(), a.fields()), (b.class(), b.info(), b.fields()));
+        }
+        assert_eq!(built.handle_at(3), None);
+        assert_eq!(built.len(), expected.len());
+        assert_eq!(built.stats(), expected.stats());
+        assert_eq!(built.structure_version(), expected.structure_version());
+        assert_eq!(built.next_stable_id(), expected.next_stable_id());
+        assert!(built.journal().is_empty() && !built.journal_has_dirty());
+    }
+
+    #[test]
+    fn materialize_keeps_the_store_checks() {
+        let mut reg = ClassRegistry::new();
+        let entry = reg.define("Entry", None, &[]).unwrap();
+        let holder = reg.define("Holder", None, &[("e", FieldType::Ref(Some(entry)))]).unwrap();
+        let node = reg.define("Node", None, &[("next", FieldType::Ref(None))]).unwrap();
+        let first = ObjectId { index: 0, generation: 0 };
+        // A constrained slot naming an object of the wrong class.
+        assert_eq!(
+            materialized(&reg, &[(1, holder, vec![Err(0)])]).unwrap_err(),
+            HeapError::ClassConstraint { object: first, slot: 0, expected: entry, actual: holder }
+        );
+        // A constrained or unconstrained slot naming a position nothing
+        // was built at.
+        assert!(matches!(
+            materialized(&reg, &[(1, holder, vec![Err(5)])]).unwrap_err(),
+            HeapError::DanglingObject(_)
+        ));
+        assert!(matches!(
+            materialized(&reg, &[(1, node, vec![Err(1)])]).unwrap_err(),
+            HeapError::DanglingObject(_)
+        ));
+        assert_eq!(
+            materialized(&reg, &[(1, holder, vec![Ok(Value::Int(1))])]).unwrap_err(),
+            HeapError::TypeMismatch {
+                object: first,
+                slot: 0,
+                expected: FieldType::Ref(Some(entry))
+            }
+        );
+        assert_eq!(
+            materialized(&reg, &[(1, holder, vec![])]).unwrap_err(),
+            HeapError::SlotOutOfBounds { object: first, slot: 0, len: 1 }
+        );
+        assert_eq!(
+            materialized(&reg, &[(1, entry, vec![Ok(Value::Int(1))])]).unwrap_err(),
+            HeapError::SlotOutOfBounds { object: first, slot: 0, len: 0 }
+        );
+        assert_eq!(
+            materialized(&reg, &[(u64::MAX, entry, vec![])]).unwrap_err(),
+            HeapError::StableIdOverflow(u64::MAX)
+        );
+        assert_eq!(
+            materialized(&reg, &[(1, ClassId(9), vec![])]).unwrap_err(),
+            HeapError::UnknownClass(ClassId(9))
+        );
+        materialized(&reg, &[(1, entry, vec![]), (2, holder, vec![Err(0)])]).unwrap();
     }
 
     #[test]

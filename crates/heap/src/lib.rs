@@ -63,7 +63,7 @@ pub use graph::{
     first_touch_plan_parallel, partition_roots, partition_roots_parallel, partition_roots_weighted,
     reachable_from, root_weights, validate_acyclic, ReachError, ShardPlan,
 };
-pub use heap::{CheckpointInfo, Heap, HeapStats, Object};
+pub use heap::{CheckpointInfo, FieldWriter, Heap, HeapStats, Object};
 pub use ids::{ClassId, ObjectId, StableId};
 pub use snapshot::{HeapSnapshot, ObjectState};
 pub use value::{FieldType, Value};

@@ -396,12 +396,15 @@ impl<P: Vfs, F: Vfs, T: Transport> ReplicaPair<P, F, T> {
         let op_seq = msg.op_seq();
         debug_assert_eq!(op_seq, self.next_op, "wire ops are assigned in order");
         self.next_op += 1;
-        let frame = msg.encode();
+        // The first attempt sends the frame itself; a retransmission
+        // encodes it again instead of every send paying for a copy.
+        let mut first = Some(msg.encode());
         let mut attempts = 0u32;
         loop {
             attempts += 1;
+            let frame = first.take().unwrap_or_else(|| msg.encode());
             self.stats.wire_bytes += frame.len() as u64;
-            self.transport.send_to_follower(frame.clone()).map_err(ReplicateError::Transport)?;
+            self.transport.send_to_follower(frame).map_err(ReplicateError::Transport)?;
             self.pump()?;
             if self.acked_ops >= op_seq {
                 return Ok(());

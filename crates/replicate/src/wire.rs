@@ -93,7 +93,9 @@ impl WireMessage {
     /// Encodes the frame: header, body, trailing CRC over everything
     /// before it.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32);
+        // Sized once: a batch frame carries whole checkpoints, which a
+        // buffer grown by doubling would copy about twice over.
+        let mut out = Vec::with_capacity(self.encoded_len());
         out.extend_from_slice(&WIRE_MAGIC);
         out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
         let kind = match self {
@@ -125,6 +127,22 @@ impl WireMessage {
         let crc = crc32(&out);
         out.extend_from_slice(&crc.to_le_bytes());
         out
+    }
+
+    /// The length of the frame [`WireMessage::encode`] writes.
+    fn encoded_len(&self) -> usize {
+        let payloads = |ps: &[Vec<u8>]| 4 + ps.iter().map(|p| 4 + p.len()).sum::<usize>();
+        let label = |l: &str| 2 + l.len();
+        let body = match self {
+            WireMessage::Batch { payloads: ps, .. } => payloads(ps),
+            WireMessage::Tag { label: l, .. } => label(l) + 8,
+            WireMessage::RemoveTag { label: l, .. } => label(l),
+            WireMessage::Rewrite { payloads: ps, tags, .. } => {
+                payloads(ps) + 4 + tags.iter().map(|(l, _)| label(l) + 8).sum::<usize>()
+            }
+            WireMessage::Ack { .. } => 0,
+        };
+        WIRE_MAGIC.len() + 2 + 1 + 8 + body + 4
     }
 
     /// Decodes and integrity-checks one frame.
@@ -252,6 +270,7 @@ mod tests {
 
     fn roundtrip(msg: WireMessage) {
         let bytes = msg.encode();
+        assert_eq!(bytes.len(), msg.encoded_len());
         assert_eq!(WireMessage::decode(&bytes).unwrap(), msg);
     }
 
