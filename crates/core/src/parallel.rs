@@ -24,6 +24,21 @@
 //!    order, so concatenating shard bodies in shard order reproduces the
 //!    sequential depth-first pre-order exactly (see
 //!    [`ickp_heap::ShardPlan`]).
+//!
+//! Each worker walks its shard with [`ShardPlan::walk_shard`], which reads
+//! each object's slot once and follows its references straight from the
+//! fields. Workers dispatch `record` through the [`MethodTable`] and look
+//! every visited object's class up in it, but make no `fold` dispatch:
+//! the derived `fold` visits reference slots in slot order, which is the
+//! walk's order. [`TraversalStats::virtual_calls`] still counts the `fold`
+//! the sequential driver dispatches per visited object, so the counters
+//! match it too. The sequential [`crate::Walker`] and the paper-model
+//! harnesses keep the virtual `fold`.
+//!
+//! A failed checkpoint changes nothing: no flag is reset, the cached
+//! plan stays, and [`Checkpointer::shard_stats`] and
+//! [`Checkpointer::parallel_phases`] keep describing the last checkpoint
+//! that succeeded.
 
 use crate::checkpoint::{CheckpointRecord, Checkpointer, ShardBalance};
 use crate::error::CoreError;
@@ -175,6 +190,7 @@ struct ShardOutput {
 
 /// One shard's traversal: the sequential checkpoint loop restricted to the
 /// objects this shard owns, writing into a headerless shard stream.
+/// Only `record` is dispatched; see the module docs for the counters.
 fn shard_worker(
     heap: &Heap,
     methods: &MethodTable,
@@ -187,47 +203,32 @@ fn shard_worker(
     let mut stats = TraversalStats::default();
     let mut recorded = Vec::new();
     let mut visit_order = Vec::new();
-    let mut stack: Vec<ObjectId> = plan.roots(shard).iter().rev().copied().collect();
-    // Dense slot-indexed visited set (see `Heap::arena_size`): cheaper per
-    // step than hashing, and allocated per worker so shards stay independent.
-    let mut visited = vec![false; heap.arena_size()];
-    while let Some(id) = stack.pop() {
-        // Prune at foreign objects: whatever lies beyond them is owned by
-        // an earlier shard (first-touch ownership is reachability-closed).
-        if !plan.owns(shard, id) || std::mem::replace(&mut visited[id.index()], true) {
-            continue;
-        }
+    stats.refs_followed = plan.walk_shard(heap, shard, |id, obj| {
         stats.objects_visited += 1;
         if collect_order {
             visit_order.push(id);
         }
-
         let record_it = match kind {
             CheckpointKind::Full => true,
             CheckpointKind::Incremental => {
                 stats.flag_tests += 1;
-                heap.is_modified(id)?
+                obj.info().modified()
             }
         };
-        let class = heap.class_of(id)?;
+        // Looked up for every object, recorded or not, so a class the
+        // table does not cover fails here as the driver's `fold` would.
+        let class = obj.class();
+        let record = methods.record(class)?;
         if record_it {
-            let def = heap.class(class)?;
-            writer.begin_object(heap.stable_id(id)?, class, def.num_slots());
+            writer.begin_object(obj.info().stable_id(), class, obj.fields().len());
             stats.virtual_calls += 1;
-            methods.record(class)?(heap, id, &mut writer)?;
+            record(heap, id, &mut writer)?;
             stats.objects_recorded += 1;
             recorded.push(id);
         }
-
         stats.virtual_calls += 1;
-        let before = stack.len();
-        methods.fold(class)?(heap, id, &mut |child| {
-            stack.push(child);
-            Ok(())
-        })?;
-        stats.refs_followed += (stack.len() - before) as u64;
-        stack[before..].reverse();
-    }
+        Ok::<(), CoreError>(())
+    })?;
     let (body, records) = writer.finish_shard();
     Ok(ShardOutput { body, records, stats, recorded, visit_order })
 }
@@ -255,8 +256,10 @@ impl Checkpointer {
     /// # Errors
     ///
     /// Fails like [`Checkpointer::checkpoint`]. If any shard fails, the
-    /// first error (in shard order) is returned and *no* modified flags
-    /// are reset.
+    /// first error (in shard order) is returned, *no* modified flags are
+    /// reset, and the checkpointer keeps its cached plan,
+    /// [`Checkpointer::shard_stats`] and [`Checkpointer::parallel_phases`]
+    /// as they were.
     ///
     /// # Example
     ///
@@ -338,19 +341,23 @@ impl Checkpointer {
             let fast = trace.then(|| ShardTrace { fast_path: true, shards: Vec::new() });
             return Ok((record, fast));
         }
+        // The cached plan is borrowed, not taken: a failing checkpoint must
+        // leave the checkpointer as it found it, and a still-valid plan in
+        // the cache along with it.
         let plan_timer = Instant::now();
-        let (plan, plan_cached) = match self.plan_cache.take() {
-            Some(cached) if cached.matches(heap, roots, workers) => (cached.plan, true),
-            _ => (plan_shards(heap, roots, workers, self.config.balance)?, false),
+        let plan_cached = self.plan_cache.as_ref().is_some_and(|c| c.matches(heap, roots, workers));
+        let mut fresh = None;
+        let plan: &ShardPlan = match &self.plan_cache {
+            Some(cached) if plan_cached => &cached.plan,
+            _ => fresh.insert(plan_shards(heap, roots, workers, self.config.balance)?),
         };
         let plan_time = plan_timer.elapsed();
         let journal_wanted = self.config.journal && kind == CheckpointKind::Incremental;
         let collect_order = journal_wanted || trace;
 
         let traverse_timer = Instant::now();
-        let outputs: Vec<Result<ShardOutput, CoreError>> = std::thread::scope(|scope| {
+        let outputs = std::thread::scope(|scope| {
             let heap = &*heap;
-            let plan = &plan;
             let handles: Vec<_> = (0..plan.num_shards())
                 .map(|shard| {
                     scope.spawn(move || {
@@ -358,9 +365,14 @@ impl Checkpointer {
                     })
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().expect("shard worker does not panic")).collect()
+            // The first error in shard order; the scope joins the rest.
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shard worker does not panic"))
+                .collect::<Result<Vec<ShardOutput>, CoreError>>()
         });
         let traverse_time = traverse_timer.elapsed();
+        let outputs = outputs?;
 
         let merge_timer = Instant::now();
         let (mut writer, reused) = self.writer_for(seq, kind, &root_ids);
@@ -369,8 +381,7 @@ impl Checkpointer {
         let mut builder = journal_wanted.then(|| JournalCache::builder(heap, roots));
         let mut accesses = trace.then(Vec::new);
         self.last_shard_stats.clear();
-        for output in outputs {
-            let mut out = output?;
+        for mut out in outputs {
             // Per-shard bytes are this shard's body; the aggregate
             // `bytes_written` is replaced by the full stream length below,
             // so the sum here never leaks into the record's stats.
@@ -403,12 +414,14 @@ impl Checkpointer {
             heap.finish_journal_epoch();
         }
         stats.bytes_reused = reused;
-        self.plan_cache = Some(PlanCache {
-            structure_version: heap.structure_version(),
-            roots: roots.to_vec(),
-            workers,
-            plan,
-        });
+        if let Some(plan) = fresh {
+            self.plan_cache = Some(PlanCache {
+                structure_version: heap.structure_version(),
+                roots: roots.to_vec(),
+                workers,
+                plan,
+            });
+        }
 
         let record = self.seal(seq, root_ids, writer, stats);
         self.last_phases = Some(ParallelPhases {

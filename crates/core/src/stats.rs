@@ -17,7 +17,12 @@ pub struct TraversalStats {
     pub objects_recorded: u64,
     /// Modified-flag tests performed.
     pub flag_tests: u64,
-    /// Dynamic dispatches through the method table (or plan fallbacks).
+    /// Dynamic dispatches through the method table (or plan fallbacks):
+    /// one per `record` and one per `fold` the generic driver makes. The
+    /// sharded engine reads child references straight from each object
+    /// and makes no `fold` dispatch, but counts the `fold` the generic
+    /// driver would have made for each visited object, so its counters
+    /// equal the sequential driver's.
     pub virtual_calls: u64,
     /// Reference edges followed.
     pub refs_followed: u64,

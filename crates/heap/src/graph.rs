@@ -26,7 +26,7 @@
 //! contiguous, so the stream-order invariant is untouched.
 
 use crate::error::HeapError;
-use crate::heap::Heap;
+use crate::heap::{Heap, Object};
 use crate::ids::ObjectId;
 use crate::value::Value;
 use std::collections::HashSet;
@@ -264,17 +264,68 @@ impl ShardPlan {
         counts
     }
 
-    /// The objects `shard` owns, in the order its worker visits (and, for
-    /// a full checkpoint, records) them: depth-first from the shard's
-    /// roots, pruned at every foreign object.
+    /// The one walk of a shard: depth-first from the shard's roots, pruned
+    /// at every object another shard owns, calling `visit` once per owned
+    /// object in visit order. Returns the number of child references
+    /// followed (non-null reference fields of the visited objects,
+    /// counted whether or not the child is visited).
     ///
-    /// This is the per-shard *footprint* of the parallel engine — exactly
-    /// the traversal `ickp_core::Checkpointer::checkpoint_parallel`
-    /// performs per worker — exposed so static analyses (the shard audit
-    /// in `ickp-audit`) and tests can reason about what each worker may
-    /// touch without running the engine. Concatenating the results for
-    /// shard `0, 1, …` reproduces the global depth-first pre-order
-    /// (invariant 2 above).
+    /// Per object the walk reads the object's slot once, hands the
+    /// borrowed [`Object`] to `visit`, then pushes its non-null
+    /// references in reverse slot order, so the first field is visited
+    /// first. That is the order of `ickp_core`'s derived `fold`: only
+    /// reference-typed slots can hold a reference (the write barrier
+    /// type-checks every store), and the derived `fold` visits those in
+    /// slot order. Children are read straight from the object, with no
+    /// per-class dispatch; `visit` decides what to do with each object.
+    /// This is the traversal `ickp_core::Checkpointer::checkpoint_parallel`
+    /// runs per worker, and [`ShardPlan::shard_preorder`] collects it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard >= num_shards()`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HeapError::DanglingObject`] (as `E`) if a traversed
+    /// reference points at a freed object, and the first error `visit`
+    /// returns; the walk stops at the first error.
+    pub fn walk_shard<E, F>(&self, heap: &Heap, shard: usize, mut visit: F) -> Result<u64, E>
+    where
+        E: From<HeapError>,
+        F: FnMut(ObjectId, &Object) -> Result<(), E>,
+    {
+        let mut stack: Vec<ObjectId> = self.roots(shard).iter().rev().copied().collect();
+        // Dense and slot-indexed like the owner array; only owned slots are
+        // ever looked up, so the owner array's length bounds it.
+        let mut visited = vec![false; self.owner.len()];
+        let mut refs = 0u64;
+        while let Some(id) = stack.pop() {
+            if !self.owns(shard, id) || std::mem::replace(&mut visited[id.index()], true) {
+                continue;
+            }
+            let obj = heap.object(id)?;
+            visit(id, obj)?;
+            let before = stack.len();
+            for value in obj.fields().iter().rev() {
+                if let Value::Ref(Some(child)) = *value {
+                    stack.push(child);
+                }
+            }
+            refs += (stack.len() - before) as u64;
+        }
+        Ok(refs)
+    }
+
+    /// The objects `shard` owns, in the order its worker visits (and, for
+    /// a full checkpoint, records) them: [`ShardPlan::walk_shard`]
+    /// collecting ids.
+    ///
+    /// This is the per-shard *footprint* of the parallel engine, exposed
+    /// so static analyses (the shard audit in `ickp-audit`) and tests can
+    /// reason about what each worker may touch without running the
+    /// engine. Concatenating the results for shard `0, 1, …` reproduces
+    /// the global depth-first pre-order (invariant 2 above).
     ///
     /// # Panics
     ///
@@ -286,20 +337,10 @@ impl ShardPlan {
     /// points at a freed object.
     pub fn shard_preorder(&self, heap: &Heap, shard: usize) -> Result<Vec<ObjectId>, HeapError> {
         let mut order = Vec::new();
-        let mut seen: HashSet<ObjectId> = HashSet::new();
-        let mut stack: Vec<ObjectId> = self.roots(shard).iter().rev().copied().collect();
-        while let Some(id) = stack.pop() {
-            if !self.owns(shard, id) || !seen.insert(id) {
-                continue;
-            }
+        self.walk_shard(heap, shard, |id, _| {
             order.push(id);
-            let obj = heap.object(id)?;
-            for value in obj.fields().iter().rev() {
-                if let Value::Ref(Some(child)) = value {
-                    stack.push(*child);
-                }
-            }
-        }
+            Ok::<(), HeapError>(())
+        })?;
         Ok(order)
     }
 }
