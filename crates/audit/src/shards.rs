@@ -31,9 +31,7 @@
 
 use crate::diag::{AuditReport, DiagCode, Diagnostic, Location, Severity};
 use crate::soundness::RECORD_HEADER_BYTES;
-use ickp_core::{
-    plan_shards, CheckpointConfig, Checkpointer, CoreError, MethodTable, ShardBalance,
-};
+use ickp_core::{plan_shards, CheckpointConfig, Checkpointer, CoreError, MethodTable};
 use ickp_heap::{first_touch_plan, reachable_from, Heap, HeapError, ObjectId, ShardPlan, Value};
 use std::collections::{HashMap, HashSet};
 
@@ -430,10 +428,9 @@ pub fn cross_validate_shards(
     roots: &[ObjectId],
     workers: usize,
 ) -> Result<ShardOracleReport, CoreError> {
-    // Plan exactly as the engine will (same balance default, same
-    // byte-weighting), so the static footprints describe the very shards
-    // the traced run executes.
-    let plan = plan_shards(heap, roots, workers, ShardBalance::default())?;
+    // Plan exactly as the engine will, so the static footprints describe
+    // the very shards the traced run executes.
+    let plan = plan_shards(heap, roots, workers)?;
     let footprints = shard_footprints(heap, &plan)?;
 
     let mut scratch = heap.clone();

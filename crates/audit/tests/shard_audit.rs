@@ -8,10 +8,18 @@ use ickp_audit::{
     audit_shards, audit_shards_with, cross_validate_shards, shard_footprints, DiagCode, Severity,
     ShardAuditConfig, ShardSpec,
 };
-use ickp_core::{plan_shards, CheckpointConfig, Checkpointer, MethodTable, ShardBalance};
-use ickp_heap::{partition_roots, reachable_from, ClassRegistry, FieldType, Heap, ObjectId, Value};
+use ickp_core::{plan_shards, CheckpointConfig, Checkpointer, CoreError, MethodTable};
+use ickp_heap::{
+    chunk_roots, first_touch_plan, reachable_from, ClassRegistry, FieldType, Heap, HeapError,
+    ObjectId, ShardPlan, Value,
+};
 use ickp_prng::Prng;
 use ickp_synth::{SynthConfig, SynthWorld};
+
+/// The count-balanced first-touch plan: contiguous chunks by root count.
+fn counted(heap: &Heap, roots: &[ObjectId], shards: usize) -> ShardPlan {
+    first_touch_plan(heap, chunk_roots(roots, shards)).unwrap()
+}
 
 /// `n` three-node chains with cross-links every third structure — the
 /// same shape the parallel engine's own tests use.
@@ -51,14 +59,17 @@ fn in_repo_plans_audit_clean_at_one_through_eight_shards() {
     let heaps: [(&Heap, &[ObjectId]); 2] = [(&heap, &roots), (synth.heap(), synth.roots())];
     for (heap, roots) in heaps {
         for shards in 1..=8usize {
-            // Both balance strategies must prove out: count-based chunks
-            // and the byte-weighted chunks the engine defaults to.
-            for balance in [ShardBalance::RootCount, ShardBalance::Bytes] {
-                let plan = plan_shards(heap, roots, shards, balance).unwrap();
+            // Both chunkings must prove out: count-based chunks and the
+            // byte-weighted chunks the engine plans with.
+            let plans = [
+                ("counted", counted(heap, roots, shards)),
+                ("planned", plan_shards(heap, roots, shards).unwrap()),
+            ];
+            for (name, plan) in plans {
                 let audit = audit_shards(heap, roots, &plan).unwrap();
                 assert!(
                     !audit.report.has_errors(),
-                    "{shards} shards ({balance:?}):\n{}",
+                    "{shards} shards ({name}):\n{}",
                     audit.report.render()
                 );
                 assert_eq!(audit.footprints.len(), plan.num_shards());
@@ -98,7 +109,7 @@ impl ShardSpec for InjectedSpec {
 #[test]
 fn an_overlapping_plan_is_rejected_with_aud201() {
     let (heap, roots) = world(6);
-    let reference = partition_roots(&heap, &roots, 2).unwrap();
+    let reference = counted(&heap, &roots, 2);
     let mut owner = std::collections::HashMap::new();
     for &id in &reachable_from(&heap, &roots).unwrap() {
         owner.insert(id, reference.owner_of(id).unwrap() as usize);
@@ -127,7 +138,7 @@ fn an_overlapping_plan_is_rejected_with_aud201() {
 #[test]
 fn a_stale_root_order_plan_is_rejected_with_aud204() {
     let (heap, roots) = world(8);
-    let plan = partition_roots(&heap, &roots, 4).unwrap();
+    let plan = counted(&heap, &roots, 4);
     // The program reorders its roots; the cached plan is now stale.
     let mut reordered = roots.clone();
     reordered.swap(0, 7);
@@ -150,7 +161,7 @@ fn a_stale_root_order_plan_is_rejected_with_aud204() {
 fn a_structurally_stale_plan_is_rejected_with_aud204_and_aud202() {
     let (mut heap, roots) = world(6);
     let node = heap.class_of(roots[0]).unwrap();
-    let plan = partition_roots(&heap, &roots, 3).unwrap();
+    let plan = counted(&heap, &roots, 3);
     // Root 0's chain grows a link into root 3's subtree *after* planning:
     // first-touch order now hands root 3's chain to shard 0, but the
     // stale owner map still assigns it to shard 1 — and the new link
@@ -187,7 +198,7 @@ fn imbalance_lint_matches_measured_per_shard_bytes_exactly() {
         roots.push(heap.alloc(node).unwrap());
     }
 
-    let plan = partition_roots(&heap, &roots, 4).unwrap();
+    let plan = counted(&heap, &roots, 4);
     let audit = audit_shards(&heap, &roots, &plan).unwrap();
     assert!(!audit.report.has_errors(), "{}", audit.report.render());
     let lints: Vec<_> =
@@ -219,7 +230,7 @@ fn imbalance_lint_matches_measured_per_shard_bytes_exactly() {
 
 /// **The AUD205 feedback loop closed**: on a heap skewed enough that
 /// count-balanced chunking trips the imbalance lint, the byte-weighted
-/// chunking the engine now defaults to audits clean — same byte estimate,
+/// chunking the engine plans with audits clean — same byte estimate,
 /// fed back into boundary placement — while still proving disjoint,
 /// complete, and first-touch deterministic.
 #[test]
@@ -245,9 +256,9 @@ fn weighted_chunking_silences_the_imbalance_lint_count_chunking_trips() {
         roots.push(chain(1));
     }
 
-    let counted = plan_shards(&heap, &roots, 4, ShardBalance::RootCount).unwrap();
-    let weighted = plan_shards(&heap, &roots, 4, ShardBalance::Bytes).unwrap();
-    let count_audit = audit_shards(&heap, &roots, &counted).unwrap();
+    let count_plan = counted(&heap, &roots, 4);
+    let weighted = plan_shards(&heap, &roots, 4).unwrap();
+    let count_audit = audit_shards(&heap, &roots, &count_plan).unwrap();
     let weighted_audit = audit_shards(&heap, &roots, &weighted).unwrap();
 
     // Correctness holds either way...
@@ -316,13 +327,34 @@ fn sanitizer_observations_are_contained_in_static_footprints() {
             assert!(oracle.is_consistent(), "case {case}, workers {workers}: {oracle:?}");
             // The probe is tight, not merely contained: every footprint
             // object was actually visited. The plan must be the engine's
-            // own (byte-weighted default), or the footprints describe
-            // different shards than the trace ran.
-            let plan = plan_shards(&heap, &roots, workers, ShardBalance::default()).unwrap();
+            // own, or the footprints describe different shards than the
+            // trace ran.
+            let plan = plan_shards(&heap, &roots, workers).unwrap();
             let footprints = shard_footprints(&heap, &plan).unwrap();
             for (footprint, &observed) in footprints.iter().zip(&oracle.observed) {
                 assert_eq!(footprint.objects.len(), observed, "case {case}");
             }
         }
     }
+}
+
+/// A root handle allocated in a grown clone lies outside this heap's
+/// arena: planning reports it as a dangling object instead of indexing
+/// past the owner array.
+#[test]
+fn a_root_outside_the_arena_is_a_typed_error() {
+    let (heap, mut roots) = world(4);
+    let foreign = heap.clone().alloc(heap.class_of(roots[0]).unwrap()).unwrap();
+    assert_eq!(foreign.index(), heap.arena_size());
+    roots.push(foreign);
+    for workers in [1, 2, 8] {
+        assert!(matches!(
+            cross_validate_shards(&heap, &roots, workers),
+            Err(CoreError::Heap(HeapError::DanglingObject(id))) if id == foreign
+        ));
+    }
+    assert_eq!(
+        first_touch_plan(&heap, chunk_roots(&roots, 2)),
+        Err(HeapError::DanglingObject(foreign))
+    );
 }

@@ -68,7 +68,7 @@ impl ParallelBackend {
     /// e.g. `CheckpointConfig::incremental().without_journal()` so every
     /// round exercises the shard workers (the scaling harness needs this:
     /// with the journal on, steady-state rounds ride the sequential fast
-    /// path), or a different [`ickp_core::ShardBalance`].
+    /// path). Shards are always planned by [`ickp_core::plan_shards`].
     pub fn with_config(
         workers: usize,
         registry: &ClassRegistry,
@@ -286,7 +286,6 @@ mod tests {
 
     #[test]
     fn no_journal_config_reruns_shard_workers_every_round() {
-        use ickp_core::ShardBalance;
         let (mut heap, roots) = world();
         let config = CheckpointConfig::incremental().without_journal();
         let mut backend = ParallelBackend::with_config(3, heap.registry(), config);
@@ -300,19 +299,6 @@ mod tests {
         assert!(!phases.fast_path);
         assert!(phases.plan_cached);
         assert_eq!(backend.shard_stats().len(), 3);
-
-        // The count-balanced strategy emits the same bytes.
-        let (mut heap2, roots2) = world();
-        let mut counted = ParallelBackend::with_config(
-            3,
-            heap2.registry(),
-            config.balanced_by(ShardBalance::RootCount),
-        );
-        let (mut heap3, roots3) = world();
-        let mut weighted = ParallelBackend::with_config(3, heap3.registry(), config);
-        let a = counted.checkpoint(&mut heap2, &roots2).unwrap();
-        let b = weighted.checkpoint(&mut heap3, &roots3).unwrap();
-        assert_eq!(a.bytes(), b.bytes());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Byte-identity of byte-weighted shard balancing across engines.
 //!
-//! The weighted chunking the parallel engine now defaults to moves shard
+//! The weighted chunking the parallel engine plans with moves shard
 //! *boundaries*, never stream *bytes*: every round must match a
 //! journal-free sequential reference byte-for-byte on heaps skewed enough
 //! that weighted and count-balanced boundaries genuinely differ —
@@ -8,8 +8,8 @@
 //! rounds whose ref rewires force a plan recompute.
 
 use ickp_backend::{Engine, GenericBackend, ParallelBackend};
-use ickp_core::{plan_shards, CheckpointConfig, Checkpointer, MethodTable, ShardBalance};
-use ickp_heap::{ClassRegistry, FieldType, Heap, ObjectId, Value};
+use ickp_core::{plan_shards, CheckpointConfig, Checkpointer, MethodTable};
+use ickp_heap::{chunk_roots, first_touch_plan, ClassRegistry, FieldType, Heap, ObjectId, Value};
 use ickp_prng::Prng;
 
 /// Mirrored heaps with heavily skewed root weights: a few long chains up
@@ -66,17 +66,18 @@ fn mutate(rng: &mut Prng, heaps: [&mut Heap; 2], chains: &[Vec<ObjectId>]) {
     }
 }
 
-/// The skew is real: on this world, weighted and count-balanced plans
-/// disagree (otherwise the byte-identity rounds below prove nothing).
+/// The skew is real: on this world, the engine's weighted plan and a
+/// count-balanced chunking disagree (otherwise the byte-identity rounds
+/// below prove nothing about weighted boundaries).
 #[test]
 fn weighted_and_counted_plans_actually_differ_on_the_skewed_world() {
     let (heap, _, roots, _) = skewed_world();
-    let weighted = plan_shards(&heap, &roots, 4, ShardBalance::Bytes).unwrap();
-    let counted = plan_shards(&heap, &roots, 4, ShardBalance::RootCount).unwrap();
+    let weighted = plan_shards(&heap, &roots, 4).unwrap();
+    let counted = first_touch_plan(&heap, chunk_roots(&roots, 4)).unwrap();
     assert_ne!(
         weighted.objects_per_shard(),
         counted.objects_per_shard(),
-        "skewed world no longer separates the two balance strategies"
+        "skewed world no longer separates weighted from count-balanced boundaries"
     );
 }
 
@@ -109,26 +110,22 @@ fn weighted_parallel_matches_the_reference_through_journal_and_replans() {
     }
 }
 
-/// **Balance strategies are interchangeable on the wire**: with the
-/// journal off (every round runs the shard workers), count-balanced and
-/// byte-weighted backends emit identical bytes round after round, at
-/// every worker count.
+/// **Weighted parallel vs sequential reference, with the journal off**:
+/// every round runs the shard workers, and every round is byte-identical
+/// to the sequential driver, at every worker count.
 #[test]
-fn both_balance_strategies_emit_identical_streams_every_round() {
+fn weighted_parallel_matches_the_reference_every_round_without_journal() {
     for workers in [1usize, 2, 4, 8] {
         let mut rng = Prng::seed_from_u64(0x3e1d_0100 + workers as u64);
-        let (mut heap_w, mut heap_c, roots, chains) = skewed_world();
+        let (mut heap, mut ref_heap, roots, chains) = skewed_world();
         let config = CheckpointConfig::incremental().without_journal();
-        let mut weighted = ParallelBackend::with_config(workers, heap_w.registry(), config);
-        let mut counted = ParallelBackend::with_config(
-            workers,
-            heap_c.registry(),
-            config.balanced_by(ShardBalance::RootCount),
-        );
+        let mut weighted = ParallelBackend::with_config(workers, heap.registry(), config);
+        let table = MethodTable::derive(ref_heap.registry());
+        let mut reference = Checkpointer::new(config);
         for round in 0..12 {
-            mutate(&mut rng, [&mut heap_w, &mut heap_c], &chains);
-            let a = weighted.checkpoint(&mut heap_w, &roots).unwrap();
-            let b = counted.checkpoint(&mut heap_c, &roots).unwrap();
+            mutate(&mut rng, [&mut heap, &mut ref_heap], &chains);
+            let a = weighted.checkpoint(&mut heap, &roots).unwrap();
+            let b = reference.checkpoint(&mut ref_heap, &table, &roots).unwrap();
             assert_eq!(a.bytes(), b.bytes(), "{workers} workers, round {round}");
             assert!(!weighted.phases().unwrap().fast_path, "journal off, yet fast path taken");
         }

@@ -1,25 +1,23 @@
 //! Cost of the ownership pre-pass itself: planning, not checkpointing.
 //!
-//! Three axes on a paper-scale synthetic heap:
+//! Two axes on a paper-scale synthetic heap:
 //!
-//! * **chunking** — boundary computation alone: the legacy
-//!   `chunk_roots` (one `Vec<ObjectId>` per shard) against `chunk_bounds`
-//!   (indices into the existing root slice, two allocations per plan
-//!   total). The allocation the range form saves is the pre-pass hot-path
-//!   satellite of the parallel-engine work.
-//! * **planning** — full first-touch plans: sequential oracle vs the
-//!   parallel min-CAS pre-pass vs the byte-weighted variant (which pays
-//!   an extra reachability scan for per-root weights).
-//! * **weights** — the `root_weights` scan on its own.
+//! * **chunking** — boundary computation alone: `chunk_roots` (one
+//!   `Vec<ObjectId>` per shard, the shape the oracle takes) against
+//!   `chunk_bounds` (indices into the existing root slice, the shape a
+//!   `ShardPlan` stores).
+//! * **plan** — full first-touch plans: the sequential oracle
+//!   (`first_touch_plan` over count-balanced chunks) against the one
+//!   planner the engine runs (`ickp_core::plan_shards`: one parallel
+//!   claim pass yields the byte weights and the owners).
 //!
-//! On a single-CPU host the parallel plan can only tie the sequential one
-//! (same work, plus thread spawn); the CI scaling job shows the shrink.
+//! On a single-CPU host the planner's claim pass cannot beat the oracle
+//! (same traversal, plus thread spawn and the byte-weighing scan); the CI
+//! scaling job shows it on more cores.
 
 use ickp_bench::BenchGroup;
-use ickp_heap::{
-    chunk_bounds, chunk_roots, partition_roots, partition_roots_parallel, partition_roots_weighted,
-    root_weights,
-};
+use ickp_core::plan_shards;
+use ickp_heap::{chunk_bounds, chunk_roots, first_touch_plan};
 use ickp_synth::{SynthConfig, SynthWorld};
 use std::hint::black_box;
 use std::time::Duration;
@@ -48,16 +46,8 @@ fn main() {
     group.bench("chunking/bounds_only", || black_box(chunk_bounds(roots.len(), SHARDS)));
 
     group.bench("plan/sequential", || {
-        black_box(partition_roots(heap, &roots, SHARDS).expect("plan"))
+        black_box(first_touch_plan(heap, chunk_roots(&roots, SHARDS)).expect("plan"))
     });
-    group.bench("plan/parallel", || {
-        black_box(partition_roots_parallel(heap, &roots, SHARDS).expect("plan"))
-    });
-    let weights = root_weights(heap, &roots, 15).expect("weights");
-    group.bench("plan/weighted", || {
-        black_box(partition_roots_weighted(heap, &roots, &weights, SHARDS).expect("plan"))
-    });
-
-    group.bench("weights/root_weights", || black_box(root_weights(heap, &roots, 15).expect("w")));
+    group.bench("plan/planner", || black_box(plan_shards(heap, &roots, SHARDS).expect("plan")));
     group.finish();
 }

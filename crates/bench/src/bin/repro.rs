@@ -549,7 +549,7 @@ fn replicate() -> i32 {
 /// deterministic ownership, imbalance), then cross-validates the static
 /// footprints against the traced parallel engine
 /// (`ickp_audit::cross_validate_shards`). Plans are the engine's own
-/// (byte-weighted default). Deterministic; returns the process exit code
+/// (`ickp_core::plan_shards`). Deterministic; returns the process exit code
 /// (1 if any AUD20x error or dynamic inconsistency — or, when
 /// `max_imbalance` is given, any finite heaviest/lightest per-shard byte
 /// ratio above it; the infinite ratio of an empty shard means more
@@ -557,7 +557,7 @@ fn replicate() -> i32 {
 fn shards(max_imbalance: Option<f64>) -> i32 {
     use ickp_analysis::{AnalysisEngine, Division};
     use ickp_audit::{audit_shards, cross_validate_shards};
-    use ickp_core::{plan_shards, ShardBalance};
+    use ickp_core::plan_shards;
     use ickp_heap::{Heap, ObjectId};
     use ickp_synth::{SynthConfig, SynthWorld};
 
@@ -592,7 +592,7 @@ fn shards(max_imbalance: Option<f64>) -> i32 {
     let mut failures = 0usize;
     for (name, heap, roots) in &subjects {
         for workers in [1usize, 2, 4, 8] {
-            let plan = match plan_shards(heap, roots, workers, ShardBalance::default()) {
+            let plan = match plan_shards(heap, roots, workers) {
                 Ok(plan) => plan,
                 Err(e) => {
                     println!("{name} @ {workers} shard(s): planning FAILED — {e}");
@@ -1013,8 +1013,8 @@ fn barriers(opts: &Options) -> i32 {
 fn scaling(opts: &Options) -> i32 {
     use ickp_backend::ParallelBackend;
     use ickp_bench::timing::median;
-    use ickp_core::{CheckpointConfig, Checkpointer, MethodTable};
-    use ickp_heap::partition_roots;
+    use ickp_core::{plan_shards, CheckpointConfig, Checkpointer, MethodTable};
+    use ickp_heap::{chunk_roots, first_touch_plan};
     use ickp_synth::{SynthConfig, SynthWorld};
     use std::time::Instant;
 
@@ -1074,8 +1074,7 @@ fn scaling(opts: &Options) -> i32 {
     }
 
     // The ownership pre-pass on its own: the sequential oracle against
-    // the parallel min-CAS plan the engine actually builds (uncached) —
-    // the stage that used to be a fixed sequential cost.
+    // the one planner the engine runs when its plan is not cached.
     let world = SynthWorld::build(config).expect("world builds");
     let roots = world.roots().to_vec();
     let heap = world.heap();
@@ -1091,17 +1090,14 @@ fn scaling(opts: &Options) -> i32 {
         )
     };
     let seq_pre = time_plan(&|| {
-        std::hint::black_box(partition_roots(heap, &roots, 8).expect("plan"));
+        std::hint::black_box(first_touch_plan(heap, chunk_roots(&roots, 8)).expect("plan"));
     });
     println!("\npre-pass (8 shards): sequential oracle {}", fmt_duration(seq_pre));
     for workers in [1usize, 2, 4, 8] {
         let par_pre = time_plan(&|| {
-            std::hint::black_box(
-                ickp_core::plan_shards(heap, &roots, workers, ickp_core::ShardBalance::default())
-                    .expect("plan"),
-            );
+            std::hint::black_box(plan_shards(heap, &roots, workers).expect("plan"));
         });
-        println!("pre-pass ({workers} chunk(s), weighted, parallel): {}", fmt_duration(par_pre));
+        println!("pre-pass ({workers} shard(s), planner): {}", fmt_duration(par_pre));
     }
 
     // Steady-state phase breakdown and end-to-end speedup over the

@@ -24,28 +24,6 @@ use crate::stream::{CheckpointKind, StreamWriter};
 use ickp_heap::{ClassId, Heap, ObjectId, StableId};
 use std::collections::HashSet;
 
-/// How the parallel engine places shard boundaries over the root set.
-///
-/// Both strategies keep chunks **contiguous** in root order, so the merged
-/// parallel stream is byte-identical to the sequential one either way —
-/// the choice only moves the cut points, i.e. the load balance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardBalance {
-    /// Cut by estimated stream bytes: per-root byte weights (first-touch
-    /// at root granularity × per-class encoded sizes, the same estimate
-    /// the shard-imbalance lint AUD205 computes) drive a prefix-sum
-    /// boundary placement (`ickp_heap::chunk_bounds_weighted`). The
-    /// default: on skewed heaps the heaviest shard — which bounds the
-    /// parallel wall clock — shrinks toward the mean.
-    #[default]
-    Bytes,
-    /// Cut by root count (`ickp_heap::chunk_bounds`): the historical
-    /// strategy, cheapest possible pre-pass, accurate when roots are
-    /// uniform. Kept as the baseline the weighted strategy is measured
-    /// against.
-    RootCount,
-}
-
 /// Configuration for a [`Checkpointer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointConfig {
@@ -56,41 +34,23 @@ pub struct CheckpointConfig {
     /// performs the paper's full flag-test traversal — useful as the
     /// reference behaviour in equivalence tests and benchmarks.
     pub journal: bool,
-    /// Shard-boundary placement for [`Checkpointer::checkpoint_parallel`]
-    /// (byte-weighted by default; irrelevant to the sequential driver).
-    pub balance: ShardBalance,
 }
 
 impl CheckpointConfig {
     /// Configuration for full checkpointing (record everything).
     pub fn full() -> CheckpointConfig {
-        CheckpointConfig {
-            kind: CheckpointKind::Full,
-            journal: true,
-            balance: ShardBalance::default(),
-        }
+        CheckpointConfig { kind: CheckpointKind::Full, journal: true }
     }
 
     /// Configuration for incremental checkpointing (record modified only).
     pub fn incremental() -> CheckpointConfig {
-        CheckpointConfig {
-            kind: CheckpointKind::Incremental,
-            journal: true,
-            balance: ShardBalance::default(),
-        }
+        CheckpointConfig { kind: CheckpointKind::Incremental, journal: true }
     }
 
     /// Disables the dirty-set journal fast path, forcing the flag-test
     /// traversal on every checkpoint.
     pub fn without_journal(mut self) -> CheckpointConfig {
         self.journal = false;
-        self
-    }
-
-    /// Selects the shard-boundary placement strategy for the parallel
-    /// engine.
-    pub fn balanced_by(mut self, balance: ShardBalance) -> CheckpointConfig {
-        self.balance = balance;
         self
     }
 }

@@ -67,7 +67,7 @@ mod stats;
 mod store;
 mod stream;
 
-pub use checkpoint::{CheckpointConfig, CheckpointRecord, Checkpointer, ShardBalance, Walker};
+pub use checkpoint::{CheckpointConfig, CheckpointRecord, Checkpointer, Walker};
 pub use compact::{compact, merge_records};
 pub use digest::state_digest;
 pub use error::CoreError;

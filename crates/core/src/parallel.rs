@@ -1,14 +1,15 @@
 //! The parallel sharded checkpoint engine.
 //!
 //! [`Checkpointer::checkpoint_parallel`] splits the root set into disjoint
-//! ownership shards (via [`ickp_heap::partition_roots_parallel`] or its
-//! byte-weighted sibling, both of which run the first-touch pre-pass in
-//! parallel), traverses each shard on its own OS thread, and splices the
-//! per-shard record streams back into one stream. The result is **byte-for-byte identical** to what
-//! [`Checkpointer::checkpoint`] produces on the same heap state — same
-//! header, same record order, same footer, same [`TraversalStats`] — so
-//! every downstream consumer (store, compaction, restore, verification) is
-//! oblivious to how the checkpoint was produced.
+//! ownership shards of about equal estimated stream bytes ([`plan_shards`]:
+//! one parallel first-touch claim pass gives both the byte weights and the
+//! owners), traverses each shard on its own OS thread, and splices the
+//! per-shard record streams back into one stream. The result is
+//! **byte-for-byte identical** to what [`Checkpointer::checkpoint`]
+//! produces on the same heap state — same header, same record order, same
+//! footer, same [`TraversalStats`] — so every downstream consumer (store,
+//! compaction, restore, verification) is oblivious to how the checkpoint
+//! was produced.
 //!
 //! Three properties make this sound:
 //!
@@ -40,16 +41,13 @@
 //! [`Checkpointer::parallel_phases`] keep describing the last checkpoint
 //! that succeeded.
 
-use crate::checkpoint::{CheckpointRecord, Checkpointer, ShardBalance};
+use crate::checkpoint::{CheckpointRecord, Checkpointer};
 use crate::error::CoreError;
 use crate::journal::JournalCache;
 use crate::methods::MethodTable;
 use crate::stats::TraversalStats;
 use crate::stream::{CheckpointKind, StreamWriter, RECORD_HEADER_BYTES};
-use ickp_heap::{
-    partition_roots_parallel, partition_roots_weighted, root_weights, Heap, ObjectId, ShardPlan,
-    StableId,
-};
+use ickp_heap::{weighted_plan, Heap, ObjectId, ShardPlan, StableId};
 use std::time::{Duration, Instant};
 
 /// A [`ShardPlan`] cached across parallel checkpoints, valid while the
@@ -76,15 +74,15 @@ impl PlanCache {
 /// [`Checkpointer::parallel_phases`].
 ///
 /// This replaces the old *projected* Amdahl decomposition: instead of
-/// timing `partition_roots` in isolation and extrapolating, the engine
+/// timing the planner in isolation and extrapolating, the engine
 /// stamps its own phases, so benchmarks and the `repro scaling` gate
 /// report what actually happened — including the effect of the plan cache
 /// and of the parallel pre-pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ParallelPhases {
-    /// Building the [`ShardPlan`]: byte weighing (when balancing by
-    /// bytes) plus the parallel first-touch ownership pass. Zero when the
-    /// cached plan was reused.
+    /// Building the [`ShardPlan`] ([`plan_shards`]: the parallel
+    /// first-touch claim pass plus byte weighing). Zero when the cached
+    /// plan was reused.
     pub plan: Duration,
     /// Shard workers, spawn to last join — the parallel section.
     pub traverse: Duration,
@@ -117,33 +115,27 @@ impl ParallelPhases {
 }
 
 /// Builds the [`ShardPlan`] the parallel engine uses for `(roots,
-/// workers)` under `balance` — the single source of truth for planning,
-/// shared by [`Checkpointer::checkpoint_parallel`], the shard audit's
+/// workers)` — the single source of truth for planning, shared by
+/// [`Checkpointer::checkpoint_parallel`], the shard audit's
 /// cross-validator, and the scaling harness, so a plan computed outside
 /// the engine is guaranteed to equal the one the engine runs.
 ///
-/// Both strategies run the first-touch pre-pass in parallel;
-/// [`ShardBalance::Bytes`] first weighs each root by its estimated stream
-/// contribution ([`root_weights`] with the record-header overhead) and
-/// places boundaries by prefix sum.
+/// This is [`weighted_plan`] with the record-header overhead: one parallel
+/// first-touch claim pass weighs each root by its estimated stream bytes,
+/// places the shard boundaries by prefix sum, and yields the shard owners.
+/// The plan equals the sequential oracle [`ickp_heap::first_touch_plan`]
+/// over the same chunks.
 ///
 /// # Errors
 ///
-/// Propagates heap errors (e.g. dangling references) from the traversals.
+/// Propagates heap errors (a dangling root or reference) from the claim
+/// pass.
 pub fn plan_shards(
     heap: &Heap,
     roots: &[ObjectId],
     workers: usize,
-    balance: ShardBalance,
 ) -> Result<ShardPlan, CoreError> {
-    let plan = match balance {
-        ShardBalance::RootCount => partition_roots_parallel(heap, roots, workers)?,
-        ShardBalance::Bytes => {
-            let weights = root_weights(heap, roots, RECORD_HEADER_BYTES as u64)?;
-            partition_roots_weighted(heap, roots, &weights, workers)?
-        }
-    };
-    Ok(plan)
+    Ok(weighted_plan(heap, roots, workers, RECORD_HEADER_BYTES as u64)?)
 }
 
 /// What one shard actually touched during a traced parallel checkpoint.
@@ -245,13 +237,12 @@ impl Checkpointer {
     /// shard needs at least one root) and values of 0 or 1 degrade to a
     /// single worker thread.
     ///
-    /// The ownership pre-pass over the reachability graph runs in
-    /// parallel itself (`ickp_heap::partition_roots_parallel`; see
-    /// [`ParallelPhases`] for the measured phase split), and shard
-    /// boundaries are placed by estimated stream bytes per root unless the
-    /// config selects [`ShardBalance::RootCount`]. The plan is cached
-    /// across checkpoints while the heap structure, root set and worker
-    /// count are unchanged.
+    /// The shard plan comes from [`plan_shards`]: one parallel claim pass
+    /// over the reachability graph places the shard boundaries by
+    /// estimated stream bytes per root and assigns the owners (see
+    /// [`ParallelPhases`] for the measured phase split). The plan is
+    /// cached across checkpoints while the heap structure, root set and
+    /// worker count are unchanged.
     ///
     /// # Errors
     ///
@@ -349,7 +340,7 @@ impl Checkpointer {
         let mut fresh = None;
         let plan: &ShardPlan = match &self.plan_cache {
             Some(cached) if plan_cached => &cached.plan,
-            _ => fresh.insert(plan_shards(heap, roots, workers, self.config.balance)?),
+            _ => fresh.insert(plan_shards(heap, roots, workers)?),
         };
         let plan_time = plan_timer.elapsed();
         let journal_wanted = self.config.journal && kind == CheckpointKind::Incremental;
@@ -497,7 +488,7 @@ mod tests {
 
     #[test]
     fn parallel_full_checkpoint_is_byte_identical_to_sequential() {
-        for workers in [1, 2, 3, 4, 8, 100] {
+        for workers in [1, 2, 3, 4, 7, 8, 100] {
             assert_matches_sequential(CheckpointConfig::full(), workers);
         }
     }
@@ -506,19 +497,6 @@ mod tests {
     fn parallel_incremental_checkpoint_is_byte_identical_to_sequential() {
         for workers in [1, 2, 4, 7] {
             assert_matches_sequential(CheckpointConfig::incremental(), workers);
-        }
-    }
-
-    #[test]
-    fn both_balance_strategies_are_byte_identical_to_sequential() {
-        for balance in [ShardBalance::Bytes, ShardBalance::RootCount] {
-            for workers in [2, 4, 7] {
-                assert_matches_sequential(CheckpointConfig::full().balanced_by(balance), workers);
-                assert_matches_sequential(
-                    CheckpointConfig::incremental().balanced_by(balance),
-                    workers,
-                );
-            }
         }
     }
 
@@ -560,28 +538,26 @@ mod tests {
     fn stale_plan_cache_is_rebuilt_after_structure_changes() {
         // The plan cache must never survive a structure change: grow the
         // graph between parallel checkpoints and require byte-identity
-        // with a fresh sequential driver each round, for both balancers.
-        for balance in [ShardBalance::Bytes, ShardBalance::RootCount] {
-            let (mut heap, table, mut roots) = world(6);
-            let config = CheckpointConfig::incremental().balanced_by(balance);
-            let mut par_ckp = Checkpointer::new(config);
-            let mut seq_ckp = Checkpointer::new(config);
-            let mut seq_heap = heap.clone();
-            let node = heap.class_of(roots[0]).unwrap();
-            for round in 0..4 {
-                let par = par_ckp.checkpoint_parallel(&mut heap, &table, &roots, 3).unwrap();
-                let seq = seq_ckp.checkpoint(&mut seq_heap, &table, &roots).unwrap();
-                assert_eq!(par.bytes(), seq.bytes(), "{balance:?} round {round}");
-                // Mutate both heaps identically: new subtree on one root
-                // (structure change) plus a scalar dirty.
-                for h in [&mut heap, &mut seq_heap] {
-                    let fresh = h.alloc(node).unwrap();
-                    h.set_field(fresh, 0, Value::Int(round as i32)).unwrap();
-                    h.set_field(roots[round], 1, Value::Ref(Some(fresh))).unwrap();
-                    h.set_field(roots[5], 0, Value::Int(100 + round as i32)).unwrap();
-                }
-                roots.rotate_left(1); // changed root order also invalidates
+        // with a fresh sequential driver each round.
+        let (mut heap, table, mut roots) = world(6);
+        let config = CheckpointConfig::incremental();
+        let mut par_ckp = Checkpointer::new(config);
+        let mut seq_ckp = Checkpointer::new(config);
+        let mut seq_heap = heap.clone();
+        let node = heap.class_of(roots[0]).unwrap();
+        for round in 0..4 {
+            let par = par_ckp.checkpoint_parallel(&mut heap, &table, &roots, 3).unwrap();
+            let seq = seq_ckp.checkpoint(&mut seq_heap, &table, &roots).unwrap();
+            assert_eq!(par.bytes(), seq.bytes(), "round {round}");
+            // Mutate both heaps identically: new subtree on one root
+            // (structure change) plus a scalar dirty.
+            for h in [&mut heap, &mut seq_heap] {
+                let fresh = h.alloc(node).unwrap();
+                h.set_field(fresh, 0, Value::Int(round as i32)).unwrap();
+                h.set_field(roots[round], 1, Value::Ref(Some(fresh))).unwrap();
+                h.set_field(roots[5], 0, Value::Int(100 + round as i32)).unwrap();
             }
+            roots.rotate_left(1); // changed root order also invalidates
         }
     }
 

@@ -34,10 +34,9 @@ const TAG_END: u8 = 0xFF;
 /// Bytes of the per-record stream header written by
 /// [`StreamWriter::begin_object`]: tag (1), stable id (8), class id (4),
 /// field count (2). Static byte estimators — the shard-imbalance lint in
-/// `ickp-audit`, the byte-weighted shard balancer
-/// ([`ickp_heap::root_weights`] as invoked by the parallel engine) — add
-/// this to each class's encoded state size to predict a record's exact
-/// stream footprint.
+/// `ickp-audit`, the shard planner ([`ickp_heap::weighted_plan`] as
+/// invoked by [`crate::plan_shards`]) — add this to each class's encoded
+/// state size to predict a record's exact stream footprint.
 pub const RECORD_HEADER_BYTES: usize = 1 + 8 + 4 + 2;
 
 /// Whether a checkpoint records everything or only modified objects.

@@ -10,7 +10,7 @@
 
 use ickp_core::{
     plan_shards, CheckpointConfig, CheckpointRecord, Checkpointer, CoreError, MethodTable,
-    ShardBalance, TraversalStats,
+    TraversalStats,
 };
 use ickp_heap::{reachable_from, ClassId, ClassRegistry, FieldType, Heap, ObjectId, Value};
 
@@ -124,48 +124,44 @@ fn dirty_scalars(heap: &mut Heap, roots: &[ObjectId], round: i32) {
 #[test]
 fn mixed_layouts_match_the_sequential_driver_shard_by_shard() {
     let configs = [CheckpointConfig::full(), CheckpointConfig::incremental().without_journal()];
-    for balance in [ShardBalance::Bytes, ShardBalance::RootCount] {
-        for config in configs.map(|c| c.balanced_by(balance)) {
-            for workers in 1..=8 {
-                let World { mut heap, table, roots, .. } = mixed_world(12);
-                let mut seq_heap = heap.clone();
-                let mut seq = Checkpointer::new(config);
-                let mut par = Checkpointer::new(config);
-                for round in 0..3 {
-                    let ctx =
-                        format!("{balance:?} {:?} workers={workers} round={round}", config.kind);
-                    let reference = seq.checkpoint(&mut seq_heap, &table, &roots).unwrap();
-                    let (record, trace) =
-                        par.checkpoint_parallel_traced(&mut heap, &table, &roots, workers).unwrap();
-                    assert_eq!(record.bytes(), reference.bytes(), "{ctx}");
-                    assert_eq!(walk_stats(&record), walk_stats(&reference), "{ctx}");
-                    assert!(!trace.fast_path, "{ctx}");
-                    assert_eq!(par.parallel_phases().unwrap().plan_cached, round == 1, "{ctx}");
+    for config in configs {
+        for workers in 1..=8 {
+            let World { mut heap, table, roots, .. } = mixed_world(12);
+            let mut seq_heap = heap.clone();
+            let mut seq = Checkpointer::new(config);
+            let mut par = Checkpointer::new(config);
+            for round in 0..3 {
+                let ctx = format!("{:?} workers={workers} round={round}", config.kind);
+                let reference = seq.checkpoint(&mut seq_heap, &table, &roots).unwrap();
+                let (record, trace) =
+                    par.checkpoint_parallel_traced(&mut heap, &table, &roots, workers).unwrap();
+                assert_eq!(record.bytes(), reference.bytes(), "{ctx}");
+                assert_eq!(walk_stats(&record), walk_stats(&reference), "{ctx}");
+                assert!(!trace.fast_path, "{ctx}");
+                assert_eq!(par.parallel_phases().unwrap().plan_cached, round == 1, "{ctx}");
 
-                    let plan = plan_shards(&heap, &roots, workers, balance).unwrap();
-                    assert_eq!(trace.shards.len(), plan.num_shards(), "{ctx}");
-                    let mut merged = Vec::new();
-                    for (shard, access) in trace.shards.iter().enumerate() {
-                        let preorder = plan.shard_preorder(&heap, shard).unwrap();
-                        assert_eq!(access.visited, preorder, "{ctx} shard {shard}");
-                        merged.extend_from_slice(&access.visited);
-                    }
-                    assert_eq!(merged, reachable_from(&heap, &roots).unwrap(), "{ctx}");
-                    let per_shard: Vec<TraversalStats> =
-                        trace.shards.iter().map(|a| a.stats).collect();
-                    assert_eq!(par.shard_stats(), &per_shard[..], "{ctx}");
+                let plan = plan_shards(&heap, &roots, workers).unwrap();
+                assert_eq!(trace.shards.len(), plan.num_shards(), "{ctx}");
+                let mut merged = Vec::new();
+                for (shard, access) in trace.shards.iter().enumerate() {
+                    let preorder = plan.shard_preorder(&heap, shard).unwrap();
+                    assert_eq!(access.visited, preorder, "{ctx} shard {shard}");
+                    merged.extend_from_slice(&access.visited);
+                }
+                assert_eq!(merged, reachable_from(&heap, &roots).unwrap(), "{ctx}");
+                let per_shard: Vec<TraversalStats> = trace.shards.iter().map(|a| a.stats).collect();
+                assert_eq!(par.shard_stats(), &per_shard[..], "{ctx}");
 
-                    // After round 0 only scalars change, so round 1 runs
-                    // on the cached plan; after round 1 a reference is
-                    // nulled and a null slot takes a shared child, so
-                    // round 2 plans afresh.
-                    for h in [&mut heap, &mut seq_heap] {
-                        dirty_scalars(h, &roots, round);
-                        if round == 1 {
-                            h.set_field(roots[6], 0, Value::Ref(None)).unwrap();
-                            let shared = h.field(roots[0], 5).unwrap();
-                            h.set_field(roots[9], NULL_SLOT, shared).unwrap();
-                        }
+                // After round 0 only scalars change, so round 1 runs
+                // on the cached plan; after round 1 a reference is
+                // nulled and a null slot takes a shared child, so
+                // round 2 plans afresh.
+                for h in [&mut heap, &mut seq_heap] {
+                    dirty_scalars(h, &roots, round);
+                    if round == 1 {
+                        h.set_field(roots[6], 0, Value::Ref(None)).unwrap();
+                        let shared = h.field(roots[0], 5).unwrap();
+                        h.set_field(roots[9], NULL_SLOT, shared).unwrap();
                     }
                 }
             }
@@ -262,7 +258,7 @@ fn a_failed_sharded_checkpoint_leaves_the_checkpointer_as_it_was() {
     assert_eq!(walk_stats(&record), walk_stats(&reference));
     let phases = *par.parallel_phases().unwrap();
     assert!(phases.plan_cached && !phases.fast_path);
-    let plan = plan_shards(&w.heap, &w.roots, workers, config.balance).unwrap();
+    let plan = plan_shards(&w.heap, &w.roots, workers).unwrap();
     let shards = par.shard_stats();
     assert_eq!(shards.len(), plan.num_shards());
     let total = shards.iter().fold(TraversalStats::default(), |sum, s| sum + *s);

@@ -8,22 +8,16 @@
 //! [`reachable_from`], which the full checkpointer and the restore verifier
 //! use to enumerate a compound structure.
 //!
-//! [`partition_roots`] is the ownership pre-pass behind
+//! [`weighted_plan`] is the ownership planner behind
 //! `ickp_core::Checkpointer::checkpoint_parallel`: it splits a root set into
 //! contiguous shards and assigns every reachable object to exactly one shard
 //! (its *owner*), so independent workers can traverse and record disjoint
 //! slices of the graph whose concatenation reproduces the sequential
-//! traversal exactly.
-//!
-//! The pre-pass itself comes in two interchangeable forms: the sequential
-//! oracle ([`first_touch_plan`] / [`partition_roots`]) and a parallel
-//! version ([`first_touch_plan_parallel`] / [`partition_roots_parallel`])
-//! that computes the *same* plan with per-chunk traversals racing on an
-//! atomic owner array — see the equivalence argument on
-//! [`first_touch_plan_parallel`]. Chunk boundaries can be placed by root
-//! count ([`chunk_bounds`]) or by per-root byte weight
-//! ([`chunk_bounds_weighted`], fed by [`root_weights`]); both stay
-//! contiguous, so the stream-order invariant is untouched.
+//! traversal exactly. One parallel claim pass at root granularity gives it
+//! both the per-root byte weights that place the shard boundaries
+//! ([`chunk_bounds_weighted`]) and the shard owners. [`first_touch_plan`]
+//! is the sequential oracle it equals, over any hand-built chunking; see
+//! the equivalence argument on [`weighted_plan`].
 
 use crate::error::HeapError;
 use crate::heap::{Heap, Object};
@@ -150,11 +144,12 @@ pub fn validate_acyclic(heap: &Heap, roots: &[ObjectId]) -> Result<(), ReachErro
 
 /// A partition of a root set into disjoint ownership shards.
 ///
-/// Produced by [`partition_roots`]. Shard `i` holds a contiguous slice of
-/// the original root order, and every object reachable from the whole root
-/// set is owned by exactly one shard: the shard whose roots reach it
-/// *first* in the sequential depth-first traversal order. Two invariants
-/// follow, and the parallel checkpointer in `ickp-core` relies on both:
+/// Produced by [`weighted_plan`] (or by the oracle [`first_touch_plan`]).
+/// Shard `i` holds a contiguous slice of the original root order, and
+/// every object reachable from the whole root set is owned by exactly one
+/// shard: the shard whose roots reach it *first* in the sequential
+/// depth-first traversal order. Two invariants follow, and the parallel
+/// checkpointer in `ickp-core` relies on both:
 ///
 /// 1. **Prunability** — a traversal from shard `i`'s roots can stop at any
 ///    object it does not own: everything reachable through a foreign object
@@ -167,7 +162,7 @@ pub fn validate_acyclic(heap: &Heap, roots: &[ObjectId]) -> Result<(), ReachErro
 /// # Example
 ///
 /// ```
-/// use ickp_heap::{partition_roots, ClassRegistry, FieldType, Heap};
+/// use ickp_heap::{weighted_plan, ClassRegistry, FieldType, Heap};
 ///
 /// # fn main() -> Result<(), ickp_heap::HeapError> {
 /// let mut reg = ClassRegistry::new();
@@ -175,7 +170,7 @@ pub fn validate_acyclic(heap: &Heap, roots: &[ObjectId]) -> Result<(), ReachErro
 /// let mut heap = Heap::new(reg);
 /// let roots: Vec<_> = (0..4).map(|_| heap.alloc(leaf)).collect::<Result<_, _>>()?;
 ///
-/// let plan = partition_roots(&heap, &roots, 2)?;
+/// let plan = weighted_plan(&heap, &roots, 2, 15)?;
 /// assert_eq!(plan.num_shards(), 2);
 /// assert_eq!(plan.roots(0), &roots[..2]);
 /// assert_eq!(plan.roots(1), &roots[2..]);
@@ -372,7 +367,7 @@ pub fn chunk_bounds(len: usize, shards: usize) -> Vec<usize> {
 }
 
 /// Computes **byte-weighted** contiguous chunk boundaries: `weights[i]` is
-/// the estimated stream contribution of root `i` (see [`root_weights`]),
+/// the estimated stream contribution of root `i` (see [`weighted_plan`]),
 /// and boundary `j` is placed at the smallest index whose weight prefix sum
 /// reaches `j/k` of the total — clamped so every chunk keeps at least one
 /// root. Same return convention as [`chunk_bounds`].
@@ -409,166 +404,34 @@ pub fn chunk_bounds_weighted(weights: &[u64], shards: usize) -> Vec<usize> {
 }
 
 /// Splits `roots` into at most `shards` contiguous, count-balanced chunks
-/// (see [`chunk_bounds`]), materialized as owned vectors. The engine's hot
-/// path works on boundary ranges instead; this shape survives for callers
-/// that build or scramble chunkings by hand (the shard audit, tests).
+/// (see [`chunk_bounds`]), materialized as owned vectors — the shape
+/// [`first_touch_plan`] takes, for callers that build or scramble
+/// chunkings by hand (the shard audit, tests).
 pub fn chunk_roots(roots: &[ObjectId], shards: usize) -> Vec<Vec<ObjectId>> {
     chunk_bounds(roots.len(), shards).windows(2).map(|w| roots[w[0]..w[1]].to_vec()).collect()
 }
 
-/// Splits `roots` into at most `shards` contiguous chunks whose boundaries
-/// are placed by the per-root byte estimates `weights` (see
-/// [`chunk_bounds_weighted`]), materialized as owned vectors.
+/// Assigns every object reachable from `chunks` to its **first-touch
+/// owner**: the lowest-index chunk whose depth-first traversal reaches it
+/// first. This is the sequential ownership oracle: one depth-first
+/// traversal per chunk, in chunk order. [`weighted_plan`] computes the
+/// same plan for its own contiguous chunks, and callers with a
+/// non-contiguous or hand-built chunking (tests, the shard audit) get the
+/// deterministic prediction the parallel engine relies on. Empty chunks
+/// are kept as empty shards.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `weights.len() != roots.len()`.
-pub fn chunk_roots_weighted(
-    roots: &[ObjectId],
-    weights: &[u64],
-    shards: usize,
-) -> Vec<Vec<ObjectId>> {
-    assert_eq!(weights.len(), roots.len(), "one weight per root");
-    chunk_bounds_weighted(weights, shards).windows(2).map(|w| roots[w[0]..w[1]].to_vec()).collect()
-}
-
-/// Flattens a hand-built chunking into the internal (roots, bounds)
-/// representation. Empty chunks are kept (as empty ranges), matching the
-/// historical acceptance of arbitrary chunk vectors.
-fn flatten_chunks(chunks: Vec<Vec<ObjectId>>) -> (Vec<ObjectId>, Vec<usize>) {
+/// Returns [`HeapError::DanglingObject`] if a root or a traversed
+/// reference points at a freed object or outside the arena.
+pub fn first_touch_plan(heap: &Heap, chunks: Vec<Vec<ObjectId>>) -> Result<ShardPlan, HeapError> {
     let mut roots = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-    let mut bounds = Vec::with_capacity(chunks.len() + 1);
-    bounds.push(0);
+    let mut bounds = vec![0];
     for chunk in chunks {
         roots.extend_from_slice(&chunk);
         bounds.push(roots.len());
     }
-    (roots, bounds)
-}
-
-/// Assigns every object reachable from `chunks` to its **first-touch
-/// owner**: the lowest-index chunk whose depth-first traversal reaches it
-/// first. This is the sequential ownership oracle behind
-/// [`partition_roots`], exposed separately so callers with a non-contiguous
-/// or hand-built chunking (tests, the shard audit) can compute the same
-/// deterministic prediction the parallel engine relies on.
-///
-/// # Errors
-///
-/// Returns [`HeapError::DanglingObject`] if a traversed reference points
-/// at a freed object.
-pub fn first_touch_plan(heap: &Heap, chunks: Vec<Vec<ObjectId>>) -> Result<ShardPlan, HeapError> {
-    let (roots, bounds) = flatten_chunks(chunks);
-    first_touch_sequential(heap, roots, bounds)
-}
-
-/// Computes the same [`ShardPlan`] as [`first_touch_plan`] — same owner
-/// array, slot for slot — with one traversal *per chunk* running in
-/// parallel, racing on an atomic owner array with `fetch_min`.
-///
-/// **Equivalence argument.** Sequential first-touch ownership equals
-/// "lowest-index chunk that can reach the object": chunk *i*'s sequential
-/// traversal only skips nodes already owned by chunks `< i`, and first-touch
-/// ownership is closed under reachability, so everything behind a skipped
-/// node is also owned by an earlier chunk. That reformulation is
-/// order-free, so each chunk can traverse independently and claim nodes
-/// with an atomic minimum: a worker for chunk *i* expands a node only when
-/// `fetch_min(i)` observed a previous owner `> i`, and prunes when the
-/// previous owner is `<= i` (either chunk *i* itself already expanded it,
-/// or a lower chunk reaches it — and, along any path from chunk *i*'s roots
-/// to a node whose minimum reaching chunk is *i*, every intermediate node
-/// *also* has minimum *i*, so the pruning never cuts chunk *i* off from a
-/// node it must own). `Relaxed` ordering suffices: a stale high read only
-/// causes a redundant push, never a wrong final value, and the spawning
-/// scope's join synchronizes the final reads.
-///
-/// # Errors
-///
-/// Returns [`HeapError::DanglingObject`] if a traversed reference points at
-/// a freed object. Which worker trips the error first is
-/// schedule-dependent; the error reported is the one from the
-/// lowest-indexed failing chunk.
-pub fn first_touch_plan_parallel(
-    heap: &Heap,
-    chunks: Vec<Vec<ObjectId>>,
-) -> Result<ShardPlan, HeapError> {
-    let (roots, bounds) = flatten_chunks(chunks);
-    first_touch_parallel(heap, roots, bounds)
-}
-
-/// Splits `roots` into at most `shards` contiguous chunks and assigns every
-/// reachable object to its first-touch owner shard.
-///
-/// The pre-pass is one sequential depth-first traversal (the same order as
-/// [`reachable_from`]); an object shared between shards is owned by the
-/// lowest-index shard that reaches it, which keeps ownership deterministic
-/// and independent of any later parallel execution schedule. A `shards`
-/// value of 0 is treated as 1 and the chunk count never exceeds the root
-/// count, so [`ShardPlan::num_shards`] may be less than `shards`.
-///
-/// # Errors
-///
-/// Returns [`HeapError::DanglingObject`] if a traversed reference points at
-/// a freed object.
-pub fn partition_roots(
-    heap: &Heap,
-    roots: &[ObjectId],
-    shards: usize,
-) -> Result<ShardPlan, HeapError> {
-    first_touch_sequential(heap, roots.to_vec(), chunk_bounds(roots.len(), shards))
-}
-
-/// [`partition_roots`] with the ownership pre-pass run in parallel, one
-/// worker per chunk (see [`first_touch_plan_parallel`] for the equivalence
-/// argument). Produces the identical [`ShardPlan`].
-///
-/// # Errors
-///
-/// Returns [`HeapError::DanglingObject`] if a traversed reference points at
-/// a freed object.
-pub fn partition_roots_parallel(
-    heap: &Heap,
-    roots: &[ObjectId],
-    shards: usize,
-) -> Result<ShardPlan, HeapError> {
-    first_touch_parallel(heap, roots.to_vec(), chunk_bounds(roots.len(), shards))
-}
-
-/// Splits `roots` into at most `shards` contiguous chunks whose boundaries
-/// are placed by the per-root byte estimates `weights` (see
-/// [`chunk_bounds_weighted`] and [`root_weights`]), then assigns first-touch
-/// ownership with the parallel pre-pass.
-///
-/// Because the weighted chunks are still contiguous, the resulting plan
-/// satisfies the same two invariants as [`partition_roots`] (prunability
-/// and sequential-order concatenation) and produces byte-identical merged
-/// streams; only the load balance changes.
-///
-/// # Panics
-///
-/// Panics if `weights.len() != roots.len()`.
-///
-/// # Errors
-///
-/// Returns [`HeapError::DanglingObject`] if a traversed reference points at
-/// a freed object.
-pub fn partition_roots_weighted(
-    heap: &Heap,
-    roots: &[ObjectId],
-    weights: &[u64],
-    shards: usize,
-) -> Result<ShardPlan, HeapError> {
-    assert_eq!(weights.len(), roots.len(), "one weight per root");
-    first_touch_parallel(heap, roots.to_vec(), chunk_bounds_weighted(weights, shards))
-}
-
-/// The sequential first-touch oracle over the flat (roots, bounds)
-/// representation.
-fn first_touch_sequential(
-    heap: &Heap,
-    roots: Vec<ObjectId>,
-    bounds: Vec<usize>,
-) -> Result<ShardPlan, HeapError> {
+    check_roots(heap, &roots)?;
     let mut owner: Vec<u32> = vec![UNOWNED; heap.arena_size()];
     let mut objects = 0usize;
     let mut stack: Vec<ObjectId> = Vec::new();
@@ -593,59 +456,143 @@ fn first_touch_sequential(
     Ok(ShardPlan { roots, bounds, owner, objects })
 }
 
-/// The parallel first-touch pre-pass: one scoped worker per chunk, all
-/// racing `fetch_min` claims on a shared atomic owner array.
-fn first_touch_parallel(
+/// The shard planner: splits `roots` into at most `shards` contiguous
+/// chunks of about equal estimated stream bytes, and assigns every
+/// reachable object to its first-touch owner chunk. A `shards` value of 0
+/// is treated as 1 and the chunk count never exceeds the root count, so
+/// [`ShardPlan::num_shards`] may be less than `shards`.
+///
+/// It makes one reachability traversal, in four steps:
+///
+/// 1. **Claim.** Each object is claimed for the lowest root index that
+///    reaches it: one depth-first claim per root, with the roots split
+///    into contiguous bands across the available cores, all racing
+///    `fetch_min` on one atomic owner array.
+/// 2. **Weigh.** One scan over the live arena credits each claimed object
+///    to its root: `overhead_per_object` (the per-record header bytes)
+///    plus its class's encoded state size. This is the estimate the
+///    shard-imbalance lint (AUD205 in `ickp-audit`) computes per shard, so
+///    balancing on it closes that feedback loop.
+/// 3. **Cut.** [`chunk_bounds_weighted`] places the chunk boundaries at
+///    equal-byte prefix sums of the root weights.
+/// 4. **Map.** A root → chunk table turns the root-indexed owner array
+///    into the chunk-indexed [`ShardPlan`] owner array.
+///
+/// **Equivalence with [`first_touch_plan`].** Sequential first-touch
+/// ownership equals "lowest-index chunk that can reach the object": chunk
+/// *i*'s sequential traversal only skips nodes already owned by chunks
+/// `< i`, and first-touch ownership is closed under reachability, so
+/// everything behind a skipped node is also owned by an earlier chunk.
+/// That reformulation is order-free, which makes step 1 sound with
+/// singleton chunks (one per root): a claim for root *r* expands a node
+/// only when `fetch_min(r)` observed a previous owner `> r`, and prunes
+/// when the previous owner is `<= r` (either root *r* itself already
+/// expanded it, or a lower root reaches it — and, along any path from
+/// root *r* to a node whose lowest reaching root is *r*, every
+/// intermediate node *also* has lowest reaching root *r*, so the pruning
+/// never cuts root *r* off from a node it must own). `Relaxed` ordering
+/// suffices: a stale high read only causes a redundant push, never a
+/// wrong final value, and the spawning scope's join synchronizes the
+/// final reads. Step 4 is exact because the chunks are contiguous in root
+/// order: if *r* is the lowest root reaching an object and chunk *c*
+/// holds *r*, every chunk `< c` holds only roots `< r`, none of which
+/// reaches the object, so *c* is the lowest chunk reaching it. The same
+/// fact makes step 2's estimate exact: a chunk's byte footprint under
+/// first-touch ownership is the sum of its roots' weights. So the result
+/// equals `first_touch_plan(heap, chunks)` for the chunks cut at step 3,
+/// slot for slot.
+///
+/// # Errors
+///
+/// Returns [`HeapError::DanglingObject`] if a root or a traversed
+/// reference points at a freed object or outside the arena. Which claim
+/// trips a dangling reference first is schedule-dependent; the error
+/// reported is the one from the lowest-indexed failing band.
+pub fn weighted_plan(
     heap: &Heap,
-    roots: Vec<ObjectId>,
-    bounds: Vec<usize>,
+    roots: &[ObjectId],
+    shards: usize,
+    overhead_per_object: u64,
 ) -> Result<ShardPlan, HeapError> {
-    let shards = bounds.len() - 1;
-    if shards <= 1 {
-        // One chunk cannot race with anyone; skip the thread machinery.
-        return first_touch_sequential(heap, roots, bounds);
-    }
+    check_roots(heap, roots)?;
     let owner: Vec<AtomicU32> = (0..heap.arena_size()).map(|_| AtomicU32::new(UNOWNED)).collect();
-    let results: Vec<Result<(), HeapError>> = std::thread::scope(|scope| {
+    let workers = std::thread::available_parallelism().map_or(1, |p| p.get()).min(roots.len());
+    let bands = chunk_bounds(roots.len(), workers);
+    std::thread::scope(|scope| {
         let owner = &owner;
-        let roots = &roots;
-        let handles: Vec<_> = bounds
+        let handles: Vec<_> = bands
             .windows(2)
-            .enumerate()
-            .map(|(index, window)| {
-                let chunk = &roots[window[0]..window[1]];
-                scope.spawn(move || claim_chunk(heap, owner, chunk, index as u32))
+            .map(|band| {
+                let (start, end) = (band[0], band[1]);
+                scope.spawn(move || {
+                    (start..end).try_for_each(|r| claim_root(heap, owner, roots[r], r as u32))
+                })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("pre-pass worker panicked")).collect()
-    });
-    for result in results {
-        result?;
-    }
+        handles.into_iter().try_for_each(|h| h.join().expect("claim worker panicked"))
+    })?;
+
+    let mut weights = vec![0u64; roots.len()];
     let mut objects = 0usize;
-    let owner: Vec<u32> = owner
+    // Per-class encoded sizes are pure functions of the layout; memoize by
+    // class index so the scan stays O(live objects).
+    let mut class_sizes: Vec<Option<u64>> = Vec::new();
+    for id in heap.iter_live() {
+        let root = owner[id.index()].load(Ordering::Relaxed);
+        if root == UNOWNED {
+            continue;
+        }
+        objects += 1;
+        let class = heap.class_of(id)?;
+        let ci = class.index();
+        if ci >= class_sizes.len() {
+            class_sizes.resize(ci + 1, None);
+        }
+        let state = match class_sizes[ci] {
+            Some(s) => s,
+            None => {
+                let s = heap.class(class)?.encoded_state_size() as u64;
+                class_sizes[ci] = Some(s);
+                s
+            }
+        };
+        weights[root as usize] += overhead_per_object + state;
+    }
+
+    let bounds = chunk_bounds_weighted(&weights, shards);
+    let mut chunk_of = vec![0u32; roots.len()];
+    for (chunk, window) in bounds.windows(2).enumerate() {
+        chunk_of[window[0]..window[1]].fill(chunk as u32);
+    }
+    let owner = owner
         .into_iter()
-        .map(|slot| {
-            let s = slot.into_inner();
-            objects += usize::from(s != UNOWNED);
-            s
+        .map(|slot| match slot.into_inner() {
+            UNOWNED => UNOWNED,
+            root => chunk_of[root as usize],
         })
         .collect();
-    Ok(ShardPlan { roots, bounds, owner, objects })
+    Ok(ShardPlan { roots: roots.to_vec(), bounds, owner, objects })
 }
 
-/// Depth-first claim traversal for one chunk: claim each reached node with
-/// `fetch_min(index)`, expand it only if the previous owner was higher, and
-/// prune wherever a lower (or equal, i.e. already-visited) owner holds the
-/// slot. See [`first_touch_plan_parallel`] for why pruning at lower-owned
-/// nodes is safe.
-fn claim_chunk(
+/// Checks every root through the heap, so a handle that is freed or lies
+/// outside the arena is a typed error before any owner array is indexed
+/// with it.
+fn check_roots(heap: &Heap, roots: &[ObjectId]) -> Result<(), HeapError> {
+    roots.iter().try_for_each(|&root| heap.object(root).map(drop))
+}
+
+/// Depth-first claim traversal for root `index`: claim each reached node
+/// with `fetch_min(index)`, expand it only if the previous owner was
+/// higher, and prune wherever a lower (or equal, i.e. already-visited)
+/// owner holds the slot. See [`weighted_plan`] for why pruning at
+/// lower-owned nodes is safe.
+fn claim_root(
     heap: &Heap,
     owner: &[AtomicU32],
-    chunk: &[ObjectId],
+    root: ObjectId,
     index: u32,
 ) -> Result<(), HeapError> {
-    let mut stack: Vec<ObjectId> = chunk.iter().rev().copied().collect();
+    let mut stack = vec![root];
     while let Some(id) = stack.pop() {
         if owner[id.index()].fetch_min(index, Ordering::Relaxed) <= index {
             continue;
@@ -662,94 +609,6 @@ fn claim_chunk(
         }
     }
     Ok(())
-}
-
-/// Estimates, for every root, the number of stream bytes a full checkpoint
-/// of the whole root set attributes to that root: each reachable object
-/// counts `overhead_per_object` (the per-record header bytes) plus its
-/// class's encoded state size, credited to the **lowest-index root** that
-/// reaches it.
-///
-/// First-touch at root granularity makes the estimate *exact* for
-/// contiguous chunkings: a chunk's byte footprint under first-touch
-/// ownership is precisely the sum of its roots' weights, because "lowest
-/// root reaching an object lies in chunk c" and "lowest chunk reaching it
-/// is c" coincide when chunks are contiguous in root order. These weights
-/// feed [`chunk_bounds_weighted`] / [`partition_roots_weighted`]; the same
-/// estimate is what the shard-imbalance lint (AUD205 in `ickp-audit`)
-/// computes per shard, so balancing on it closes that feedback loop.
-///
-/// The per-root ownership pass runs in parallel (contiguous bands of roots
-/// across the available cores, same claim algorithm as
-/// [`first_touch_plan_parallel`]); the byte summation is one scan over the
-/// live arena.
-///
-/// # Errors
-///
-/// Returns [`HeapError::DanglingObject`] if a traversed reference points at
-/// a freed object.
-pub fn root_weights(
-    heap: &Heap,
-    roots: &[ObjectId],
-    overhead_per_object: u64,
-) -> Result<Vec<u64>, HeapError> {
-    let n = roots.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let owner: Vec<AtomicU32> = (0..heap.arena_size()).map(|_| AtomicU32::new(UNOWNED)).collect();
-    let workers = std::thread::available_parallelism().map_or(1, |p| p.get()).min(n);
-    let bands = chunk_bounds(n, workers);
-    let results: Vec<Result<(), HeapError>> = std::thread::scope(|scope| {
-        let owner = &owner;
-        let handles: Vec<_> = bands
-            .windows(2)
-            .map(|window| {
-                let (start, end) = (window[0], window[1]);
-                let band = &roots[start..end];
-                scope.spawn(move || {
-                    for (offset, root) in band.iter().enumerate() {
-                        claim_chunk(
-                            heap,
-                            owner,
-                            std::slice::from_ref(root),
-                            (start + offset) as u32,
-                        )?;
-                    }
-                    Ok(())
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("weight worker panicked")).collect()
-    });
-    for result in results {
-        result?;
-    }
-    let mut weights = vec![0u64; n];
-    // Per-class encoded sizes are pure functions of the layout; memoize by
-    // class index so the summation scan stays O(live objects).
-    let mut class_sizes: Vec<Option<u64>> = Vec::new();
-    for id in heap.iter_live() {
-        let root = owner[id.index()].load(Ordering::Relaxed);
-        if root == UNOWNED {
-            continue;
-        }
-        let class = heap.class_of(id)?;
-        let ci = class.index();
-        if ci >= class_sizes.len() {
-            class_sizes.resize(ci + 1, None);
-        }
-        let state = match class_sizes[ci] {
-            Some(s) => s,
-            None => {
-                let s = heap.class(class)?.encoded_state_size() as u64;
-                class_sizes[ci] = Some(s);
-                s
-            }
-        };
-        weights[root as usize] += overhead_per_object + state;
-    }
-    Ok(weights)
 }
 
 #[cfg(test)]
@@ -854,11 +713,21 @@ mod tests {
             .collect()
     }
 
+    /// The count-balanced oracle plan: contiguous chunks by root count.
+    fn counted(heap: &Heap, roots: &[ObjectId], shards: usize) -> ShardPlan {
+        first_touch_plan(heap, chunk_roots(roots, shards)).unwrap()
+    }
+
+    /// The planner with the 15-byte record header the engine passes.
+    fn planned(heap: &Heap, roots: &[ObjectId], shards: usize) -> ShardPlan {
+        weighted_plan(heap, roots, shards, 15).unwrap()
+    }
+
     #[test]
     fn partition_covers_every_reachable_object_exactly_once() {
         let (mut heap, node) = list_heap();
         let roots = chains(&mut heap, node, 8);
-        let plan = partition_roots(&heap, &roots, 4).unwrap();
+        let plan = planned(&heap, &roots, 4);
         assert_eq!(plan.num_shards(), 4);
         assert_eq!(plan.num_objects(), 16);
         assert_eq!(plan.objects_per_shard(), vec![4, 4, 4, 4]);
@@ -871,10 +740,11 @@ mod tests {
     fn chunks_are_contiguous_and_balanced() {
         let (mut heap, node) = list_heap();
         let roots = chains(&mut heap, node, 7);
-        let plan = partition_roots(&heap, &roots, 3).unwrap();
-        assert_eq!(plan.roots(0), &roots[0..3]);
-        assert_eq!(plan.roots(1), &roots[3..5]);
-        assert_eq!(plan.roots(2), &roots[5..7]);
+        for plan in [counted(&heap, &roots, 3), planned(&heap, &roots, 3)] {
+            assert_eq!(plan.roots(0), &roots[0..3]);
+            assert_eq!(plan.roots(1), &roots[3..5]);
+            assert_eq!(plan.roots(2), &roots[5..7]);
+        }
     }
 
     #[test]
@@ -885,7 +755,7 @@ mod tests {
         let b = heap.alloc(node).unwrap();
         heap.set_field(a, 1, Value::Ref(Some(shared))).unwrap();
         heap.set_field(b, 1, Value::Ref(Some(shared))).unwrap();
-        let plan = partition_roots(&heap, &[a, b], 2).unwrap();
+        let plan = planned(&heap, &[a, b], 2);
         assert!(plan.owns(0, a));
         assert!(plan.owns(1, b));
         assert!(plan.owns(0, shared), "first-touch owner is the earlier shard");
@@ -905,7 +775,7 @@ mod tests {
 
         let sequential = reachable_from(&heap, &roots).unwrap();
         for shards in [1, 2, 3, 4, 7] {
-            let plan = partition_roots(&heap, &roots, shards).unwrap();
+            let plan = planned(&heap, &roots, shards);
             let mut merged = Vec::new();
             for shard in 0..plan.num_shards() {
                 // Local traversal exactly as a parallel worker performs it:
@@ -939,78 +809,91 @@ mod tests {
         heap.set_field(roots[3], 2, Value::Ref(Some(shared))).unwrap();
         let sequential = reachable_from(&heap, &roots).unwrap();
         for shards in [1, 2, 3, 5] {
-            let plan = partition_roots(&heap, &roots, shards).unwrap();
-            let mut merged = Vec::new();
-            for shard in 0..plan.num_shards() {
-                let slice = plan.shard_preorder(&heap, shard).unwrap();
-                assert_eq!(slice.len(), plan.objects_per_shard()[shard]);
-                merged.extend(slice);
+            for plan in [counted(&heap, &roots, shards), planned(&heap, &roots, shards)] {
+                let mut merged = Vec::new();
+                for shard in 0..plan.num_shards() {
+                    let slice = plan.shard_preorder(&heap, shard).unwrap();
+                    assert_eq!(slice.len(), plan.objects_per_shard()[shard]);
+                    merged.extend(slice);
+                }
+                assert_eq!(merged, sequential, "{shards} shards");
+                assert_eq!(plan.all_roots(), &roots[..]);
             }
-            assert_eq!(merged, sequential, "{shards} shards");
         }
     }
 
     #[test]
-    fn chunking_and_first_touch_compose_to_partition_roots() {
+    fn oracle_accepts_hand_built_chunks() {
         let (mut heap, node) = list_heap();
         let roots = chains(&mut heap, node, 7);
         let chunks = chunk_roots(&roots, 3);
         assert_eq!(chunks.len(), 3);
         assert_eq!(chunks.concat(), roots);
-        let composed = first_touch_plan(&heap, chunks).unwrap();
-        let direct = partition_roots(&heap, &roots, 3).unwrap();
-        assert_eq!(composed.num_objects(), direct.num_objects());
-        for id in reachable_from(&heap, &roots).unwrap() {
-            assert_eq!(composed.owner_of(id), direct.owner_of(id));
-        }
         // Non-contiguous hand-built chunks are accepted: first-touch is a
-        // property of the chunk order, not of contiguity.
-        let scrambled = first_touch_plan(&heap, vec![vec![roots[4]], vec![roots[0], roots[2]]]);
-        let plan = scrambled.unwrap();
-        assert_eq!(plan.num_shards(), 2);
+        // property of the chunk order, not of contiguity. Empty chunks
+        // stay as empty shards.
+        let plan = first_touch_plan(
+            &heap,
+            vec![vec![roots[4]], vec![], vec![roots[0], roots[2]], vec![roots[4], roots[1]]],
+        )
+        .unwrap();
+        assert_eq!(plan.num_shards(), 4);
+        assert_eq!(plan.roots(1), &[] as &[ObjectId]);
         assert_eq!(plan.owner_of(roots[4]), Some(0));
-        assert_eq!(plan.owner_of(roots[0]), Some(1));
+        assert_eq!(plan.owner_of(roots[0]), Some(2));
+        assert_eq!(plan.owner_of(roots[1]), Some(3));
         assert_eq!(plan.owner_of(roots[6]), None, "unlisted roots stay unowned");
     }
 
     #[test]
-    fn parallel_plan_equals_the_sequential_oracle() {
+    fn planner_equals_the_oracle_over_its_own_chunks() {
         let (mut heap, node) = list_heap();
         let shared = heap.alloc(node).unwrap();
         let mut roots = chains(&mut heap, node, 9);
         heap.set_field(roots[1], 2, Value::Ref(Some(shared))).unwrap();
         heap.set_field(roots[6], 2, Value::Ref(Some(shared))).unwrap();
         roots.push(roots[2]); // duplicate root: cross-shard dedup
-        for shards in [1, 2, 3, 4, 8, 100] {
-            let sequential = partition_roots(&heap, &roots, shards).unwrap();
-            let parallel = partition_roots_parallel(&heap, &roots, shards).unwrap();
-            assert_eq!(parallel, sequential, "{shards} shards");
-            assert_eq!(parallel.owner_table(), sequential.owner_table());
+        for shards in [0, 1, 2, 3, 4, 8, 100] {
+            let plan = planned(&heap, &roots, shards);
+            let chunks = (0..plan.num_shards()).map(|s| plan.roots(s).to_vec()).collect();
+            assert_eq!(plan, first_touch_plan(&heap, chunks).unwrap(), "{shards} shards");
         }
     }
 
     #[test]
-    fn parallel_plan_handles_hand_built_chunks() {
-        let (mut heap, node) = list_heap();
-        let roots = chains(&mut heap, node, 6);
-        let chunks =
-            vec![vec![roots[4]], vec![], vec![roots[0], roots[2]], vec![roots[4], roots[1]]];
-        let sequential = first_touch_plan(&heap, chunks.clone()).unwrap();
-        let parallel = first_touch_plan_parallel(&heap, chunks).unwrap();
-        assert_eq!(parallel, sequential);
-        assert_eq!(parallel.num_shards(), 4);
-        assert_eq!(parallel.roots(1), &[] as &[ObjectId]);
-    }
-
-    #[test]
-    fn parallel_partition_reports_dangling_references() {
+    fn planner_reports_dangling_references() {
         let (mut heap, node) = list_heap();
         let child = heap.alloc(node).unwrap();
         let a = heap.alloc(node).unwrap();
         let b = heap.alloc(node).unwrap();
         heap.set_field(b, 1, Value::Ref(Some(child))).unwrap();
         heap.free(child).unwrap();
-        assert!(partition_roots_parallel(&heap, &[a, b], 2).is_err());
+        for shards in [1, 2] {
+            assert!(matches!(
+                weighted_plan(&heap, &[a, b], shards, 15),
+                Err(HeapError::DanglingObject(id)) if id == child
+            ));
+        }
+        assert!(first_touch_plan(&heap, chunk_roots(&[a, b], 2)).is_err());
+    }
+
+    #[test]
+    fn roots_outside_the_arena_are_typed_errors() {
+        // A handle allocated in a clone indexes past this heap's arena.
+        let (mut heap, node) = list_heap();
+        let root = heap.alloc(node).unwrap();
+        let foreign = heap.clone().alloc(node).unwrap();
+        assert_eq!(foreign.index(), heap.arena_size());
+        for roots in [vec![foreign], vec![root, foreign]] {
+            assert_eq!(
+                first_touch_plan(&heap, vec![roots.clone()]),
+                Err(HeapError::DanglingObject(foreign))
+            );
+            assert_eq!(
+                weighted_plan(&heap, &roots, 2, 15),
+                Err(HeapError::DanglingObject(foreign))
+            );
+        }
     }
 
     #[test]
@@ -1041,62 +924,40 @@ mod tests {
     }
 
     #[test]
-    fn weighted_partition_keeps_the_sequential_concatenation() {
+    fn shared_subgraphs_weigh_on_the_lowest_root() {
+        // Roots a, b, c, d: a and b both reach the chain s → t → u; c and
+        // d are leaves. Crediting the chain to a (the lowest root) gives
+        // weights 4:1:1:1, so 2 shards cut after a. Crediting it to b, or
+        // to both, would cut after b.
         let (mut heap, node) = list_heap();
-        let shared = heap.alloc(node).unwrap();
-        let roots = chains(&mut heap, node, 7);
-        heap.set_field(roots[0], 2, Value::Ref(Some(shared))).unwrap();
-        heap.set_field(roots[5], 2, Value::Ref(Some(shared))).unwrap();
-        let sequential = reachable_from(&heap, &roots).unwrap();
-        let weights = root_weights(&heap, &roots, 15).unwrap();
-        for shards in [1, 2, 3, 7] {
-            let plan = partition_roots_weighted(&heap, &roots, &weights, shards).unwrap();
-            let mut merged = Vec::new();
-            for shard in 0..plan.num_shards() {
-                merged.extend(plan.shard_preorder(&heap, shard).unwrap());
-            }
-            assert_eq!(merged, sequential, "{shards} shards");
-            assert_eq!(plan.all_roots(), &roots[..]);
-        }
-    }
-
-    #[test]
-    fn root_weights_credit_shared_subgraphs_to_the_lowest_root() {
-        let (mut heap, node) = list_heap();
-        let shared = heap.alloc(node).unwrap();
-        let a = heap.alloc(node).unwrap();
-        let b = heap.alloc(node).unwrap();
-        heap.set_field(a, 1, Value::Ref(Some(shared))).unwrap();
-        heap.set_field(b, 1, Value::Ref(Some(shared))).unwrap();
-        // Node: int(4) + ref(8) + ref(8) = 20 state bytes; overhead 15.
-        let per_object = 15 + 20u64;
-        let weights = root_weights(&heap, &[a, b], 15).unwrap();
-        assert_eq!(weights, vec![2 * per_object, per_object]);
-        // Weights sum to the full-checkpoint footprint: each reachable
-        // object counted exactly once.
-        let reachable = reachable_from(&heap, &[a, b]).unwrap().len() as u64;
-        assert_eq!(weights.iter().sum::<u64>(), reachable * per_object);
+        let u = heap.alloc(node).unwrap();
+        let t = heap.alloc(node).unwrap();
+        let s = heap.alloc(node).unwrap();
+        heap.set_field(t, 1, Value::Ref(Some(u))).unwrap();
+        heap.set_field(s, 1, Value::Ref(Some(t))).unwrap();
+        let roots: Vec<ObjectId> = (0..4).map(|_| heap.alloc(node).unwrap()).collect();
+        heap.set_field(roots[0], 1, Value::Ref(Some(s))).unwrap();
+        heap.set_field(roots[1], 1, Value::Ref(Some(s))).unwrap();
+        let plan = planned(&heap, &roots, 2);
+        assert_eq!(plan.roots(0), &roots[..1]);
+        assert_eq!(plan.objects_per_shard(), vec![4, 3]);
+        assert_eq!(plan.num_objects(), reachable_from(&heap, &roots).unwrap().len());
     }
 
     #[test]
     fn degenerate_shard_counts_are_clamped() {
         let (mut heap, node) = list_heap();
         let roots = chains(&mut heap, node, 2);
-        assert_eq!(partition_roots(&heap, &roots, 0).unwrap().num_shards(), 1);
-        assert_eq!(partition_roots(&heap, &roots, 9).unwrap().num_shards(), 2);
-        let empty = partition_roots(&heap, &[], 4).unwrap();
-        assert_eq!(empty.num_shards(), 0);
-        assert_eq!(empty.num_objects(), 0);
-    }
-
-    #[test]
-    fn partition_reports_dangling_references() {
-        let (mut heap, node) = list_heap();
-        let child = heap.alloc(node).unwrap();
-        let root = heap.alloc(node).unwrap();
-        heap.set_field(root, 1, Value::Ref(Some(child))).unwrap();
-        heap.free(child).unwrap();
-        assert!(partition_roots(&heap, &[root], 2).is_err());
+        for plan in [planned(&heap, &roots, 0), counted(&heap, &roots, 0)] {
+            assert_eq!(plan.num_shards(), 1);
+        }
+        for plan in [planned(&heap, &roots, 9), counted(&heap, &roots, 9)] {
+            assert_eq!(plan.num_shards(), 2);
+        }
+        for empty in [planned(&heap, &[], 4), counted(&heap, &[], 4)] {
+            assert_eq!(empty.num_shards(), 0);
+            assert_eq!(empty.num_objects(), 0);
+        }
     }
 
     #[test]

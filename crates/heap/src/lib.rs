@@ -59,9 +59,8 @@ pub use class::{ClassDef, ClassRegistry, FieldDef};
 pub use error::HeapError;
 pub use gc::GcStats;
 pub use graph::{
-    chunk_bounds, chunk_bounds_weighted, chunk_roots, chunk_roots_weighted, first_touch_plan,
-    first_touch_plan_parallel, partition_roots, partition_roots_parallel, partition_roots_weighted,
-    reachable_from, root_weights, validate_acyclic, ReachError, ShardPlan,
+    chunk_bounds, chunk_bounds_weighted, chunk_roots, first_touch_plan, reachable_from,
+    validate_acyclic, weighted_plan, ReachError, ShardPlan,
 };
 pub use heap::{CheckpointInfo, FieldWriter, Heap, HeapStats, Object};
 pub use ids::{ClassId, ObjectId, StableId};

@@ -60,3 +60,9 @@ pub use ickp_minic as minic;
 pub use ickp_replicate as replicate;
 pub use ickp_spec as spec;
 pub use ickp_synth as synth;
+
+/// Compiles and runs the README's Rust snippets as doctests, so its
+/// examples cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
