@@ -41,9 +41,10 @@
 //!    catalog (`AUD306`); over-journaling (`AUD303`) and over-declared
 //!    effects (`AUD305`) are quantified lints.
 //!    [`cross_validate_barriers`] backs the verdicts dynamically with
-//!    randomized mutation sequences diffed against ground-truth snapshots,
-//!    and the `barrier-sanitize` feature of `ickp-backend` shadow-verifies
-//!    every real checkpoint against a full-traversal state digest.
+//!    randomized mutation sequences diffed against ground-truth snapshots;
+//!    `repro barriers` and `ickp-backend`'s `barrier_restore` tests restore
+//!    real checkpoint rounds and compare them with the live heap
+//!    (`ickp_core::verify_restore`).
 //! 6. **Durability-ordering pass** ([`audit_durability`]) — a static
 //!    crash-consistency prover over recorded `Vfs`/wire op traces
 //!    (`ickp-durable`'s `TraceVfs`): walks the typed op stream under the

@@ -26,8 +26,8 @@
 //! [`cross_validate_shards`] backs the static verdicts dynamically: it
 //! runs the traced parallel engine on a scratch clone and asserts the
 //! observed per-shard access sets are contained in the static footprints
-//! with no cross-shard overlap — the same probe the `sanitize` feature of
-//! `ickp-backend` ships to production builds.
+//! with no cross-shard overlap. `repro scaling` runs it after every
+//! checkpoint round at every worker count.
 
 use crate::diag::{AuditReport, DiagCode, Diagnostic, Location, Severity};
 use crate::soundness::RECORD_HEADER_BYTES;
@@ -394,7 +394,7 @@ pub struct ShardOracleReport {
     /// Objects each shard was observed to visit, in shard order.
     pub observed: Vec<usize>,
     /// `(shard, object)` pairs visited outside the shard's static
-    /// footprint (bugs: the sanitizer saw an access the analysis missed).
+    /// footprint (bugs: the trace saw an access the analysis missed).
     pub escapes: Vec<(usize, ObjectId)>,
     /// Objects visited by more than one shard (races).
     pub overlaps: Vec<ObjectId>,

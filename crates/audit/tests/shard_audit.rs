@@ -290,7 +290,7 @@ fn weighted_chunking_silences_the_imbalance_lint_count_chunking_trips() {
 
 /// **Acceptance criterion (cross-validation)**: on randomized DAG heaps,
 /// the traced engine's observed access sets are contained in the static
-/// footprints with zero sanitizer overlaps, for workers 1–8.
+/// footprints with zero cross-shard overlaps, for workers 1–8.
 #[test]
 fn sanitizer_observations_are_contained_in_static_footprints() {
     for case in 0..24u64 {

@@ -11,7 +11,6 @@
 //!   to the hash table on a miss,
 //! * `Harissa` — direct dense-table dispatch (AOT-resolved).
 
-use crate::barrier_shadow::{BarrierShadow, BarrierShadowReport};
 use crate::engine::Engine;
 use ickp_core::{CheckpointConfig, CheckpointRecord, Checkpointer, CoreError, MethodTable};
 use ickp_heap::{ClassId, ClassRegistry, Heap, ObjectId};
@@ -27,11 +26,6 @@ pub struct GenericBackend {
     /// HotSpot inline cache: the last class dispatched at this call site.
     cache: Option<ClassId>,
     driver: Checkpointer,
-    /// Differential journal sanitizer; populated (and fed) only when the
-    /// `barrier-sanitize` feature arms it.
-    shadow: Option<BarrierShadow>,
-    /// Shadow verdict of the most recent checkpoint.
-    last_barrier: Option<BarrierShadowReport>,
 }
 
 impl GenericBackend {
@@ -56,11 +50,6 @@ impl GenericBackend {
             itable: registry.iter().map(|d| (d.id().index() as u32, d.id())).collect(),
             cache: None,
             driver: Checkpointer::new(config),
-            #[cfg(feature = "barrier-sanitize")]
-            shadow: Some(BarrierShadow::new(registry)),
-            #[cfg(not(feature = "barrier-sanitize"))]
-            shadow: None,
-            last_barrier: None,
         }
     }
 
@@ -71,12 +60,6 @@ impl GenericBackend {
 
     /// Takes one incremental checkpoint of `roots`.
     ///
-    /// With the `barrier-sanitize` cargo feature enabled, the emitted
-    /// record is additionally folded into a [`BarrierShadow`] and the
-    /// shadow is digest-compared against the live heap; the verdict is
-    /// available from [`GenericBackend::barrier_report`] until the next
-    /// checkpoint. The record bytes are identical either way.
-    ///
     /// # Errors
     ///
     /// Fails like `ickp_core::Checkpointer::checkpoint`.
@@ -85,23 +68,10 @@ impl GenericBackend {
         heap: &mut Heap,
         roots: &[ObjectId],
     ) -> Result<CheckpointRecord, CoreError> {
-        let fast_path = self.shadow.is_some() && self.driver.journal_usable(heap, roots);
-        let GenericBackend { engine, itable, cache, .. } = self;
-        let record = self.driver.checkpoint_resolving(heap, &self.table, roots, |class| {
+        let GenericBackend { engine, itable, cache, driver, table } = self;
+        driver.checkpoint_resolving(heap, table, roots, |class| {
             dispatch(*engine, itable, cache, class)
-        })?;
-        if let Some(shadow) = self.shadow.as_mut() {
-            shadow.absorb(&record)?;
-            self.last_barrier = Some(shadow.verify(heap, roots, fast_path)?);
-        }
-        Ok(record)
-    }
-
-    /// The differential sanitizer's verdict on the most recent checkpoint,
-    /// or `None` before the first checkpoint or when the `barrier-sanitize`
-    /// feature is off (the unarmed backend verifies nothing).
-    pub fn barrier_report(&self) -> Option<&BarrierShadowReport> {
-        self.last_barrier.as_ref()
+        })
     }
 }
 

@@ -19,18 +19,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod barrier_shadow;
 mod engine;
 mod generic;
 mod parallel;
-mod sanitize;
 mod specialized;
 mod threaded;
 
-pub use barrier_shadow::{BarrierShadow, BarrierShadowReport};
 pub use engine::Engine;
 pub use generic::GenericBackend;
 pub use parallel::ParallelBackend;
-pub use sanitize::{AccessOverlap, SanitizerReport};
 pub use specialized::SpecializedBackend;
 pub use threaded::{Ctx, ThreadedPlan};

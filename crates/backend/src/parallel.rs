@@ -7,8 +7,6 @@
 //! `CheckpointRecord`s — byte-identical to the sequential generic driver —
 //! so it slots into the same benchmark tables as the other engines.
 
-use crate::barrier_shadow::{BarrierShadow, BarrierShadowReport};
-use crate::sanitize::SanitizerReport;
 use ickp_core::{
     CheckpointConfig, CheckpointRecord, Checkpointer, CoreError, MethodTable, ParallelPhases,
     RecordSink, TraversalStats,
@@ -47,14 +45,6 @@ pub struct ParallelBackend {
     workers: usize,
     table: MethodTable,
     driver: Checkpointer,
-    /// Access-sanitizer verdict of the most recent checkpoint; populated
-    /// only when the `sanitize` feature traces the engine.
-    last_sanitize: Option<SanitizerReport>,
-    /// Differential journal sanitizer; populated (and fed) only when the
-    /// `barrier-sanitize` feature arms it.
-    shadow: Option<BarrierShadow>,
-    /// Shadow verdict of the most recent checkpoint.
-    last_barrier: Option<BarrierShadowReport>,
 }
 
 impl ParallelBackend {
@@ -78,12 +68,6 @@ impl ParallelBackend {
             workers,
             table: MethodTable::derive(registry),
             driver: Checkpointer::new(config),
-            last_sanitize: None,
-            #[cfg(feature = "barrier-sanitize")]
-            shadow: Some(BarrierShadow::new(registry)),
-            #[cfg(not(feature = "barrier-sanitize"))]
-            shadow: None,
-            last_barrier: None,
         }
     }
 
@@ -121,15 +105,6 @@ impl ParallelBackend {
 
     /// Takes one incremental checkpoint of `roots` across the worker pool.
     ///
-    /// With the `sanitize` cargo feature enabled, the engine additionally
-    /// records each shard's object-access set and reconciles them at
-    /// merge time; the verdict is available from
-    /// [`ParallelBackend::sanitizer_report`] until the next checkpoint.
-    /// With `barrier-sanitize`, the record is additionally folded into a
-    /// [`BarrierShadow`] and digest-compared against the live heap
-    /// ([`ParallelBackend::barrier_report`]). The record bytes are
-    /// identical either way.
-    ///
     /// # Errors
     ///
     /// Fails like `ickp_core::Checkpointer::checkpoint_parallel`.
@@ -138,41 +113,11 @@ impl ParallelBackend {
         heap: &mut Heap,
         roots: &[ObjectId],
     ) -> Result<CheckpointRecord, CoreError> {
-        #[cfg(feature = "sanitize")]
-        let record = {
-            let (record, trace) =
-                self.driver.checkpoint_parallel_traced(heap, &self.table, roots, self.workers)?;
-            self.last_sanitize = Some(SanitizerReport::from_trace(&trace));
-            record
-        };
-        #[cfg(not(feature = "sanitize"))]
-        let record = self.driver.checkpoint_parallel(heap, &self.table, roots, self.workers)?;
-
-        if let Some(shadow) = self.shadow.as_mut() {
-            let fast_path = self.driver.parallel_phases().map(|p| p.fast_path).unwrap_or(false);
-            shadow.absorb(&record)?;
-            self.last_barrier = Some(shadow.verify(heap, roots, fast_path)?);
-        }
-        Ok(record)
-    }
-
-    /// The differential sanitizer's verdict on the most recent checkpoint,
-    /// or `None` before the first checkpoint or when the `barrier-sanitize`
-    /// feature is off (the unarmed backend verifies nothing).
-    pub fn barrier_report(&self) -> Option<&BarrierShadowReport> {
-        self.last_barrier.as_ref()
-    }
-
-    /// The access-sanitizer verdict of the most recent checkpoint, or
-    /// `None` before the first checkpoint or when the `sanitize` feature
-    /// is off (the untraced engine observes nothing).
-    pub fn sanitizer_report(&self) -> Option<&SanitizerReport> {
-        self.last_sanitize.as_ref()
+        self.driver.checkpoint_parallel(heap, &self.table, roots, self.workers)
     }
 
     /// Per-shard traversal counters of the most recent checkpoint, in
-    /// shard order (see `ickp_core::Checkpointer::shard_stats`). Available
-    /// regardless of the `sanitize` feature.
+    /// shard order (see `ickp_core::Checkpointer::shard_stats`).
     pub fn shard_stats(&self) -> &[TraversalStats] {
         self.driver.shard_stats()
     }
@@ -266,7 +211,7 @@ mod tests {
     }
 
     #[test]
-    fn per_shard_stats_are_surfaced_regardless_of_the_sanitize_feature() {
+    fn per_shard_stats_are_surfaced_after_every_checkpoint() {
         let (mut heap, roots) = world();
         let mut backend = ParallelBackend::new(3, heap.registry());
         assert!(backend.shard_stats().is_empty(), "no stats before the first checkpoint");
@@ -280,8 +225,6 @@ mod tests {
         // Shard bodies sum to the stream minus its header and footer.
         let body: u64 = shard_stats.iter().map(|s| s.bytes_written).sum();
         assert!(0 < body && body < record.stats().bytes_written);
-        #[cfg(not(feature = "sanitize"))]
-        assert!(backend.sanitizer_report().is_none(), "untraced engines observe nothing");
     }
 
     #[test]

@@ -95,8 +95,8 @@ fn main() {
     // The barrier-coverage gate: statically proves the dirty-set journal
     // sound over the heap's mutator catalog, pins every injected breakage
     // to its AUD30x code, and cross-validates with randomized mutation
-    // sequences (plus shadow-digest checkpoints under the
-    // `barrier-sanitize` feature). Exit code feeds CI.
+    // sequences, then restores real checkpoint rounds and compares them
+    // with the live heap. Exit code feeds CI.
     if experiment == "barriers" {
         std::process::exit(barriers(&opts));
     }
@@ -392,10 +392,10 @@ fn crashes() -> i32 {
 fn replicate() -> i32 {
     use ickp_backend::ParallelBackend;
     use ickp_core::{verify_restore, CheckpointRecord};
-    use ickp_durable::{crash_matrix, DurableConfig, DurableStore, MatrixOptions, MemFs};
-    use ickp_replicate::{
-        ChannelTransport, PairTopology, ReplicaPair, ReplicateConfig, TransportPlan,
+    use ickp_durable::{
+        crash_matrix, DurableConfig, DurableStore, MatrixOptions, MemFs, OpCounter,
     };
+    use ickp_replicate::{PairFaults, PairTopology, ReplicateConfig};
     use ickp_synth::{SynthConfig, SynthWorld};
 
     println!("# ickp replicate — two-node failover matrix and group-commit gate\n");
@@ -431,8 +431,9 @@ fn replicate() -> i32 {
         max_retries: 3,
         dedup: true,
     };
+    let topology = PairTopology { config };
     let matrix = crash_matrix(
-        &PairTopology { config },
+        &topology,
         &registry,
         &records,
         MatrixOptions { full: true },
@@ -469,26 +470,25 @@ fn replicate() -> i32 {
     }
 
     // Byte identity over a perfect link.
-    let mut pfs = MemFs::new();
-    let mut ffs = MemFs::new();
-    let mut link = ChannelTransport::new(TransportPlan::none());
-    {
-        let mut pair = ReplicaPair::create(&mut pfs, &mut ffs, &mut link, config, &registry)
-            .expect("pair creates");
-        for r in &records {
-            pair.append(r.clone()).expect("append");
-        }
-        pair.commit().expect("commit");
-        if pair.acked_records() != records.len() as u64 {
-            println!("byte identity: FAILED — not every record was acknowledged");
-            failures += 1;
-        }
+    let run =
+        topology.run_once(&registry, PairFaults::default(), &OpCounter::new(), None, |pair| {
+            for r in &records {
+                pair.append(r.clone())?;
+            }
+            pair.commit()?;
+            Ok(())
+        });
+    run.result.expect("fault-free run");
+    if run.acked != records.len() as u64 {
+        println!("byte identity: FAILED — not every record was acknowledged");
+        failures += 1;
     }
-    let recovered = |fs: &mut MemFs| {
-        let (_, store) = DurableStore::open(fs, config.durable, &registry).expect("reopen");
+    let recovered = |mut fs: MemFs| {
+        let (_, store) = DurableStore::open(&mut fs, config.durable, &registry).expect("reopen");
         store
     };
-    let (p, f) = (recovered(&mut pfs), recovered(&mut ffs));
+    let [p, f] =
+        <[_; 2]>::try_from(run.nodes).expect("a pair has two nodes").map(|n| recovered(n.disk));
     let identical = p.len() == records.len()
         && f.len() == records.len()
         && p.records().iter().zip(f.records()).all(|(a, b)| a.bytes() == b.bytes());
@@ -668,10 +668,11 @@ fn shards(max_imbalance: Option<f64>) -> i32 {
 /// barrier, missed version bump, premature epoch clear, uncataloged
 /// mutator) to its exact diagnostic code, and backs the static verdict
 /// with 50+ randomized mutation sequences through the dynamic oracle.
-/// Under the `barrier-sanitize` feature it additionally shadow-verifies
-/// real checkpoint rounds against the full-traversal state digest and
-/// demonstrates detection of an unbarriered write. Deterministic; returns
-/// the process exit code (1 on any error or inconsistency).
+/// It then restores every real checkpoint round on both backends from
+/// the emitted records and compares the result with the live heap
+/// (`verify_restore`), and demonstrates detection of an unbarriered
+/// write. Deterministic; returns the process exit code (1 on any error or
+/// inconsistency).
 fn barriers(opts: &Options) -> i32 {
     use ickp_analysis::{AnalysisEngine, Division};
     use ickp_audit::{
@@ -684,11 +685,7 @@ fn barriers(opts: &Options) -> i32 {
     };
     use ickp_synth::{SynthConfig, SynthWorld};
 
-    println!("# ickp barriers — write-barrier coverage audit + differential sanitizer\n");
-    #[cfg(feature = "barrier-sanitize")]
-    println!("# barrier-sanitize: on — every checkpoint round shadow-verified\n");
-    #[cfg(not(feature = "barrier-sanitize"))]
-    println!("# barrier-sanitize: off — shadow-digest section skipped\n");
+    println!("# ickp barriers — write-barrier coverage audit + restore-checked rounds\n");
 
     let mut failures = 0usize;
     let catalog = MutationCatalog::of_heap();
@@ -914,49 +911,61 @@ fn barriers(opts: &Options) -> i32 {
     }
     println!();
 
-    // ---- Shadow-digest verification (barrier-sanitize) -----------------
-    #[cfg(feature = "barrier-sanitize")]
+    // ---- Restore-checked checkpoint rounds ------------------------------
+    // Real checkpoint rounds on both backends: after every round the
+    // records emitted so far are restored and compared with the live heap.
     {
         use ickp_backend::{Engine, GenericBackend, ParallelBackend};
+        use ickp_core::{
+            restore, verify_restore, CheckpointRecord, CheckpointStore, CoreError, RestorePolicy,
+        };
 
-        // Real checkpoint rounds, both backends, every round verified.
+        // Appends a round's record and restores the whole store. `Lenient`:
+        // each backend's first record is an all-dirty incremental, complete
+        // because `mark_all_modified` runs before it.
+        let check = |store: &mut CheckpointStore,
+                     record: CheckpointRecord,
+                     live: &Heap,
+                     roots: &[ObjectId]|
+         -> Result<Option<String>, CoreError> {
+            store.push(record)?;
+            verify_restore(live, roots, &restore(store, live.registry(), RestorePolicy::Lenient)?)
+        };
         let spec = mods(20, 2, false);
+        let rounds = opts.rounds.max(6);
+        let mut exact_rounds = 0usize;
+        let mut tally = |label: &str, outcome: Result<Option<String>, CoreError>| match outcome {
+            Ok(None) => exact_rounds += 1,
+            Ok(Some(diff)) => {
+                failures += 1;
+                println!("{label} restore: {diff}");
+            }
+            Err(e) => {
+                failures += 1;
+                println!("{label} restore FAILED — {e}");
+            }
+        };
         let mut world = SynthWorld::build(SynthConfig::small()).expect("world builds");
         let roots = world.roots().to_vec();
         let mut generic = GenericBackend::new(Engine::Harissa, world.heap().registry());
-        // The shadow folds records, so it needs a full base to build on —
-        // the same recovery-line discipline `RestorePolicy::RequireFullBase`
-        // enforces for restores.
+        let mut store = CheckpointStore::new();
         world.heap_mut().mark_all_modified();
-        let mut clean_rounds = 0usize;
-        let rounds = opts.rounds.max(6);
         for _ in 0..rounds {
             world.apply_modifications(&spec);
-            generic.checkpoint(world.heap_mut(), &roots).expect("checkpoint");
-            let report = generic.barrier_report().expect("armed backend verifies");
-            if report.is_clean() {
-                clean_rounds += 1;
-            } else {
-                failures += 1;
-                println!("generic shadow: {}", report.render());
-            }
+            let record = generic.checkpoint(world.heap_mut(), &roots).expect("checkpoint");
+            tally("generic", check(&mut store, record, world.heap(), &roots));
         }
         let mut world2 = SynthWorld::build(SynthConfig::small()).expect("world builds");
         let roots2 = world2.roots().to_vec();
         let mut parallel = ParallelBackend::new(4, world2.heap().registry());
+        let mut store2 = CheckpointStore::new();
         world2.heap_mut().mark_all_modified();
         for _ in 0..rounds {
             world2.apply_modifications(&spec);
-            parallel.checkpoint(world2.heap_mut(), &roots2).expect("checkpoint");
-            let report = parallel.barrier_report().expect("armed backend verifies");
-            if report.is_clean() {
-                clean_rounds += 1;
-            } else {
-                failures += 1;
-                println!("parallel shadow: {}", report.render());
-            }
+            let record = parallel.checkpoint(world2.heap_mut(), &roots2).expect("checkpoint");
+            tally("parallel", check(&mut store2, record, world2.heap(), &roots2));
         }
-        println!("shadow digest: {clean_rounds}/{} checkpoint round(s) clean", 2 * rounds);
+        println!("restore check: {exact_rounds}/{} checkpoint round(s) exact", 2 * rounds);
 
         // Detection demo: one write smuggled past the barrier must be
         // caught on the very next checkpoint.
@@ -973,13 +982,20 @@ fn barriers(opts: &Options) -> i32 {
                     .heap_mut()
                     .set_field_unbarriered(id, slot, Value::Int(0x5EED))
                     .expect("store");
-                generic.checkpoint(world.heap_mut(), &roots).expect("checkpoint");
-                let report = generic.barrier_report().expect("armed backend verifies");
-                if report.is_clean() {
-                    failures += 1;
-                    println!("detection demo: unbarriered write NOT caught — {}", report.render());
-                } else {
-                    println!("detection demo: unbarriered write caught — {}", report.render());
+                let record = generic.checkpoint(world.heap_mut(), &roots).expect("checkpoint");
+                let seq = record.seq();
+                match check(&mut store, record, world.heap(), &roots) {
+                    Ok(Some(diff)) => {
+                        println!("detection demo: unbarriered write caught — seq {seq}: {diff}");
+                    }
+                    Ok(None) => {
+                        failures += 1;
+                        println!("detection demo: unbarriered write NOT caught at seq {seq}");
+                    }
+                    Err(e) => {
+                        failures += 1;
+                        println!("detection demo: restore FAILED — {e}");
+                    }
                 }
             }
             None => {
@@ -1004,13 +1020,15 @@ fn barriers(opts: &Options) -> i32 {
 
 /// Measured end-to-end scaling of the parallel engine at paper scale:
 /// proves every worker count's stream byte-identical to the sequential
-/// reference (reconciling shard access sets when the `sanitize` feature
-/// is on), then prints the pre-pass cost (sequential oracle vs the
+/// reference and cross-validates every round's shard accesses against
+/// their static footprints (`ickp_audit::cross_validate_shards`), then
+/// prints the pre-pass cost (sequential oracle vs the
 /// parallel min-CAS plan) and the wall-clock phase breakdown
 /// (plan / traverse / merge) with serial fraction and speedup over the
 /// 1-worker engine. The journal is pinned off so every round runs the
 /// shard workers. Identity gates the exit code; timing is informational.
 fn scaling(opts: &Options) -> i32 {
+    use ickp_audit::cross_validate_shards;
     use ickp_backend::ParallelBackend;
     use ickp_bench::timing::median;
     use ickp_core::{plan_shards, CheckpointConfig, Checkpointer, MethodTable};
@@ -1021,10 +1039,7 @@ fn scaling(opts: &Options) -> i32 {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("# ickp scaling — parallel engine, measured end to end\n");
     println!("# structures={} rounds={} cpus={}", opts.structures, opts.rounds, cpus);
-    #[cfg(feature = "sanitize")]
-    println!("# sanitize: on — every round's shard access sets reconciled");
-    #[cfg(not(feature = "sanitize"))]
-    println!("# sanitize: off");
+    println!("# shards: every round's access sets cross-validated against static footprints");
     println!();
 
     let config = SynthConfig {
@@ -1057,11 +1072,22 @@ fn scaling(opts: &Options) -> i32 {
             let a = backend.checkpoint(world.heap_mut(), &roots).expect("checkpoint");
             let b = reference.checkpoint(ref_world.heap_mut(), &table, &roots).expect("checkpoint");
             identical &= a.bytes() == b.bytes();
-            #[cfg(feature = "sanitize")]
-            if let Some(report) = backend.sanitizer_report() {
-                if !report.is_clean() {
+            match cross_validate_shards(world.heap(), &roots, workers) {
+                Ok(report) if report.is_consistent() => {}
+                Ok(report) => {
                     failures += 1;
-                    println!("{workers} workers: sanitizer OVERLAP\n{}", report.render());
+                    println!(
+                        "{workers} workers: shard access INCONSISTENT — {} overlap(s), {} \
+                         escape(s), {}/{} shard(s) ran",
+                        report.overlaps.len(),
+                        report.escapes.len(),
+                        report.observed_shards,
+                        report.static_shards
+                    );
+                }
+                Err(e) => {
+                    failures += 1;
+                    println!("{workers} workers: shard cross-validation FAILED — {e}");
                 }
             }
         }

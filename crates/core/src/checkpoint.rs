@@ -357,7 +357,7 @@ impl Checkpointer {
     /// traversal and be served from the dirty-set journal: incremental
     /// mode, journal enabled, and a traversal-order cache that is still
     /// valid for this heap and root set.
-    pub fn journal_usable(&self, heap: &Heap, roots: &[ObjectId]) -> bool {
+    pub(crate) fn journal_usable(&self, heap: &Heap, roots: &[ObjectId]) -> bool {
         self.config.journal
             && self.config.kind == CheckpointKind::Incremental
             && self.cache.as_ref().is_some_and(|c| c.is_valid(heap, roots))

@@ -9,11 +9,10 @@
 //! covers precisely what the stream format records, in the order the
 //! stream records it.
 //!
-//! The `barrier-sanitize` feature of `ickp-backend` uses this as its
-//! ground truth: after every checkpoint it digests the live heap and a
-//! shadow heap folded from the emitted records, so an under-journaling
-//! write barrier (a modified object missing from the stream) surfaces as
-//! a digest mismatch instead of silently shipping a wrong stream.
+//! The end-to-end benchmark and the fold oracle tests use it as a cheap
+//! equality check between a live heap and a restored one. Where a
+//! mismatch must be explained, `verify_restore` names the first
+//! differing object instead.
 
 use crate::error::CoreError;
 use ickp_heap::{Heap, ObjectId, Value};

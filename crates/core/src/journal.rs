@@ -26,43 +26,14 @@ const UNREACHABLE: u32 = u32::MAX;
 /// the engine backends in `ickp-backend` can reuse it.
 #[derive(Debug, Clone)]
 pub struct JournalCache {
-    /// Length and order-sensitive FNV-1a hash of the root set the cache
-    /// was built over. Storing the digest instead of the root `Vec` itself
-    /// keeps [`JournalCache::is_valid`] allocation-free and makes the
-    /// fast-path entry check a hash fold over the candidate roots rather
-    /// than an element-wise `Vec` comparison.
-    roots_len: usize,
-    roots_fnv: u64,
+    /// The root set the cache was built over; [`JournalCache::is_valid`]
+    /// compares it in full, as `PlanCache` does.
+    roots: Vec<ObjectId>,
     structure_version: u64,
     /// Arena-slot-indexed pre-order position; `UNREACHABLE` for slots the
     /// traversal never reached (or that lie beyond the cached arena).
     position: Vec<u32>,
     reachable: u64,
-}
-
-/// Order-sensitive FNV-1a over a root set's `(index, generation)` pairs.
-///
-/// Collisions cannot corrupt a checkpoint: a collision would only let the
-/// fast path reuse a pre-order built for a *different* root sequence, and
-/// the root sequence is folded in full (length + every handle), so two
-/// colliding root sets differ with probability 2^-64 per validity check —
-/// the same risk class the durable store's content-hash dedup accepts, but
-/// here a false hit is additionally bounded by the structure-version check.
-fn fnv_roots(roots: &[ObjectId]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    let mut fold = |v: u32| {
-        for byte in v.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(PRIME);
-        }
-    };
-    for id in roots {
-        fold(id.index() as u32);
-        fold(id.generation());
-    }
-    hash
 }
 
 impl JournalCache {
@@ -72,8 +43,7 @@ impl JournalCache {
     pub fn builder(heap: &Heap, roots: &[ObjectId]) -> JournalCacheBuilder {
         JournalCacheBuilder {
             cache: JournalCache {
-                roots_len: roots.len(),
-                roots_fnv: fnv_roots(roots),
+                roots: roots.to_vec(),
                 structure_version: heap.structure_version(),
                 position: vec![UNREACHABLE; heap.arena_size()],
                 reachable: 0,
@@ -82,13 +52,10 @@ impl JournalCache {
     }
 
     /// `true` if the cached order still describes a traversal of `heap`
-    /// from `roots`: same roots (checked by length + stored FNV digest),
-    /// and no allocation, free, or reference store since the cache was
-    /// built.
+    /// from `roots`: the same root sequence, and no allocation, free, or
+    /// reference store since the cache was built.
     pub fn is_valid(&self, heap: &Heap, roots: &[ObjectId]) -> bool {
-        self.structure_version == heap.structure_version()
-            && self.roots_len == roots.len()
-            && self.roots_fnv == fnv_roots(roots)
+        self.structure_version == heap.structure_version() && self.roots == roots
     }
 
     /// The pre-order position of `id`, or `None` if the cached traversal
@@ -206,8 +173,8 @@ mod tests {
 
     #[test]
     fn root_set_changes_still_invalidate_the_hashed_cache() {
-        // Pinned: `is_valid` compares length + FNV digest instead of the
-        // root Vec, and must keep rejecting every kind of root-set change.
+        // Pinned: `is_valid` compares the stored root Vec in full and must
+        // keep rejecting every kind of root-set change.
         let (heap, ids) = heap_with_chain();
         let roots = [ids[0], ids[1]];
         let mut builder = JournalCache::builder(&heap, &roots);

@@ -141,9 +141,9 @@ pub fn plan_shards(
 /// What one shard actually touched during a traced parallel checkpoint.
 ///
 /// This is the *dynamic* counterpart of the static shard footprint that
-/// `ickp-audit`'s `audit_shards` computes: the access sanitizer in
-/// `ickp-backend` compares the two, and the audit crate's cross-validator
-/// asserts `visited` ⊆ the static footprint on randomized heaps.
+/// `ickp-audit`'s `audit_shards` computes: the audit crate's
+/// cross-validator (`cross_validate_shards`) asserts `visited` ⊆ the
+/// static footprint with no object visited by two shards.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardAccess {
     /// Every object the shard visited, in visit order.
@@ -290,8 +290,8 @@ impl Checkpointer {
     ///
     /// The record is byte-for-byte the same either way; tracing only adds
     /// bookkeeping (each shard keeps its visit order and recorded set).
-    /// This is the probe behind the `sanitize` feature of `ickp-backend`
-    /// and the shard-audit cross-validator: the returned [`ShardTrace`]
+    /// This is the probe behind the shard-audit cross-validator
+    /// (`ickp_audit::cross_validate_shards`): the returned [`ShardTrace`]
     /// is what the shards *actually* touched, to be checked against what
     /// the static analysis said they *may* touch.
     ///

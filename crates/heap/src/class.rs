@@ -44,8 +44,6 @@ pub struct ClassDef {
     superclass: Option<ClassId>,
     /// Flattened layout: inherited fields first, own fields last.
     layout: Vec<FieldDef>,
-    /// Number of inherited slots (start of own fields in `layout`).
-    inherited: usize,
     /// Depth in the inheritance tree (root = 0), used for fast subtype tests.
     depth: u32,
 }
@@ -74,11 +72,6 @@ impl ClassDef {
     /// The number of field slots an instance of this class has.
     pub fn num_slots(&self) -> usize {
         self.layout.len()
-    }
-
-    /// The fields declared by this class itself (excluding inherited ones).
-    pub fn own_fields(&self) -> &[FieldDef] {
-        &self.layout[self.inherited..]
     }
 
     /// Resolves a field name to its slot index.
@@ -169,7 +162,6 @@ impl ClassRegistry {
             }
             None => (Vec::new(), 0),
         };
-        let inherited = layout.len();
         for (fname, ty) in fields {
             if layout.iter().any(|f| f.name() == *fname) {
                 return Err(HeapError::DuplicateField {
@@ -180,14 +172,7 @@ impl ClassRegistry {
             layout.push(FieldDef::new(*fname, *ty));
         }
         let id = ClassId(self.classes.len() as u32);
-        self.classes.push(ClassDef {
-            id,
-            name: name.to_string(),
-            superclass,
-            layout,
-            inherited,
-            depth,
-        });
+        self.classes.push(ClassDef { id, name: name.to_string(), superclass, layout, depth });
         self.by_name.insert(name.to_string(), id);
         Ok(id)
     }
@@ -200,20 +185,6 @@ impl ClassRegistry {
     /// registry.
     pub fn class(&self, id: ClassId) -> Result<&ClassDef, HeapError> {
         self.classes.get(id.index()).ok_or(HeapError::UnknownClass(id))
-    }
-
-    /// Looks a class up by name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HeapError::UnknownClassName`] if undefined.
-    pub fn class_by_name(&self, name: &str) -> Result<&ClassDef, HeapError> {
-        let id = self
-            .by_name
-            .get(name)
-            .copied()
-            .ok_or_else(|| HeapError::UnknownClassName(name.to_string()))?;
-        self.class(id)
     }
 
     /// Returns the id for a class name.
@@ -280,7 +251,6 @@ mod tests {
         assert_eq!(names, ["tag", "bt", "count"]);
         assert_eq!(def.slot_of("tag").unwrap(), 0);
         assert_eq!(def.slot_of("bt").unwrap(), 1);
-        assert_eq!(def.own_fields().len(), 2);
     }
 
     #[test]
@@ -325,9 +295,7 @@ mod tests {
     #[test]
     fn lookup_by_name_and_id_agree() {
         let (reg, _, sub) = registry();
-        assert_eq!(reg.class_by_name("BTEntry").unwrap().id(), sub);
         assert_eq!(reg.id_of("BTEntry").unwrap(), sub);
-        assert!(reg.class_by_name("Nope").is_err());
         assert!(reg.id_of("Nope").is_err());
     }
 

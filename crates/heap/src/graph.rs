@@ -216,12 +216,6 @@ impl ShardPlan {
         &self.roots[self.bounds[shard]..self.bounds[shard + 1]]
     }
 
-    /// All chunk roots, concatenated in shard order. For a contiguous
-    /// chunking this is the original root set verbatim.
-    pub fn all_roots(&self) -> &[ObjectId] {
-        &self.roots
-    }
-
     /// The owner array, indexed by arena slot: `owner_table()[id.index()]`
     /// is the owning shard, or `u32::MAX` for slots not reachable from the
     /// partitioned roots. Exposed so equivalence suites can assert that two
@@ -817,7 +811,6 @@ mod tests {
                     merged.extend(slice);
                 }
                 assert_eq!(merged, sequential, "{shards} shards");
-                assert_eq!(plan.all_roots(), &roots[..]);
             }
         }
     }

@@ -85,16 +85,6 @@ impl HeapSnapshot {
         Ok(snapshot)
     }
 
-    /// Captures the state of *every* live object in the heap.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if a reference dangles.
-    pub fn capture_all(heap: &Heap) -> Result<HeapSnapshot, HeapError> {
-        let roots: Vec<ObjectId> = heap.iter_live().collect();
-        HeapSnapshot::capture(heap, &roots)
-    }
-
     /// The number of objects captured.
     pub fn len(&self) -> usize {
         self.objects.len()
@@ -229,17 +219,6 @@ mod tests {
         let one = HeapSnapshot::capture(&heap, &[a]).unwrap();
         assert!(both.diff(&one).unwrap().contains("missing"));
         assert!(one.diff(&both).unwrap().contains("only in other"));
-    }
-
-    #[test]
-    fn capture_all_covers_every_live_object() {
-        let (mut heap, node) = heap_with_pair();
-        for _ in 0..5 {
-            heap.alloc(node).unwrap();
-        }
-        let snap = HeapSnapshot::capture_all(&heap).unwrap();
-        assert_eq!(snap.len(), 5);
-        assert!(!snap.is_empty());
     }
 
     #[test]

@@ -337,23 +337,6 @@ void main() {{
     )
 }
 
-/// A minimal example program used in docs and quickstarts.
-pub fn tiny_program_source() -> String {
-    "int total;
-int square(int x) {
-    return x * x;
-}
-void main() {
-    int i;
-    total = 0;
-    for (i = 1; i <= 10; i = i + 1) {
-        total = total + square(i);
-    }
-}
-"
-    .to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,14 +426,5 @@ mod tests {
             typecheck(&p).unwrap();
             assert!(p.stmt_count > 15);
         }
-    }
-
-    #[test]
-    fn tiny_program_computes_sum_of_squares() {
-        let p = parse(&tiny_program_source()).unwrap();
-        typecheck(&p).unwrap();
-        let mut i = Interp::new(&p);
-        i.call("main", &[]).unwrap();
-        assert_eq!(i.global_scalar("total"), Some(385));
     }
 }
