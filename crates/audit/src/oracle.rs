@@ -22,7 +22,7 @@
 use ickp_core::{
     decode, journal_dirty_set, CheckpointKind, CoreError, MethodTable, StreamWriter, TraversalStats,
 };
-use ickp_heap::{Heap, ObjectId, StableId, Value};
+use ickp_heap::{preorder, Heap, ObjectId, StableId, Value};
 use ickp_spec::{GuardMode, ListPattern, NodePattern, Plan, SpecShape};
 use std::collections::{HashMap, HashSet};
 
@@ -160,18 +160,8 @@ fn classify(
         SpecShape::Dynamic => {
             // The generic fallback records any dirty object in the whole
             // reachable subtree.
-            let mut queue = vec![obj];
-            while let Some(id) = queue.pop() {
-                if out.insert(id, Coverage::DynamicCovered).is_some() {
-                    continue;
-                }
-                let nslots = heap.registry().class(heap.class_of(id)?)?.num_slots();
-                for slot in 0..nslots {
-                    if let Value::Ref(Some(child)) = heap.field(id, slot)? {
-                        queue.push(child);
-                    }
-                }
-            }
+            let enter = |id| out.insert(id, Coverage::DynamicCovered).is_none();
+            preorder(heap, &[obj], enter, |_, _| Ok::<(), CoreError>(()))?;
         }
     }
     Ok(())

@@ -32,7 +32,9 @@
 use crate::diag::{AuditReport, DiagCode, Diagnostic, Location, Severity};
 use crate::soundness::RECORD_HEADER_BYTES;
 use ickp_core::{plan_shards, CheckpointConfig, Checkpointer, CoreError, MethodTable};
-use ickp_heap::{first_touch_plan, reachable_from, Heap, HeapError, ObjectId, ShardPlan, Value};
+use ickp_heap::{
+    first_touch_plan, preorder, reachable_from, Heap, HeapError, ObjectId, ShardPlan, Visited,
+};
 use std::collections::{HashMap, HashSet};
 
 /// At most this many per-object diagnostics are emitted per code; the
@@ -153,23 +155,15 @@ pub fn shard_footprints<S: ShardSpec + ?Sized>(
         let mut objects = Vec::new();
         let mut fields = 0u64;
         let mut est_record_bytes = 0u64;
-        let mut seen: HashSet<ObjectId> = HashSet::new();
-        let mut stack: Vec<ObjectId> = spec.shard_roots(shard).iter().rev().copied().collect();
-        while let Some(id) = stack.pop() {
-            if !spec.owns(shard, id) || !seen.insert(id) {
-                continue;
-            }
+        let mut seen = Visited::new(heap);
+        let enter = |id| spec.owns(shard, id) && seen.insert(id);
+        preorder(heap, spec.shard_roots(shard), enter, |id, object| {
             objects.push(id);
-            let def = heap.class(heap.class_of(id)?)?;
+            let def = heap.class(object.class())?;
             fields += def.num_slots() as u64;
             est_record_bytes += (RECORD_HEADER_BYTES + def.encoded_state_size()) as u64;
-            let object = heap.object(id)?;
-            for value in object.fields().iter().rev() {
-                if let Value::Ref(Some(child)) = value {
-                    stack.push(*child);
-                }
-            }
-        }
+            Ok::<(), HeapError>(())
+        })?;
         footprints.push(ShardFootprint { shard, objects, fields, est_record_bytes });
     }
     Ok(footprints)

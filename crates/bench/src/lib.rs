@@ -24,4 +24,4 @@ pub mod timing;
 
 pub use harness::{BenchGroup, BenchResult};
 pub use synthrun::{Measurement, SynthRunner, Variant};
-pub use table1::{run_table1, run_table1_default, PhaseRun, Strategy, Table1};
+pub use table1::{run_table1, PhaseRun, Strategy, Table1};

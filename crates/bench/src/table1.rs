@@ -11,7 +11,7 @@
 use ickp_analysis::{AnalysisEngine, Division, Phase};
 use ickp_core::{CheckpointConfig, Checkpointer, MethodTable, TraversalStats};
 use ickp_minic::parse;
-use ickp_minic::programs::{image_program_source, DEFAULT_FILTERS};
+use ickp_minic::programs::image_program_source;
 use ickp_spec::{GuardMode, SpecializedCheckpointer};
 use std::time::{Duration, Instant};
 
@@ -100,7 +100,7 @@ fn division() -> Division {
 
 /// Runs the full Table 1 protocol on an image program with `filters`
 /// convolution stages (the paper's ≈750-line program ⇒
-/// [`DEFAULT_FILTERS`]).
+/// [`ickp_minic::programs::DEFAULT_FILTERS`]).
 ///
 /// # Panics
 ///
@@ -119,11 +119,6 @@ pub fn run_table1(filters: usize) -> Table1 {
         }
     }
     Table1 { attributes, runs }
-}
-
-/// The default-scale Table 1 (the paper's ≈750-line program).
-pub fn run_table1_default() -> Table1 {
-    run_table1(DEFAULT_FILTERS)
 }
 
 fn measure_phase(engine: &mut AnalysisEngine, strategy: Strategy, phase: Phase) -> PhaseRun {

@@ -15,7 +15,7 @@
 //! differing object instead.
 
 use crate::error::CoreError;
-use ickp_heap::{Heap, ObjectId, Value};
+use ickp_heap::{preorder, Heap, ObjectId, Value, Visited};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -33,10 +33,10 @@ fn fold_u64(hash: &mut u64, v: u64) {
 
 /// FNV-1a digest of the logical state reachable from `roots` in `heap`.
 ///
-/// Arena-independent (stable ids only), order-sensitive (depth-first
-/// pre-order, children in field order, roots left to right — the stream
-/// emission order), and cheap: one traversal, no allocations beyond the
-/// visit stack and seen-set.
+/// Arena-independent (stable ids only), order-sensitive (the stream
+/// emission order: [`ickp_heap::preorder`] per root, left to right, over
+/// one shared visited set), and cheap: one traversal, no allocations
+/// beyond the visit stacks and the visited set.
 ///
 /// # Errors
 ///
@@ -44,19 +44,12 @@ fn fold_u64(hash: &mut u64, v: u64) {
 /// dangles.
 pub fn state_digest(heap: &Heap, roots: &[ObjectId]) -> Result<u64, CoreError> {
     let mut hash = FNV_OFFSET;
-    let mut seen = vec![false; heap.arena_size()];
-    let mut stack: Vec<ObjectId> = Vec::new();
+    let mut seen = Visited::new(heap);
     fold_u64(&mut hash, roots.len() as u64);
     for &root in roots {
         fold_u64(&mut hash, heap.stable_id(root)?.raw());
-        stack.push(root);
-        while let Some(id) = stack.pop() {
-            let slot = id.index();
-            if seen[slot] {
-                continue;
-            }
-            seen[slot] = true;
-            let obj = heap.object(id)?;
+        let enter = |id| seen.insert(id);
+        preorder(heap, &[root], enter, |_, obj| {
             fold_u64(&mut hash, obj.info().stable_id().raw());
             let class = heap.class(obj.class())?;
             fold(&mut hash, class.name().as_bytes());
@@ -85,16 +78,8 @@ pub fn state_digest(heap: &Heap, roots: &[ObjectId]) -> Result<u64, CoreError> {
                     }
                 }
             }
-            // Push children in reverse so they pop in field order,
-            // matching the recursive pre-order the stream writer uses.
-            for value in obj.fields().iter().rev() {
-                if let Value::Ref(Some(child)) = *value {
-                    if !seen[child.index()] {
-                        stack.push(child);
-                    }
-                }
-            }
-        }
+            Ok::<(), CoreError>(())
+        })?;
     }
     Ok(hash)
 }
@@ -163,5 +148,23 @@ mod tests {
         a.set_field_unbarriered(ra[0], 0, Value::Int(5)).unwrap();
         assert!(!a.is_modified(ra[0]).unwrap(), "the store left no barrier trace");
         assert_ne!(base, state_digest(&a, &ra).unwrap(), "but the digest still catches it");
+    }
+
+    #[test]
+    fn bad_roots_are_typed_errors() {
+        // A handle allocated in a clone indexes past the arena; a freed
+        // handle is in range but dangles. Each follows a good root.
+        let (mut heap, roots) = chain(&[1, 2]);
+        let node = heap.registry().id_of("Node").unwrap();
+        let freed = heap.alloc(node).unwrap();
+        let foreign = heap.clone().alloc(node).unwrap();
+        heap.free(freed).unwrap();
+        assert_eq!(foreign.index(), heap.arena_size());
+        for bad in [foreign, freed] {
+            assert_eq!(
+                state_digest(&heap, &[roots[0], bad]),
+                Err(CoreError::Heap(ickp_heap::HeapError::DanglingObject(bad)))
+            );
+        }
     }
 }

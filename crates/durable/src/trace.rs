@@ -594,14 +594,6 @@ pub fn crash_classes(trace: &OpTrace) -> Vec<CrashClass> {
     classes
 }
 
-impl OpTrace {
-    /// Total counted operations whose index appears in the events. For a
-    /// complete trace this equals [`OpTrace::counted`].
-    pub fn traced_ops(&self) -> u64 {
-        self.events.iter().filter(|e| matches!(e, TraceEvent::Op { .. })).count() as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -622,7 +614,6 @@ mod tests {
         let _ = fs.read("b"); // reads are not counted
         let trace = fs.log().snapshot(&fs.counter());
         assert_eq!(trace.counted, 7);
-        assert_eq!(trace.traced_ops(), 7);
         let ops: Vec<String> = trace
             .events
             .iter()

@@ -17,10 +17,9 @@
 //! [`crate::Heap::collect`] there reclaims them — or use
 //! `ickp_core::compact` to drop them from the store itself).
 
+use crate::graph::{preorder, Visited};
 use crate::heap::Heap;
 use crate::ids::ObjectId;
-use crate::value::Value;
-use std::collections::HashSet;
 
 /// Statistics from one collection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -46,28 +45,16 @@ impl Heap {
     /// silently pruned).
     pub fn collect(&mut self, roots: &[ObjectId]) -> Result<GcStats, crate::HeapError> {
         // Mark.
-        let mut marked: HashSet<ObjectId> = HashSet::new();
-        let mut stack: Vec<ObjectId> = roots.to_vec();
-        while let Some(id) = stack.pop() {
-            if !marked.insert(id) {
-                continue;
-            }
-            let obj = self.object(id)?;
-            for value in obj.fields() {
-                if let Value::Ref(Some(child)) = value {
-                    if !marked.contains(child) {
-                        stack.push(*child);
-                    }
-                }
-            }
-        }
+        let mut marked = Visited::new(self);
+        preorder(self, roots, |id| marked.insert(id), |_, _| Ok::<(), crate::HeapError>(()))?;
         // Sweep.
-        let victims: Vec<ObjectId> = self.iter_live().filter(|id| !marked.contains(id)).collect();
+        let victims: Vec<ObjectId> = self.iter_live().filter(|&id| !marked.contains(id)).collect();
         let freed = victims.len();
         for id in victims {
             self.free(id).expect("victim was live when enumerated");
         }
-        Ok(GcStats { live: marked.len(), freed })
+        // Every marked object is live and every unmarked one is gone.
+        Ok(GcStats { live: self.len(), freed })
     }
 }
 
@@ -77,7 +64,7 @@ mod tests {
     use crate::class::ClassRegistry;
     use crate::ids::ClassId;
     use crate::snapshot::HeapSnapshot;
-    use crate::value::FieldType;
+    use crate::value::{FieldType, Value};
 
     fn heap() -> (Heap, ClassId) {
         let mut reg = ClassRegistry::new();

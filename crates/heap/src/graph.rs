@@ -1,12 +1,20 @@
-//! Object-graph traversal utilities: reachability, acyclicity checks, and
-//! shard partitioning for the parallel checkpointer.
+//! Object-graph traversal: the heap's one depth-first walk, reachability,
+//! and shard partitioning for the parallel checkpointer.
 //!
-//! The paper assumes checkpointed object graphs are acyclic (§2: "we assume
-//! that the checkpointed objects do not contain cycles"). The checkpointers
-//! in `ickp-core`/`ickp-spec` inherit that assumption; this module provides
-//! [`validate_acyclic`] so callers can *check* it instead of diverging, and
-//! [`reachable_from`], which the full checkpointer and the restore verifier
-//! use to enumerate a compound structure.
+//! [`preorder`] is the walk. It visits objects in the order the ICKP
+//! stream records them: depth-first pre-order, children in field order,
+//! roots left to right. Every heap-graph walk in this crate, `ickp-core`'s
+//! `state_digest` and `ickp-audit` runs on it and differs only in the
+//! `enter` test it passes (a visited set, an ownership test or an owner
+//! claim). So byte identity between the sequential and sharded engines,
+//! and between a live and a restored digest, rests on one function.
+//!
+//! The paper assumes checkpointed object graphs are acyclic (§2: "we
+//! assume that the checkpointed objects do not contain cycles"). The walks
+//! here do not depend on it: every `enter` test admits an object at most
+//! once per walk, so a cycle ends the walk instead of hanging it. Cycles
+//! are not reported. [`reachable_from`] is the walk collecting ids, for
+//! the audits and the tests.
 //!
 //! [`weighted_plan`] is the ownership planner behind
 //! `ickp_core::Checkpointer::checkpoint_parallel`: it splits a root set into
@@ -23,123 +31,125 @@ use crate::error::HeapError;
 use crate::heap::{Heap, Object};
 use crate::ids::ObjectId;
 use crate::value::Value;
-use std::collections::HashSet;
-use std::error::Error;
-use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Error produced by graph validation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReachError {
-    /// A heap access failed (dangling reference, …).
-    Heap(HeapError),
-    /// A reference cycle was found through this object.
-    Cycle(ObjectId),
+/// The heap's one depth-first walk: from `roots`, left to right, calling
+/// `visit` once per object that `enter` admits, in visit order. Returns
+/// the number of child references followed (non-null reference fields of
+/// the visited objects, counted whether or not the child is visited).
+///
+/// The walk seeds a stack with the roots in reverse and pops an id. It
+/// skips the id unless `enter(id)` returns `true`; `enter` is the
+/// caller's visited set ([`Visited`]), ownership test or owner claim,
+/// and must admit an object at most once per walk if cycles are to end.
+/// Per admitted object the walk reads the object's slot once, hands the
+/// borrowed [`Object`] to `visit`, then pushes its non-null references in
+/// reverse slot order, so the first field is visited first. That is the
+/// order of `ickp_core`'s derived `fold`: only reference-typed slots can
+/// hold a reference (the write barrier type-checks every store), and the
+/// derived `fold` visits those in slot order. Children are read straight
+/// from the object, with no per-class dispatch; `visit` decides what to do
+/// with each object.
+///
+/// # Errors
+///
+/// Returns [`HeapError::DanglingObject`] (as `E`) if an admitted id is
+/// freed or lies outside the arena, and the first error `visit` returns;
+/// the walk stops at the first error.
+pub fn preorder<E, Enter, Visit>(
+    heap: &Heap,
+    roots: &[ObjectId],
+    mut enter: Enter,
+    mut visit: Visit,
+) -> Result<u64, E>
+where
+    E: From<HeapError>,
+    Enter: FnMut(ObjectId) -> bool,
+    Visit: FnMut(ObjectId, &Object) -> Result<(), E>,
+{
+    let mut stack: Vec<ObjectId> = roots.iter().rev().copied().collect();
+    let mut refs = 0u64;
+    while let Some(id) = stack.pop() {
+        if !enter(id) {
+            continue;
+        }
+        let obj = heap.object(id)?;
+        visit(id, obj)?;
+        let before = stack.len();
+        for value in obj.fields().iter().rev() {
+            if let Value::Ref(Some(child)) = *value {
+                stack.push(child);
+            }
+        }
+        refs += (stack.len() - before) as u64;
+    }
+    Ok(refs)
 }
 
-impl fmt::Display for ReachError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ReachError::Heap(e) => write!(f, "heap error during traversal: {e}"),
-            ReachError::Cycle(o) => write!(f, "reference cycle through {o}"),
+/// A dense visited set for [`preorder`]'s `enter`: one flag per arena
+/// slot.
+///
+/// A slot's flag alone would confuse a stale handle with the live object
+/// that now holds its slot, so a marked slot admits a handle again unless
+/// that handle is live: a stale handle stays distinct, as in a
+/// `HashSet<ObjectId>`. A handle outside the set, such as one allocated in
+/// a grown clone of the heap, is never marked. Either way
+/// [`Visited::insert`] admits it, so the walk reports it as
+/// [`HeapError::DanglingObject`] instead of skipping it or panicking on the
+/// index.
+#[derive(Debug)]
+pub struct Visited<'h> {
+    heap: &'h Heap,
+    seen: Vec<bool>,
+}
+
+impl<'h> Visited<'h> {
+    /// An empty set sized by [`Heap::arena_size`].
+    pub fn new(heap: &'h Heap) -> Visited<'h> {
+        Visited { heap, seen: vec![false; heap.arena_size()] }
+    }
+
+    /// Marks `id` and returns `true`, unless `id` is live and already
+    /// marked.
+    #[inline]
+    pub fn insert(&mut self, id: ObjectId) -> bool {
+        match self.seen.get_mut(id.index()) {
+            Some(seen) if *seen => !self.heap.contains(id),
+            Some(seen) => {
+                *seen = true;
+                true
+            }
+            None => true,
         }
     }
-}
 
-impl Error for ReachError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            ReachError::Heap(e) => Some(e),
-            ReachError::Cycle(_) => None,
-        }
-    }
-}
-
-impl From<HeapError> for ReachError {
-    fn from(e: HeapError) -> ReachError {
-        ReachError::Heap(e)
+    /// `true` if `id` is live and marked.
+    #[inline]
+    pub fn contains(&self, id: ObjectId) -> bool {
+        self.seen.get(id.index()) == Some(&true) && self.heap.contains(id)
     }
 }
 
 /// Enumerates every object reachable from `roots` (roots included),
-/// in depth-first pre-order with duplicates removed.
+/// in depth-first pre-order with duplicates removed: [`preorder`]
+/// collecting ids.
 ///
 /// Shared subobjects appear once. Cycles do not hang the traversal (a
-/// visited set is kept) but are not reported either; use
-/// [`validate_acyclic`] first when the acyclicity contract matters.
+/// visited set is kept) but are not reported either.
 ///
 /// # Errors
 ///
-/// Returns [`HeapError::DanglingObject`] if a traversed reference points at
-/// a freed object.
+/// Returns [`HeapError::DanglingObject`] if a root or a traversed
+/// reference points at a freed object or outside the arena.
 pub fn reachable_from(heap: &Heap, roots: &[ObjectId]) -> Result<Vec<ObjectId>, HeapError> {
-    let mut seen: HashSet<ObjectId> = HashSet::new();
+    let mut seen = Visited::new(heap);
     let mut order = Vec::new();
-    let mut stack: Vec<ObjectId> = roots.iter().rev().copied().collect();
-    while let Some(id) = stack.pop() {
-        if !seen.insert(id) {
-            continue;
-        }
+    let enter = |id| seen.insert(id);
+    preorder(heap, roots, enter, |id, _| {
         order.push(id);
-        let obj = heap.object(id)?;
-        // Push children in reverse so the first field is visited first.
-        for value in obj.fields().iter().rev() {
-            if let Value::Ref(Some(child)) = value {
-                if !seen.contains(child) {
-                    stack.push(*child);
-                }
-            }
-        }
-    }
+        Ok::<(), HeapError>(())
+    })?;
     Ok(order)
-}
-
-/// Verifies that the graph reachable from `roots` contains no reference
-/// cycle.
-///
-/// # Errors
-///
-/// * [`ReachError::Cycle`] naming an object on a cycle.
-/// * [`ReachError::Heap`] if a traversed reference dangles.
-pub fn validate_acyclic(heap: &Heap, roots: &[ObjectId]) -> Result<(), ReachError> {
-    // Iterative three-color DFS.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Color {
-        Gray,
-        Black,
-    }
-    let mut color: std::collections::HashMap<ObjectId, Color> = std::collections::HashMap::new();
-    enum Step {
-        Enter(ObjectId),
-        Exit(ObjectId),
-    }
-    let mut stack: Vec<Step> = roots.iter().rev().map(|&r| Step::Enter(r)).collect();
-    while let Some(step) = stack.pop() {
-        match step {
-            Step::Enter(id) => match color.get(&id) {
-                Some(Color::Gray) => return Err(ReachError::Cycle(id)),
-                Some(Color::Black) => {}
-                None => {
-                    color.insert(id, Color::Gray);
-                    stack.push(Step::Exit(id));
-                    let obj = heap.object(id)?;
-                    for value in obj.fields().iter().rev() {
-                        if let Value::Ref(Some(child)) = value {
-                            match color.get(child) {
-                                Some(Color::Gray) => return Err(ReachError::Cycle(*child)),
-                                Some(Color::Black) => {}
-                                None => stack.push(Step::Enter(*child)),
-                            }
-                        }
-                    }
-                }
-            },
-            Step::Exit(id) => {
-                color.insert(id, Color::Black);
-            }
-        }
-    }
-    Ok(())
 }
 
 /// A partition of a root set into disjoint ownership shards.
@@ -253,22 +263,13 @@ impl ShardPlan {
         counts
     }
 
-    /// The one walk of a shard: depth-first from the shard's roots, pruned
-    /// at every object another shard owns, calling `visit` once per owned
-    /// object in visit order. Returns the number of child references
-    /// followed (non-null reference fields of the visited objects,
-    /// counted whether or not the child is visited).
-    ///
-    /// Per object the walk reads the object's slot once, hands the
-    /// borrowed [`Object`] to `visit`, then pushes its non-null
-    /// references in reverse slot order, so the first field is visited
-    /// first. That is the order of `ickp_core`'s derived `fold`: only
-    /// reference-typed slots can hold a reference (the write barrier
-    /// type-checks every store), and the derived `fold` visits those in
-    /// slot order. Children are read straight from the object, with no
-    /// per-class dispatch; `visit` decides what to do with each object.
-    /// This is the traversal `ickp_core::Checkpointer::checkpoint_parallel`
-    /// runs per worker, and [`ShardPlan::shard_preorder`] collects it.
+    /// The one walk of a shard: [`preorder`] from the shard's roots,
+    /// pruned at every object another shard owns, calling `visit` once per
+    /// owned object in visit order. Returns the number of child references
+    /// followed, as [`preorder`] counts them. See [`preorder`] for why its
+    /// order is the derived `fold`'s. This is the traversal
+    /// `ickp_core::Checkpointer::checkpoint_parallel` runs per worker, and
+    /// [`ShardPlan::shard_preorder`] collects it.
     ///
     /// # Panics
     ///
@@ -279,31 +280,18 @@ impl ShardPlan {
     /// Returns [`HeapError::DanglingObject`] (as `E`) if a traversed
     /// reference points at a freed object, and the first error `visit`
     /// returns; the walk stops at the first error.
-    pub fn walk_shard<E, F>(&self, heap: &Heap, shard: usize, mut visit: F) -> Result<u64, E>
+    pub fn walk_shard<E, F>(&self, heap: &Heap, shard: usize, visit: F) -> Result<u64, E>
     where
         E: From<HeapError>,
         F: FnMut(ObjectId, &Object) -> Result<(), E>,
     {
-        let mut stack: Vec<ObjectId> = self.roots(shard).iter().rev().copied().collect();
         // Dense and slot-indexed like the owner array; only owned slots are
         // ever looked up, so the owner array's length bounds it.
         let mut visited = vec![false; self.owner.len()];
-        let mut refs = 0u64;
-        while let Some(id) = stack.pop() {
-            if !self.owns(shard, id) || std::mem::replace(&mut visited[id.index()], true) {
-                continue;
-            }
-            let obj = heap.object(id)?;
-            visit(id, obj)?;
-            let before = stack.len();
-            for value in obj.fields().iter().rev() {
-                if let Value::Ref(Some(child)) = *value {
-                    stack.push(child);
-                }
-            }
-            refs += (stack.len() - before) as u64;
-        }
-        Ok(refs)
+        let enter = |id: ObjectId| {
+            self.owns(shard, id) && !std::mem::replace(&mut visited[id.index()], true)
+        };
+        preorder(heap, self.roots(shard), enter, visit)
     }
 
     /// The objects `shard` owns, in the order its worker visits (and, for
@@ -428,24 +416,19 @@ pub fn first_touch_plan(heap: &Heap, chunks: Vec<Vec<ObjectId>>) -> Result<Shard
     check_roots(heap, &roots)?;
     let mut owner: Vec<u32> = vec![UNOWNED; heap.arena_size()];
     let mut objects = 0usize;
-    let mut stack: Vec<ObjectId> = Vec::new();
     for (index, window) in bounds.windows(2).enumerate() {
-        stack.extend(roots[window[0]..window[1]].iter().rev());
-        while let Some(id) = stack.pop() {
-            if owner[id.index()] != UNOWNED {
-                continue;
+        let claim = |id: ObjectId| match owner.get_mut(id.index()) {
+            Some(slot) if *slot != UNOWNED => false,
+            Some(slot) => {
+                *slot = index as u32;
+                true
             }
-            owner[id.index()] = index as u32;
+            None => true,
+        };
+        preorder(heap, &roots[window[0]..window[1]], claim, |_, _| {
             objects += 1;
-            let obj = heap.object(id)?;
-            for value in obj.fields().iter().rev() {
-                if let Value::Ref(Some(child)) = value {
-                    if owner[child.index()] == UNOWNED {
-                        stack.push(*child);
-                    }
-                }
-            }
-        }
+            Ok::<(), HeapError>(())
+        })?;
     }
     Ok(ShardPlan { roots, bounds, owner, objects })
 }
@@ -485,9 +468,9 @@ pub fn first_touch_plan(heap: &Heap, chunks: Vec<Vec<ObjectId>>) -> Result<Shard
 /// root *r* to a node whose lowest reaching root is *r*, every
 /// intermediate node *also* has lowest reaching root *r*, so the pruning
 /// never cuts root *r* off from a node it must own). `Relaxed` ordering
-/// suffices: a stale high read only causes a redundant push, never a
-/// wrong final value, and the spawning scope's join synchronizes the
-/// final reads. Step 4 is exact because the chunks are contiguous in root
+/// suffices: each claim is one atomic `fetch_min`, so every slot ends at
+/// the minimum over the claims that reached it whatever the interleaving,
+/// and the spawning scope's join synchronizes the final reads. Step 4 is exact because the chunks are contiguous in root
 /// order: if *r* is the lowest root reaching an object and chunk *c*
 /// holds *r*, every chunk `< c` holds only roots `< r`, none of which
 /// reaches the object, so *c* is the lowest chunk reaching it. The same
@@ -575,34 +558,21 @@ fn check_roots(heap: &Heap, roots: &[ObjectId]) -> Result<(), HeapError> {
     roots.iter().try_for_each(|&root| heap.object(root).map(drop))
 }
 
-/// Depth-first claim traversal for root `index`: claim each reached node
-/// with `fetch_min(index)`, expand it only if the previous owner was
-/// higher, and prune wherever a lower (or equal, i.e. already-visited)
-/// owner holds the slot. See [`weighted_plan`] for why pruning at
-/// lower-owned nodes is safe.
+/// Depth-first claim traversal for root `index`: [`preorder`] whose
+/// `enter` claims each reached node with `fetch_min(index)` and admits it
+/// only if the previous owner was higher, so it prunes wherever a lower (or
+/// equal, i.e. already-visited) owner holds the slot. See
+/// [`weighted_plan`] for why pruning at lower-owned nodes is safe.
 fn claim_root(
     heap: &Heap,
     owner: &[AtomicU32],
     root: ObjectId,
     index: u32,
 ) -> Result<(), HeapError> {
-    let mut stack = vec![root];
-    while let Some(id) = stack.pop() {
-        if owner[id.index()].fetch_min(index, Ordering::Relaxed) <= index {
-            continue;
-        }
-        let obj = heap.object(id)?;
-        for value in obj.fields().iter().rev() {
-            if let Value::Ref(Some(child)) = value {
-                // A stale high read only costs a redundant push; the claim
-                // above re-checks before expanding.
-                if owner[child.index()].load(Ordering::Relaxed) > index {
-                    stack.push(*child);
-                }
-            }
-        }
-    }
-    Ok(())
+    let claim = |id: ObjectId| {
+        owner.get(id.index()).is_none_or(|slot| slot.fetch_min(index, Ordering::Relaxed) > index)
+    };
+    preorder(heap, &[root], claim, |_, _| Ok::<(), HeapError>(())).map(drop)
 }
 
 #[cfg(test)]
@@ -610,7 +580,9 @@ mod tests {
     use super::*;
     use crate::class::ClassRegistry;
     use crate::ids::ClassId;
+    use crate::snapshot::HeapSnapshot;
     use crate::value::FieldType;
+    use std::collections::HashSet;
 
     fn list_heap() -> (Heap, ClassId) {
         let mut reg = ClassRegistry::new();
@@ -647,36 +619,6 @@ mod tests {
     }
 
     #[test]
-    fn dag_sharing_is_not_a_cycle() {
-        let (mut heap, node) = list_heap();
-        let shared = heap.alloc(node).unwrap();
-        let root = heap.alloc(node).unwrap();
-        heap.set_field(root, 1, Value::Ref(Some(shared))).unwrap();
-        heap.set_field(root, 2, Value::Ref(Some(shared))).unwrap();
-        validate_acyclic(&heap, &[root]).unwrap();
-    }
-
-    #[test]
-    fn self_loop_is_detected() {
-        let (mut heap, node) = list_heap();
-        let a = heap.alloc(node).unwrap();
-        heap.set_field(a, 1, Value::Ref(Some(a))).unwrap();
-        assert!(matches!(validate_acyclic(&heap, &[a]), Err(ReachError::Cycle(_))));
-    }
-
-    #[test]
-    fn long_cycle_is_detected() {
-        let (mut heap, node) = list_heap();
-        let a = heap.alloc(node).unwrap();
-        let b = heap.alloc(node).unwrap();
-        let c = heap.alloc(node).unwrap();
-        heap.set_field(a, 1, Value::Ref(Some(b))).unwrap();
-        heap.set_field(b, 1, Value::Ref(Some(c))).unwrap();
-        heap.set_field(c, 1, Value::Ref(Some(a))).unwrap();
-        assert!(matches!(validate_acyclic(&heap, &[a]), Err(ReachError::Cycle(_))));
-    }
-
-    #[test]
     fn reachable_does_not_hang_on_cycles() {
         let (mut heap, node) = list_heap();
         let a = heap.alloc(node).unwrap();
@@ -692,7 +634,6 @@ mod tests {
         heap.set_field(root, 1, Value::Ref(Some(child))).unwrap();
         heap.free(child).unwrap();
         assert!(reachable_from(&heap, &[root]).is_err());
-        assert!(matches!(validate_acyclic(&heap, &[root]), Err(ReachError::Heap(_))));
     }
 
     /// Builds `n` disjoint two-node chains and returns their heads.
@@ -872,21 +813,44 @@ mod tests {
 
     #[test]
     fn roots_outside_the_arena_are_typed_errors() {
-        // A handle allocated in a clone indexes past this heap's arena.
+        // A handle allocated in a clone indexes past this heap's arena; a
+        // freed handle is in range but dangles.
         let (mut heap, node) = list_heap();
         let root = heap.alloc(node).unwrap();
+        let freed = heap.alloc(node).unwrap();
         let foreign = heap.clone().alloc(node).unwrap();
+        heap.free(freed).unwrap();
         assert_eq!(foreign.index(), heap.arena_size());
-        for roots in [vec![foreign], vec![root, foreign]] {
-            assert_eq!(
-                first_touch_plan(&heap, vec![roots.clone()]),
-                Err(HeapError::DanglingObject(foreign))
-            );
-            assert_eq!(
-                weighted_plan(&heap, &roots, 2, 15),
-                Err(HeapError::DanglingObject(foreign))
-            );
+        for bad in [foreign, freed] {
+            let dangling = HeapError::DanglingObject(bad);
+            for roots in [vec![bad], vec![root, bad]] {
+                assert_eq!(first_touch_plan(&heap, vec![roots.clone()]), Err(dangling.clone()));
+                assert_eq!(weighted_plan(&heap, &roots, 2, 15), Err(dangling.clone()));
+                // The walks over a dense visited set let a bad root through
+                // to the heap, which reports it.
+                assert_eq!(reachable_from(&heap, &roots), Err(dangling.clone()));
+                assert_eq!(heap.clone().collect(&roots), Err(dangling.clone()));
+                assert_eq!(HeapSnapshot::capture(&heap, &roots), Err(dangling.clone()));
+            }
         }
+    }
+
+    #[test]
+    fn stale_handles_to_reused_slots_are_typed_errors() {
+        // A stale handle whose slot a visited live object now holds is not
+        // skipped as a revisit.
+        let (mut heap, node) = list_heap();
+        let stale = heap.alloc(node).unwrap();
+        heap.free(stale).unwrap();
+        let reused = heap.alloc(node).unwrap();
+        let parent = heap.alloc(node).unwrap();
+        heap.set_field(parent, 1, Value::Ref(Some(reused))).unwrap();
+        assert_eq!(reused.index(), stale.index());
+        let dangling = HeapError::DanglingObject(stale);
+        let roots = [parent, stale];
+        assert_eq!(reachable_from(&heap, &roots), Err(dangling.clone()));
+        assert_eq!(heap.clone().collect(&roots), Err(dangling.clone()));
+        assert_eq!(HeapSnapshot::capture(&heap, &roots), Err(dangling));
     }
 
     #[test]
@@ -963,6 +927,5 @@ mod tests {
             head = next;
         }
         assert_eq!(reachable_from(&heap, &[head]).unwrap().len(), 100_001);
-        validate_acyclic(&heap, &[head]).unwrap();
     }
 }

@@ -59,8 +59,8 @@ pub use class::{ClassDef, ClassRegistry, FieldDef};
 pub use error::HeapError;
 pub use gc::GcStats;
 pub use graph::{
-    chunk_bounds, chunk_bounds_weighted, chunk_roots, first_touch_plan, reachable_from,
-    validate_acyclic, weighted_plan, ReachError, ShardPlan,
+    chunk_bounds, chunk_bounds_weighted, chunk_roots, first_touch_plan, preorder, reachable_from,
+    weighted_plan, ShardPlan, Visited,
 };
 pub use heap::{CheckpointInfo, FieldWriter, Heap, HeapStats, Object};
 pub use ids::{ClassId, ObjectId, StableId};

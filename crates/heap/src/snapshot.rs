@@ -8,7 +8,7 @@
 //! property a restore must establish.
 
 use crate::error::HeapError;
-use crate::graph::reachable_from;
+use crate::graph::{preorder, Visited};
 use crate::heap::Heap;
 use crate::ids::{ObjectId, StableId};
 use crate::value::Value;
@@ -41,11 +41,6 @@ impl ObjectState {
     pub fn class_name(&self) -> &str {
         &self.class_name
     }
-
-    /// The number of field slots captured.
-    pub fn num_fields(&self) -> usize {
-        self.fields.len()
-    }
 }
 
 /// A logical snapshot of the objects reachable from a set of roots.
@@ -66,8 +61,9 @@ impl HeapSnapshot {
             objects: BTreeMap::new(),
             roots: roots.iter().map(|&r| heap.stable_id(r)).collect::<Result<Vec<_>, _>>()?,
         };
-        for id in reachable_from(heap, roots)? {
-            let obj = heap.object(id)?;
+        let mut seen = Visited::new(heap);
+        let enter = |id| seen.insert(id);
+        preorder(heap, roots, enter, |_, obj| {
             let class_name = heap.class(obj.class())?.name().to_string();
             let mut fields = Vec::with_capacity(obj.fields().len());
             for v in obj.fields() {
@@ -80,8 +76,10 @@ impl HeapSnapshot {
                     Value::Ref(Some(child)) => AbstractValue::Ref(heap.stable_id(child)?),
                 });
             }
-            snapshot.objects.insert(heap.stable_id(id)?.raw(), ObjectState { class_name, fields });
-        }
+            let state = ObjectState { class_name, fields };
+            snapshot.objects.insert(obj.info().stable_id().raw(), state);
+            Ok::<(), HeapError>(())
+        })?;
         Ok(snapshot)
     }
 
@@ -241,7 +239,6 @@ mod tests {
         let snap = HeapSnapshot::capture(&heap, &[o]).unwrap();
         let state = snap.object(sid).unwrap();
         assert_eq!(state.class_name(), "Node");
-        assert_eq!(state.num_fields(), 2);
         assert!(snap.object(StableId(999_999)).is_none());
     }
 }

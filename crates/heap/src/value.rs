@@ -118,14 +118,6 @@ impl Value {
         }
     }
 
-    /// Extracts an `f64`, if this is a [`Value::Double`].
-    pub fn as_double(&self) -> Option<f64> {
-        match self {
-            Value::Double(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Extracts a `bool`, if this is a [`Value::Bool`].
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -226,7 +218,6 @@ mod tests {
         assert_eq!(Value::Int(7).as_int(), Some(7));
         assert_eq!(Value::Int(7).as_long(), None);
         assert_eq!(Value::Long(8).as_long(), Some(8));
-        assert_eq!(Value::Double(1.5).as_double(), Some(1.5));
         assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert!(Value::Ref(None).is_null());
         assert_eq!(Value::Ref(None).as_ref_id(), None);

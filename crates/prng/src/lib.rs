@@ -78,11 +78,6 @@ impl Prng {
         self.next_u64() as i64
     }
 
-    /// A uniformly random `f64` in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// A uniformly random boolean.
     pub fn next_bool(&mut self) -> bool {
         self.next_u64() & 1 == 1
@@ -194,15 +189,6 @@ mod tests {
         let mut r = Prng::seed_from_u64(5);
         let hits = (0..10_000).filter(|_| r.ratio(25, 100)).count();
         assert!((2_000..3_000).contains(&hits), "25% of 10k ≈ 2500, got {hits}");
-    }
-
-    #[test]
-    fn f64_in_unit_interval() {
-        let mut r = Prng::seed_from_u64(6);
-        for _ in 0..1000 {
-            let x = r.next_f64();
-            assert!((0.0..1.0).contains(&x));
-        }
     }
 
     #[test]

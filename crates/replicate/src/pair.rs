@@ -453,11 +453,6 @@ impl<P: Vfs, F: Vfs, T: Transport> ReplicaPair<P, F, T> {
         self.follower.store.last_seq()
     }
 
-    /// Wire operations durably applied by the follower.
-    pub fn follower_applied_ops(&self) -> u64 {
-        self.follower.applied_ops
-    }
-
     /// Traffic accounting so far.
     pub fn stats(&self) -> ReplicationStats {
         self.stats
@@ -665,7 +660,6 @@ mod tests {
             "{err}"
         );
         assert_eq!(pair.follower_store().record_count(), 0, "nothing appended");
-        assert_eq!(pair.follower_applied_ops(), 0);
     }
 
     #[test]
