@@ -28,9 +28,26 @@
 //! bytes are compared against the indexed chunk, and on a collision the
 //! chunk is stored as a glue literal. Dedup can therefore never corrupt
 //! a payload — a false positive costs bytes, never correctness.
+//!
+//! The index keeps every chunk's bytes back to back in one arena and
+//! maps each hash to an `(offset, len)` span of it, so a chunk costs no
+//! allocation of its own. Its map, and the per-batch map of staged
+//! chunks, hash their FNV keys with `SeededMix`: one xor with a seed,
+//! one multiply, one xor-shift. The seed is drawn once per index from
+//! the standard library's random hasher keys, because `open` indexes
+//! chunks read from disk and a store written in advance must not be able
+//! to pile them into one bucket. Neither map is ever iterated (`count`
+//! is a length, `digest` a wrapping sum), so the seed reaches no output.
 
+// `decode` reads bytes back from disk and must not panic on them.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::ops::Range;
+
+use crate::store::FRAME_HEADER_LEN;
 
 /// Part tag: literal bytes that do not enter the chunk index.
 pub(crate) const PART_GLUE: u8 = 0x00;
@@ -55,6 +72,46 @@ pub fn content_hash(bytes: &[u8]) -> u64 {
     }
     h
 }
+
+/// Hasher and `BuildHasher` of the maps keyed by [`content_hash`]
+/// values; see the module docs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SeededMix {
+    seed: u64,
+    key: u64,
+}
+
+impl BuildHasher for SeededMix {
+    type Hasher = SeededMix;
+
+    fn build_hasher(&self) -> SeededMix {
+        *self
+    }
+}
+
+impl Hasher for SeededMix {
+    fn write_u64(&mut self, key: u64) {
+        self.key = key;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.key = self.key.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        let x = (self.key ^ self.seed).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        x ^ (x >> 32)
+    }
+}
+
+/// The chunks staged so far by one uncommitted batch, by hash, borrowed
+/// from the batch's records. Built by [`ChunkIndex::batch_map`].
+pub(crate) type BatchChunks<'a> = HashMap<u64, &'a [u8], SeededMix>;
+
+/// New indexed chunks as `(hash, bytes)`, in the order they were staged.
+pub(crate) type Staged<'a> = Vec<(u64, &'a [u8])>;
 
 /// Byte accounting for one deduplicating write (or a whole rewrite).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -89,24 +146,30 @@ impl DedupStats {
 /// to the index *if* the write is acknowledged. Nothing enters the index
 /// until [`ChunkIndex::commit`] — a failed append must not leave hashes
 /// that recovery cannot resolve.
-pub(crate) struct EncodedPayload {
+pub(crate) struct EncodedPayload<'a> {
+    /// Room for the frame header, then the parts.
     pub stored: Vec<u8>,
-    pub staged: Vec<(u64, Vec<u8>)>,
+    pub staged: Staged<'a>,
     pub stats: DedupStats,
 }
 
 /// The in-memory content-hash index over every indexed chunk in the
 /// committed frontier. Rebuilt from the segments on open; the manifest
 /// carries only a count + digest summary to cross-check the rebuild.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct ChunkIndex {
-    map: HashMap<u64, Vec<u8>>,
+    /// Hash → `(offset, len)` of the chunk's bytes in `arena`.
+    map: HashMap<u64, (usize, usize), SeededMix>,
+    /// Every indexed chunk's bytes, back to back, in commit order.
+    arena: Vec<u8>,
     digest: u64,
 }
 
 impl ChunkIndex {
     pub fn new() -> ChunkIndex {
-        ChunkIndex::default()
+        let seed = RandomState::new().build_hasher().finish();
+        let map = HashMap::with_hasher(SeededMix { seed, key: 0 });
+        ChunkIndex { map, arena: Vec::new(), digest: 0 }
     }
 
     /// Number of indexed chunks.
@@ -121,39 +184,51 @@ impl ChunkIndex {
         self.digest
     }
 
-    /// Encodes `payload` into parts. `ranges` are the dedup-candidate
-    /// chunks (ascending, non-overlapping, in bounds — the slices
-    /// `ickp_core::object_slices` reports); everything between them is
-    /// glue. Panics if `ranges` violates that contract: the caller hands
-    /// us slices of a stream it just validated.
-    pub fn encode(&self, payload: &[u8], ranges: &[Range<usize>]) -> EncodedPayload {
-        self.encode_batched(payload, ranges, &[])
+    /// The bytes of the indexed chunk `hash`.
+    fn get(&self, hash: u64) -> Option<&[u8]> {
+        let &(at, len) = self.map.get(&hash)?;
+        self.arena.get(at..)?.get(..len)
     }
 
-    /// [`ChunkIndex::encode`] with extra dedup context: `pending` holds
-    /// the chunks staged by *earlier frames of the same atomic batch*.
-    /// A reference may point at a pending chunk only because the whole
-    /// batch commits in one manifest swap — either every frame of the
-    /// batch is acknowledged (the referenced chunk is inside the
-    /// frontier, earlier in the scan order) or none is. References can
-    /// therefore never cross an un-acknowledged batch boundary.
+    /// Indexes `bytes` under `hash`, which must not be indexed yet.
+    fn insert(&mut self, hash: u64, bytes: &[u8]) {
+        self.map.insert(hash, (self.arena.len(), bytes.len()));
+        self.arena.extend_from_slice(bytes);
+        self.digest = self.digest.wrapping_add(hash);
+    }
+
+    /// An empty map for one batch's staged chunks, with this index's seed.
+    pub fn batch_map<'a>(&self) -> BatchChunks<'a> {
+        HashMap::with_hasher(*self.map.hasher())
+    }
+
+    /// Encodes `payload` into parts behind [`FRAME_HEADER_LEN`] bytes of
+    /// room for the frame header. `ranges` are the dedup-candidate chunks
+    /// (the slices `ickp_core::object_slices` reports); everything
+    /// between them is glue.
     ///
-    /// Every lookup is a hash probe: `pending` is indexed once per frame
-    /// and this frame's own staged chunks join that index as they are
-    /// staged.
-    pub fn encode_batched(
+    /// `batch` holds the chunks staged by *earlier frames of the same
+    /// atomic batch*, and this frame's new chunks join it. A reference may
+    /// point at a batch chunk only because the whole batch commits in one
+    /// manifest swap — either every frame of the batch is acknowledged
+    /// (the referenced chunk is inside the frontier, earlier in the scan
+    /// order) or none is. References can therefore never cross an
+    /// un-acknowledged batch boundary. Every lookup is one probe of the
+    /// index and at most one of `batch`.
+    ///
+    /// # Panics
+    ///
+    /// If `ranges` are not ascending, non-empty, non-overlapping and in
+    /// bounds: the caller hands us slices of a stream it just validated.
+    pub fn encode_batched<'a>(
         &self,
-        payload: &[u8],
+        payload: &'a [u8],
         ranges: &[Range<usize>],
-        pending: &[(u64, Vec<u8>)],
-    ) -> EncodedPayload {
-        let mut stored = Vec::with_capacity(payload.len() + LITERAL_OVERHEAD);
-        let mut staged: Vec<(u64, Vec<u8>)> = Vec::new();
-        // Chunks of the uncommitted batch so far: earlier frames' and this
-        // frame's. Hashes are unique across it and the index, because a
-        // chunk is staged only when its hash is found in neither.
-        let mut batch: HashMap<u64, &[u8]> =
-            pending.iter().map(|(hash, bytes)| (*hash, bytes.as_slice())).collect();
+        batch: &mut BatchChunks<'a>,
+    ) -> EncodedPayload<'a> {
+        let mut stored = Vec::with_capacity(FRAME_HEADER_LEN + payload.len() + LITERAL_OVERHEAD);
+        stored.resize(FRAME_HEADER_LEN, 0);
+        let mut staged = Vec::new();
         let mut stats = DedupStats { bytes_in: payload.len() as u64, ..DedupStats::default() };
         let mut cursor = 0usize;
         let glue = |out: &mut Vec<u8>, bytes: &[u8]| {
@@ -162,19 +237,19 @@ impl ChunkIndex {
             out.extend_from_slice(bytes);
         };
         for range in ranges {
-            assert!(
-                cursor <= range.start && range.start < range.end && range.end <= payload.len(),
-                "dedup ranges must be ascending, non-overlapping and in bounds"
-            );
-            if range.start > cursor {
-                glue(&mut stored, &payload[cursor..range.start]);
+            let (gap, chunk) = match (payload.get(cursor..range.start), payload.get(range.clone()))
+            {
+                (Some(gap), Some(chunk)) if !chunk.is_empty() => (gap, chunk),
+                _ => panic!("dedup ranges must be ascending, non-overlapping and in bounds"),
+            };
+            if !gap.is_empty() {
+                glue(&mut stored, gap);
             }
-            let chunk = &payload[range.clone()];
             stats.chunks_total += 1;
             let hash = content_hash(chunk);
-            let known: Option<&[u8]> =
-                self.map.get(&hash).map(Vec::as_slice).or_else(|| batch.get(&hash).copied());
-            match known {
+            // Hashes are unique across the index and `batch`: a chunk is
+            // staged only when its hash is found in neither.
+            match self.get(hash).or_else(|| batch.get(&hash).copied()) {
                 // A hash hit only dedups when the bytes agree (collision
                 // safety) and the reference is no larger than the chunk.
                 Some(existing)
@@ -188,7 +263,7 @@ impl ChunkIndex {
                 Some(_) => glue(&mut stored, chunk),
                 None => {
                     batch.insert(hash, chunk);
-                    staged.push((hash, chunk.to_vec()));
+                    staged.push((hash, chunk));
                     stored.push(PART_CHUNK);
                     stored.extend_from_slice(&(chunk.len() as u32).to_be_bytes());
                     stored.extend_from_slice(chunk);
@@ -196,18 +271,18 @@ impl ChunkIndex {
             }
             cursor = range.end;
         }
-        if cursor < payload.len() {
-            glue(&mut stored, &payload[cursor..]);
+        if let Some(tail) = payload.get(cursor..).filter(|tail| !tail.is_empty()) {
+            glue(&mut stored, tail);
         }
-        stats.bytes_stored = stored.len() as u64;
+        stats.bytes_stored = (stored.len() - FRAME_HEADER_LEN) as u64;
         EncodedPayload { stored, staged, stats }
     }
 
-    /// Enters an acknowledged write's staged chunks into the index.
-    pub fn commit(&mut self, staged: Vec<(u64, Vec<u8>)>) {
-        for (hash, bytes) in staged {
-            self.digest = self.digest.wrapping_add(hash);
-            self.map.insert(hash, bytes);
+    /// Enters an acknowledged batch's staged chunks into the index.
+    pub fn commit(&mut self, staged: &[(u64, &[u8])]) {
+        self.arena.reserve(staged.iter().map(|(_, bytes)| bytes.len()).sum());
+        for &(hash, bytes) in staged {
+            self.insert(hash, bytes);
         }
     }
 
@@ -218,45 +293,39 @@ impl ChunkIndex {
     pub fn decode(&mut self, stored: &[u8]) -> Result<Vec<u8>, (usize, String)> {
         let mut payload = Vec::with_capacity(stored.len());
         let mut at = 0usize;
-        let take = |at: &mut usize, n: usize| -> Result<Range<usize>, (usize, String)> {
-            if *at + n > stored.len() {
-                return Err((*at, "frame part overruns the payload".to_string()));
-            }
-            let r = *at..*at + n;
-            *at += n;
-            Ok(r)
-        };
         while at < stored.len() {
             let tag_at = at;
-            let tag = stored[take(&mut at, 1)?.start];
+            let [tag] = take(stored, &mut at)?;
             match tag {
                 PART_GLUE | PART_CHUNK => {
-                    let len =
-                        u32::from_be_bytes(stored[take(&mut at, 4)?].try_into().expect("4 bytes"))
-                            as usize;
-                    let bytes = &stored[take(&mut at, len)?];
+                    let len = u32::from_be_bytes(take(stored, &mut at)?) as usize;
+                    let bytes = stored
+                        .get(at..)
+                        .and_then(|rest| rest.get(..len))
+                        .ok_or_else(|| overrun(at))?;
+                    at += len;
                     if tag == PART_CHUNK {
                         let hash = content_hash(bytes);
-                        if let Some(existing) = self.map.get(&hash) {
-                            if existing != bytes {
+                        match self.get(hash) {
+                            Some(existing) if existing != bytes => {
                                 return Err((
                                     tag_at,
                                     "indexed chunk collides with an earlier chunk".to_string(),
                                 ));
                             }
+                            // A repeat of an indexed chunk still counts in
+                            // the digest, so the manifest cross-check
+                            // catches a duplicated chunk part.
+                            Some(_) => self.digest = self.digest.wrapping_add(hash),
+                            None => self.insert(hash, bytes),
                         }
-                        self.digest = self.digest.wrapping_add(hash);
-                        self.map.insert(hash, bytes.to_vec());
                     }
                     payload.extend_from_slice(bytes);
                 }
                 PART_REF => {
-                    let hash =
-                        u64::from_be_bytes(stored[take(&mut at, 8)?].try_into().expect("8 bytes"));
-                    let len =
-                        u32::from_be_bytes(stored[take(&mut at, 4)?].try_into().expect("4 bytes"))
-                            as usize;
-                    let chunk = self.map.get(&hash).ok_or_else(|| {
+                    let hash = u64::from_be_bytes(take(stored, &mut at)?);
+                    let len = u32::from_be_bytes(take(stored, &mut at)?) as usize;
+                    let chunk = self.get(hash).ok_or_else(|| {
                         (tag_at, format!("reference to unknown chunk {hash:#018x}"))
                     })?;
                     if chunk.len() != len {
@@ -277,10 +346,22 @@ impl ChunkIndex {
     }
 }
 
+fn overrun(at: usize) -> (usize, String) {
+    (at, "frame part overruns the payload".to_string())
+}
+
+/// The `N` bytes of `stored` at `*at`, moving `at` past them.
+fn take<const N: usize>(stored: &[u8], at: &mut usize) -> Result<[u8; N], (usize, String)> {
+    let bytes = stored.get(*at..).and_then(<[u8]>::first_chunk).ok_or_else(|| overrun(*at))?;
+    *at += N;
+    Ok(*bytes)
+}
+
 #[cfg(test)]
 // Single-element `&[range]` literals here really are one-chunk range
 // lists, not misread `vec![start; end]`s.
 #[allow(clippy::single_range_in_vec_init)]
+#[allow(clippy::unwrap_used, clippy::indexing_slicing)]
 mod tests {
     use super::*;
 
@@ -292,14 +373,35 @@ mod tests {
         assert_eq!(content_hash(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
+    impl ChunkIndex {
+        /// A batch of one.
+        fn encode<'a>(&self, payload: &'a [u8], ranges: &[Range<usize>]) -> EncodedPayload<'a> {
+            self.encode_batched(payload, ranges, &mut self.batch_map())
+        }
+    }
+
+    /// The parts of an encoded frame, without the header room.
+    fn parts<'e>(enc: &'e EncodedPayload<'_>) -> &'e [u8] {
+        &enc.stored[FRAME_HEADER_LEN..]
+    }
+
     fn round_trip(payload: &[u8], ranges: &[Range<usize>]) {
         let mut writer = ChunkIndex::new();
         let mut reader = ChunkIndex::new();
         let enc = writer.encode(payload, ranges);
-        writer.commit(enc.staged);
-        assert_eq!(reader.decode(&enc.stored).unwrap(), payload);
+        writer.commit(&enc.staged);
+        assert_eq!(reader.decode(parts(&enc)).unwrap(), payload);
         assert_eq!(reader.count(), writer.count());
         assert_eq!(reader.digest(), writer.digest());
+        // A second index hashes with another seed, and that changes
+        // nothing the store writes or summarizes.
+        let mut other = ChunkIndex::new();
+        assert_ne!(other.map.hasher().seed, writer.map.hasher().seed);
+        let again = other.encode(payload, ranges);
+        other.commit(&again.staged);
+        assert_eq!(again.stored, enc.stored);
+        assert_eq!(again.stats, enc.stats);
+        assert_eq!((other.count(), other.digest()), (writer.count(), writer.digest()));
     }
 
     #[test]
@@ -309,6 +411,8 @@ mod tests {
         let payload = b"head-AAAAAAAAAAAAAAAA-mid-BBBBBBBBBBBBBBBB-tail";
         round_trip(payload, &[5..21, 26..42]);
         round_trip(payload, &[0..payload.len()]);
+        // A repeat within the frame becomes a back-reference.
+        round_trip(b"XXXXYYYYYYYYYYYYYYYYZZZZYYYYYYYYYYYYYYYY", &[4..20, 24..40]);
     }
 
     #[test]
@@ -317,15 +421,15 @@ mod tests {
         let a = b"glue|CHUNKCHUNKCHUNKCHUNKCHUNKCHUNKCHUNKCHUNK|end";
         let first = index.encode(a, &[5..45]);
         assert_eq!(first.stats.chunks_deduped, 0);
-        index.commit(first.staged);
+        index.commit(&first.staged);
         let second = index.encode(a, &[5..45]);
         assert_eq!(second.stats.chunks_total, 1);
         assert_eq!(second.stats.chunks_deduped, 1);
         assert!(second.stats.bytes_stored < second.stats.bytes_in);
         assert!(second.staged.is_empty());
         let mut reader = ChunkIndex::new();
-        assert_eq!(reader.decode(&first.stored).unwrap(), a);
-        assert_eq!(reader.decode(&second.stored).unwrap(), a);
+        assert_eq!(reader.decode(parts(&first)).unwrap(), a);
+        assert_eq!(reader.decode(parts(&second)).unwrap(), a);
     }
 
     #[test]
@@ -336,7 +440,7 @@ mod tests {
         assert_eq!(enc.stats.chunks_deduped, 1);
         assert_eq!(enc.staged.len(), 1);
         let mut reader = ChunkIndex::new();
-        assert_eq!(reader.decode(&enc.stored).unwrap(), payload);
+        assert_eq!(reader.decode(parts(&enc)).unwrap(), payload);
     }
 
     #[test]
@@ -345,16 +449,42 @@ mod tests {
         let payload = b"....CHUNKCHUNKCHUNKCHUNKCHUNKCHUNK....";
         // Frame 1 of a batch stages the chunk; frame 2 of the *same*
         // batch references it without committing anything in between.
-        let first = index.encode_batched(payload, &[4..34], &[]);
+        let mut batch = index.batch_map();
+        let first = index.encode_batched(payload, &[4..34], &mut batch);
         assert_eq!(first.staged.len(), 1);
-        let second = index.encode_batched(payload, &[4..34], &first.staged);
+        let second = index.encode_batched(payload, &[4..34], &mut batch);
         assert_eq!(second.stats.chunks_deduped, 1);
         assert!(second.staged.is_empty(), "pending chunks are not re-staged");
         // An in-order decode (how recovery scans the frontier) resolves
         // the intra-batch reference.
         let mut reader = ChunkIndex::new();
-        assert_eq!(reader.decode(&first.stored).unwrap(), payload);
-        assert_eq!(reader.decode(&second.stored).unwrap(), payload);
+        assert_eq!(reader.decode(parts(&first)).unwrap(), payload);
+        assert_eq!(reader.decode(parts(&second)).unwrap(), payload);
+    }
+
+    #[test]
+    fn references_resolve_after_the_arena_grows() {
+        // The first chunk is indexed while the arena is small; hundreds of
+        // later commits reallocate the arena many times over. Spans are
+        // offsets, so the old chunk still resolves, on both sides.
+        let mut writer = ChunkIndex::new();
+        let mut reader = ChunkIndex::new();
+        let first = b"the very first chunk, indexed early".to_vec();
+        let enc = writer.encode(&first, &[0..first.len()]);
+        writer.commit(&enc.staged);
+        reader.decode(parts(&enc)).unwrap();
+        let early_capacity = writer.arena.capacity();
+        for i in 0..500u32 {
+            let filler = format!("filler chunk number {i:>8} of many");
+            let enc = writer.encode(filler.as_bytes(), &[0..filler.len()]);
+            writer.commit(&enc.staged);
+            assert_eq!(reader.decode(parts(&enc)).unwrap(), filler.as_bytes());
+        }
+        assert!(writer.arena.capacity() >= 64 * early_capacity, "the arena grew several times");
+        let again = writer.encode(&first, &[0..first.len()]);
+        assert_eq!(again.stats.chunks_deduped, 1);
+        assert_eq!(reader.decode(parts(&again)).unwrap(), first);
+        assert_eq!((reader.count(), reader.digest()), (writer.count(), writer.digest()));
     }
 
     #[test]
@@ -382,12 +512,12 @@ mod tests {
         let mut index = ChunkIndex::new();
         let payload = b"abcdefg";
         let enc = index.encode(payload, &[0..7]);
-        index.commit(enc.staged);
+        index.commit(&enc.staged);
         // Second write: a 7-byte chunk + 5 framing < 13-byte reference,
         // so dedup would grow the store — keep the literal.
         let again = index.encode(payload, &[0..7]);
         assert_eq!(again.stats.chunks_deduped, 0);
         let mut reader = ChunkIndex::new();
-        assert_eq!(reader.decode(&again.stored).unwrap(), payload);
+        assert_eq!(reader.decode(parts(&again)).unwrap(), payload);
     }
 }

@@ -45,10 +45,12 @@
 //! in one segment therefore costs 3 fsyncs instead of `3n`
 //! ([`IoStats`] exposes the counters the `group_commit` bench reads).
 //!
-//! For multi-record batches, frame *encoding* (dedup part encoding +
-//! CRC framing, on a scoped worker thread) overlaps the *I/O* of the
-//! frames already encoded; the filesystem only ever sees the same
-//! deterministic operation sequence it would single-threaded.
+//! The batch is encoded inline, one frame at a time: dedup-encode the
+//! record into parts behind room for the frame header, seal the header
+//! in place (length, then CRC), write the frame, repeat. Chunks staged
+//! by earlier frames of the batch are found with one probe of a
+//! per-batch map that borrows their bytes from the records; they are
+//! copied into the chunk index once, after the manifest swap.
 //!
 //! ## Recovery
 //!
@@ -69,7 +71,7 @@ use std::collections::BTreeSet;
 use std::ops::Range;
 
 use crate::crc::{crc32, Crc32};
-use crate::dedup::{ChunkIndex, DedupStats};
+use crate::dedup::{ChunkIndex, DedupStats, Staged};
 use crate::error::DurableError;
 use crate::vfs::Vfs;
 use ickp_core::{
@@ -92,7 +94,7 @@ const MANIFEST_TMP: &str = "MANIFEST.tmp";
 /// Length of a segment header: magic + version + index.
 const SEGMENT_HEADER_LEN: u64 = 10;
 /// Length of a frame header: length + CRC.
-const FRAME_HEADER_LEN: u64 = 8;
+pub(crate) const FRAME_HEADER_LEN: usize = 8;
 
 /// File name of segment `index`.
 pub fn segment_name(index: u32) -> String {
@@ -297,54 +299,39 @@ fn frame_crc(len: &[u8], payload: &[u8]) -> u32 {
     crc.finish()
 }
 
-fn encode_frame(payload: &[u8]) -> Vec<u8> {
+/// Seals a frame whose first [`FRAME_HEADER_LEN`] bytes are room for
+/// its header (as [`ChunkIndex::encode_batched`] leaves them): writes the
+/// payload's length and then its [`frame_crc`] there.
+fn seal_frame(mut frame: Vec<u8>) -> Vec<u8> {
+    let (header, payload) = frame.split_at_mut(FRAME_HEADER_LEN);
     let len = (payload.len() as u32).to_be_bytes();
     let crc = frame_crc(&len, payload);
-    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN as usize + payload.len());
-    frame.extend_from_slice(&len);
-    frame.extend_from_slice(&crc.to_be_bytes());
-    frame.extend_from_slice(payload);
+    header[..4].copy_from_slice(&len);
+    header[4..].copy_from_slice(&crc.to_be_bytes());
     frame
 }
 
-/// Writes one encoded frame into the (candidate) tail segment, rolling
-/// to a fresh segment when the target size is crossed. No fsync happens
-/// here — the batch path syncs each touched segment once, afterwards.
-/// `touched` accumulates the segment indices needing that sync, in
-/// order (appends only ever move forward through segments).
-fn place_frame<F: Vfs>(
-    fs: &mut F,
-    config: &DurableConfig,
-    candidate: &mut Manifest,
-    next_segment_index: &mut u32,
-    touched: &mut Vec<u32>,
-    io: &mut IoStats,
-    frame: &[u8],
-) -> Result<(), DurableError> {
-    let roll = match candidate.segments.last() {
-        None => true,
-        Some(seg) => seg.committed_len >= config.segment_target_bytes,
-    };
-    if roll {
-        let index = *next_segment_index;
-        let name = segment_name(index);
-        let mut bytes = segment_header(index);
-        bytes.extend_from_slice(frame);
-        let committed_len = bytes.len() as u64;
-        fs.write_file(&name, &bytes)?;
-        candidate.segments.push(SegmentEntry { index, committed_len });
-        *next_segment_index = index + 1;
-        touched.push(index);
-    } else {
-        let seg = candidate.segments.last_mut().expect("non-roll has a tail segment");
-        fs.append(&segment_name(seg.index), frame)?;
-        seg.committed_len += frame.len() as u64;
-        if touched.last() != Some(&seg.index) {
-            touched.push(seg.index);
-        }
+/// Encodes `records` in order as one atomic batch against `chunks`, in
+/// one loop: encode a frame, seal it, hand it to `place`, repeat. Later
+/// frames dedup against the chunks earlier frames staged. Returns the
+/// staged chunks, borrowed from `records`, for [`ChunkIndex::commit`]
+/// once the batch is acknowledged, and the batch's accounting.
+fn encode_batch<'a>(
+    chunks: &ChunkIndex,
+    records: &'a [CheckpointRecord],
+    layouts: &[&[Range<usize>]],
+    mut place: impl FnMut(&[u8]) -> Result<(), DurableError>,
+) -> Result<(Staged<'a>, DedupStats), DurableError> {
+    let mut batch = chunks.batch_map();
+    let mut staged = Vec::new();
+    let mut stats = DedupStats::default();
+    for (record, ranges) in records.iter().zip(layouts) {
+        let encoded = chunks.encode_batched(record.bytes(), ranges, &mut batch);
+        place(&seal_frame(encoded.stored))?;
+        staged.extend(encoded.staged);
+        stats.absorb(encoded.stats);
     }
-    io.frames_written += 1;
-    Ok(())
+    Ok((staged, stats))
 }
 
 /// A crash-safe, segmented, append-only checkpoint store over a [`Vfs`].
@@ -377,15 +364,10 @@ pub struct DurableStore<F: Vfs> {
 }
 
 impl<F: Vfs> DurableStore<F> {
-    /// Initializes a fresh store in an empty (or leftover-strewn)
-    /// directory.
-    ///
-    /// # Errors
-    ///
-    /// [`DurableError::AlreadyExists`] if a manifest is present, or
-    /// [`DurableError::Fs`] on I/O failure.
-    pub fn create(fs: F, config: DurableConfig) -> Result<DurableStore<F>, DurableError> {
-        let mut store = DurableStore {
+    /// A handle with no state yet, before `create` or `open` reads or
+    /// writes the directory.
+    fn empty(fs: F, config: DurableConfig) -> DurableStore<F> {
+        DurableStore {
             fs,
             config,
             manifest: Manifest::default(),
@@ -394,7 +376,18 @@ impl<F: Vfs> DurableStore<F> {
             seqs: Vec::new(),
             next_segment_index: 0,
             io: IoStats::default(),
-        };
+        }
+    }
+
+    /// Initializes a fresh store in an empty (or leftover-strewn)
+    /// directory.
+    ///
+    /// # Errors
+    ///
+    /// [`DurableError::AlreadyExists`] if a manifest is present, or
+    /// [`DurableError::Fs`] on I/O failure.
+    pub fn create(fs: F, config: DurableConfig) -> Result<DurableStore<F>, DurableError> {
+        let mut store = DurableStore::empty(fs, config);
         if store.fs.exists(MANIFEST) {
             return Err(DurableError::AlreadyExists);
         }
@@ -423,16 +416,7 @@ impl<F: Vfs> DurableStore<F> {
         config: DurableConfig,
         registry: &ClassRegistry,
     ) -> Result<(DurableStore<F>, CheckpointStore), DurableError> {
-        let mut store = DurableStore {
-            fs,
-            config,
-            manifest: Manifest::default(),
-            tail_dirty: false,
-            chunks: ChunkIndex::new(),
-            seqs: Vec::new(),
-            next_segment_index: 0,
-            io: IoStats::default(),
-        };
+        let mut store = DurableStore::empty(fs, config);
         if !store.fs.exists(MANIFEST) {
             store.clear_directory()?;
             store.swap_manifest(Manifest::default())?;
@@ -506,7 +490,7 @@ impl<F: Vfs> DurableStore<F> {
 
             let mut offset = SEGMENT_HEADER_LEN as usize;
             while offset < committed.len() {
-                if offset + FRAME_HEADER_LEN as usize > committed.len() {
+                if offset + FRAME_HEADER_LEN > committed.len() {
                     return Err(corrupt(
                         offset as u64,
                         "frame header overruns the committed length".into(),
@@ -518,7 +502,7 @@ impl<F: Vfs> DurableStore<F> {
                 let stored_crc = u32::from_be_bytes(
                     committed[offset + 4..offset + 8].try_into().expect("4 bytes"),
                 );
-                let body_at = offset + FRAME_HEADER_LEN as usize;
+                let body_at = offset + FRAME_HEADER_LEN;
                 if body_at + len > committed.len() {
                     return Err(corrupt(
                         offset as u64,
@@ -758,86 +742,49 @@ impl<F: Vfs> DurableStore<F> {
         }
 
         let mut candidate = self.manifest.clone();
-        let mut staged_all: Vec<(u64, Vec<u8>)> = Vec::new();
-        let mut stats = DedupStats::default();
+        // The segments the batch wrote to, in order (appends only move
+        // forward through segments); none is fsynced until all are written.
         let mut touched: Vec<u32> = Vec::new();
-        {
-            let DurableStore {
-                ref mut fs,
-                ref config,
-                ref chunks,
-                ref mut next_segment_index,
-                ref mut io,
-                ..
-            } = *self;
-            if let [record] = records {
-                // A batch of one encodes inline: nothing to overlap.
-                let encoded = chunks.encode(record.bytes(), layouts[0]);
-                let frame = encode_frame(&encoded.stored);
-                place_frame(
-                    fs,
-                    config,
-                    &mut candidate,
-                    next_segment_index,
-                    &mut touched,
-                    io,
-                    &frame,
-                )?;
-                staged_all = encoded.staged;
-                stats = encoded.stats;
-            } else {
-                // Pipeline: a scoped worker encodes frame k+1 while this
-                // thread writes frame k. The channel preserves record
-                // order, so the VFS sees the exact operation sequence a
-                // sequential encoder would produce. The encoder keeps the
-                // batch's staged chunks (later frames dedup against them)
-                // and hands them over once it is done.
-                std::thread::scope(|scope| -> Result<(), DurableError> {
-                    let (tx, rx) = std::sync::mpsc::channel();
-                    let encoder = scope.spawn(move || {
-                        let mut pending: Vec<(u64, Vec<u8>)> = Vec::new();
-                        for (record, ranges) in records.iter().zip(layouts) {
-                            let encoded = chunks.encode_batched(record.bytes(), ranges, &pending);
-                            let frame = encode_frame(&encoded.stored);
-                            pending.extend(encoded.staged);
-                            if tx.send((frame, encoded.stats)).is_err() {
-                                break; // the writer bailed on an I/O error
-                            }
-                        }
-                        pending
-                    });
-                    for (frame, frame_stats) in rx {
-                        place_frame(
-                            fs,
-                            config,
-                            &mut candidate,
-                            next_segment_index,
-                            &mut touched,
-                            io,
-                            &frame,
-                        )?;
-                        stats.absorb(frame_stats);
+        let (staged, stats) = encode_batch(&self.chunks, records, layouts, |frame| {
+            match candidate.segments.last_mut() {
+                Some(seg) if seg.committed_len < self.config.segment_target_bytes => {
+                    self.fs.append(&segment_name(seg.index), frame)?;
+                    seg.committed_len += frame.len() as u64;
+                    if touched.last() != Some(&seg.index) {
+                        touched.push(seg.index);
                     }
-                    staged_all = encoder.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-                    Ok(())
-                })?;
+                }
+                // No tail segment yet, or it reached the target size: roll.
+                _ => {
+                    let index = self.next_segment_index;
+                    let mut bytes = segment_header(index);
+                    bytes.extend_from_slice(frame);
+                    self.fs.write_file(&segment_name(index), &bytes)?;
+                    candidate
+                        .segments
+                        .push(SegmentEntry { index, committed_len: bytes.len() as u64 });
+                    self.next_segment_index = index + 1;
+                    touched.push(index);
+                }
             }
-            // One fsync per touched segment — the group-commit saving.
-            for index in &touched {
-                fs.sync(&segment_name(*index))?;
-                io.file_syncs += 1;
-            }
+            self.io.frames_written += 1;
+            Ok(())
+        })?;
+        // One fsync per touched segment — the group-commit saving.
+        for index in &touched {
+            self.fs.sync(&segment_name(*index))?;
+            self.io.file_syncs += 1;
         }
 
         candidate.record_count += records.len() as u64;
         candidate.last_seq = Some(records.last().expect("non-empty batch").seq());
-        candidate.chunk_count += staged_all.len() as u64;
+        candidate.chunk_count += staged.len() as u64;
         candidate.chunk_digest =
-            staged_all.iter().fold(candidate.chunk_digest, |d, (h, _)| d.wrapping_add(*h));
+            staged.iter().fold(candidate.chunk_digest, |d, (h, _)| d.wrapping_add(*h));
         self.swap_manifest(candidate)?;
         // The manifest swap acknowledged the batch: only now may its
         // chunks serve as dedup targets for later appends.
-        self.chunks.commit(staged_all);
+        self.chunks.commit(&staged);
         self.seqs.extend(records.iter().map(CheckpointRecord::seq));
         Ok(stats)
     }
@@ -978,29 +925,29 @@ impl<F: Vfs> DurableStore<F> {
             }
         }
 
-        // Stage everything against a fresh index, then write the new
-        // segments under indices no live file uses.
-        let mut staged = ChunkIndex::new();
-        let mut stats = DedupStats::default();
+        // Encode everything as one batch against a fresh index, then
+        // write the new segments under indices no live file uses.
+        let mut fresh = ChunkIndex::new();
+        let layouts: Vec<&[Range<usize>]> = layouts.iter().map(Vec::as_slice).collect();
         let mut segments: Vec<(SegmentEntry, Vec<u8>)> = Vec::new();
-        for (record, ranges) in records.iter().zip(layouts) {
-            let encoded = staged.encode(record.bytes(), ranges);
-            staged.commit(encoded.staged);
-            stats.absorb(encoded.stats);
-            let frame = encode_frame(&encoded.stored);
-            let roll = match segments.last() {
-                None => true,
-                Some((entry, _)) => entry.committed_len >= self.config.segment_target_bytes,
-            };
-            if roll {
-                let index = self.next_segment_index;
-                self.next_segment_index += 1;
-                segments.push((SegmentEntry { index, committed_len: 0 }, segment_header(index)));
+        let (staged, stats) = encode_batch(&fresh, records, &layouts, |frame| {
+            match segments.last_mut() {
+                Some((entry, bytes)) if entry.committed_len < self.config.segment_target_bytes => {
+                    bytes.extend_from_slice(frame);
+                    entry.committed_len = bytes.len() as u64;
+                }
+                _ => {
+                    let index = self.next_segment_index;
+                    self.next_segment_index += 1;
+                    let mut bytes = segment_header(index);
+                    bytes.extend_from_slice(frame);
+                    segments
+                        .push((SegmentEntry { index, committed_len: bytes.len() as u64 }, bytes));
+                }
             }
-            let (entry, bytes) = segments.last_mut().expect("rolled above");
-            bytes.extend_from_slice(&frame);
-            entry.committed_len = bytes.len() as u64;
-        }
+            Ok(())
+        })?;
+        fresh.commit(&staged);
         for (entry, bytes) in &segments {
             let name = segment_name(entry.index);
             self.fs.write_file(&name, bytes)?;
@@ -1016,13 +963,13 @@ impl<F: Vfs> DurableStore<F> {
             segments: segments.iter().map(|(entry, _)| *entry).collect(),
             generation: self.manifest.generation + 1,
             tags: new_tags,
-            chunk_count: staged.count(),
-            chunk_digest: staged.digest(),
+            chunk_count: fresh.count(),
+            chunk_digest: fresh.digest(),
         };
         self.swap_manifest(candidate)?;
         // Committed: adopt the new in-memory state before cleanup so an
         // error below cannot strand the store mid-transition.
-        self.chunks = staged;
+        self.chunks = fresh;
         self.seqs = seqs;
         self.tail_dirty = false;
         let mut removed = false;

@@ -11,8 +11,8 @@ use ickp_core::{
     object_slices, verify_restore, CheckpointConfig, CheckpointRecord, Checkpointer, MethodTable,
 };
 use ickp_durable::{
-    crash_matrix, DurableConfig, DurableStore, FailFs, FaultPlan, MatrixOptions, MemFs,
-    StoreTopology,
+    crash_matrix, segment_name, DurableConfig, DurableStore, FailFs, FaultPlan, MatrixOptions,
+    MemFs, StoreTopology, Vfs, MANIFEST,
 };
 use ickp_heap::{ClassRegistry, FieldType, Heap, ObjectId, Value};
 
@@ -110,6 +110,34 @@ fn a_single_segment_batch_costs_three_fsyncs() {
     assert_eq!(a.len(), b.len());
     for (x, y) in a.records().iter().zip(b.records()) {
         assert_eq!(x.bytes(), y.bytes());
+    }
+}
+
+/// Batching moves no byte: the same records appended as one deduped
+/// batch and as one deduped append at a time leave identical segments,
+/// an identical manifest and an identical chunk index.
+#[test]
+fn batching_never_changes_a_byte() {
+    let (heap, _, _, records) = workload(10);
+    let layouts = layouts(&records, heap.registry());
+
+    let mut batched_fs = MemFs::new();
+    let mut batched = DurableStore::create(&mut batched_fs, DurableConfig::default()).unwrap();
+    batched.append_batch_deduped(&records, &layouts).unwrap();
+    let batched_chunks = batched.chunk_count();
+    drop(batched);
+
+    let mut single_fs = MemFs::new();
+    let mut single = DurableStore::create(&mut single_fs, DurableConfig::default()).unwrap();
+    for (record, layout) in records.iter().zip(&layouts) {
+        single.append_deduped(record, layout).unwrap();
+    }
+    assert_eq!(single.chunk_count(), batched_chunks);
+    drop(single);
+
+    assert_eq!(batched_fs.list().unwrap(), single_fs.list().unwrap());
+    for name in [segment_name(0), MANIFEST.to_string()] {
+        assert_eq!(batched_fs.read(&name).unwrap(), single_fs.read(&name).unwrap(), "{name}");
     }
 }
 
