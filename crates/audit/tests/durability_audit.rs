@@ -115,7 +115,7 @@ fn the_real_store_protocol_audits_error_clean() {
     store.tag("stable", records[2].seq()).unwrap();
 
     let layouts: Vec<_> =
-        records.iter().map(|r| object_slices(r.bytes(), &registry).unwrap().objects).collect();
+        records.iter().map(|r| object_slices(r.bytes(), &registry).unwrap()).collect();
     let tags = store.tags().to_vec();
     store.rewrite(&records, &layouts, &tags).unwrap();
     drop(store);

@@ -1772,7 +1772,7 @@ fn durability() -> i32 {
             store.tag("stable", records[3].seq())?;
             let layouts = records
                 .iter()
-                .map(|r| object_slices(r.bytes(), &registry).map(|layout| layout.objects))
+                .map(|r| object_slices(r.bytes(), &registry))
                 .collect::<Result<Vec<_>, _>>()?;
             let tags = store.tags().to_vec();
             store.rewrite(&records, &layouts, &tags)?;

@@ -20,9 +20,10 @@ use crate::journal::{JournalCache, JournalCacheBuilder};
 use crate::methods::MethodTable;
 use crate::pool::BufferPool;
 use crate::stats::TraversalStats;
-use crate::stream::{CheckpointKind, StreamWriter};
-use ickp_heap::{ClassId, Heap, ObjectId, StableId};
+use crate::stream::{declared_objects, walk, CheckpointKind, StreamWriter, Visit};
+use ickp_heap::{ClassId, ClassRegistry, Heap, ObjectId, StableId};
 use std::collections::HashSet;
+use std::ops::Range;
 
 /// Configuration for a [`Checkpointer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,6 +61,10 @@ impl CheckpointConfig {
 /// A record produced by a pooled checkpointer returns its byte buffer to
 /// the producer's [`BufferPool`] when dropped; use
 /// [`CheckpointRecord::into_parts`] to take the bytes out instead.
+///
+/// A record built by [`CheckpointRecord::validate`] also keeps where each
+/// of its object records starts, which lets
+/// [`fold_records`](crate::fold_records) skip a second scan of its bytes.
 #[derive(Debug)]
 pub struct CheckpointRecord {
     seq: u64,
@@ -68,6 +73,17 @@ pub struct CheckpointRecord {
     bytes: Vec<u8>,
     stats: TraversalStats,
     pool: Option<BufferPool>,
+    validated: Option<Validated>,
+}
+
+/// What one validating scan of a record's bytes found: the start offset
+/// of each object record, and the layout digest of the registry it was
+/// checked against. The offsets hold only under a registry with that
+/// digest.
+#[derive(Debug, Clone)]
+struct Validated {
+    layout: u64,
+    starts: Box<[u32]>,
 }
 
 impl Clone for CheckpointRecord {
@@ -81,12 +97,14 @@ impl Clone for CheckpointRecord {
             bytes: self.bytes.clone(),
             stats: self.stats,
             pool: None,
+            validated: self.validated.clone(),
         }
     }
 }
 
 impl PartialEq for CheckpointRecord {
-    /// Records compare by content; buffer-pool attachment is ignored.
+    /// Records compare by content; buffer-pool attachment and the offsets
+    /// a validating scan kept are ignored.
     fn eq(&self, other: &CheckpointRecord) -> bool {
         self.seq == other.seq
             && self.kind == other.kind
@@ -117,7 +135,52 @@ impl CheckpointRecord {
         bytes: Vec<u8>,
         stats: TraversalStats,
     ) -> CheckpointRecord {
-        CheckpointRecord { seq, kind, roots, bytes, stats, pool: None }
+        CheckpointRecord { seq, kind, roots, bytes, stats, pool: None, validated: None }
+    }
+
+    /// Builds a record from an encoded stream received from elsewhere — a
+    /// durable segment, a replication frame — after one validating scan
+    /// of it. The scan accepts exactly the streams [`decode`](crate::decode)
+    /// accepts and fails on the others with the same error; the record's
+    /// sequence number, kind and roots are the stream header's, and its
+    /// statistics are zero.
+    ///
+    /// The record keeps the start offset of each object record (4 bytes
+    /// per object), so [`fold_records`](crate::fold_records) under a
+    /// registry with the same [`ClassRegistry::layout_digest`] reads each
+    /// object's stable id at its offset instead of scanning the stream
+    /// again. A stream of 4 GiB or more keeps no offsets.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode`](crate::decode).
+    pub fn validate(
+        bytes: Vec<u8>,
+        registry: &ClassRegistry,
+    ) -> Result<CheckpointRecord, CoreError> {
+        struct Starts(Vec<u32>);
+        impl Visit for Starts {
+            fn end_object(&mut self, _: StableId, _: ClassId, range: Range<usize>) {
+                // Truncates only in a stream of 4 GiB or more, whose
+                // offsets are dropped below.
+                self.0.push(range.start as u32);
+            }
+        }
+        let mut starts = Starts(Vec::with_capacity(declared_objects(&bytes)));
+        let header = walk(&bytes, registry, &mut starts)?;
+        let validated = u32::try_from(bytes.len()).is_ok().then(|| Validated {
+            layout: registry.layout_digest(),
+            starts: starts.0.into_boxed_slice(),
+        });
+        Ok(CheckpointRecord {
+            seq: header.seq,
+            kind: header.kind,
+            roots: header.roots,
+            bytes,
+            stats: TraversalStats::default(),
+            pool: None,
+            validated,
+        })
     }
 
     pub(crate) fn pooled(
@@ -128,7 +191,7 @@ impl CheckpointRecord {
         stats: TraversalStats,
         pool: BufferPool,
     ) -> CheckpointRecord {
-        CheckpointRecord { seq, kind, roots, bytes, stats, pool: Some(pool) }
+        CheckpointRecord { seq, kind, roots, bytes, stats, pool: Some(pool), validated: None }
     }
 
     /// Dismantles the record into `(seq, kind, roots, bytes, stats)`,
@@ -173,6 +236,25 @@ impl CheckpointRecord {
     /// Counters accumulated while producing this checkpoint.
     pub fn stats(&self) -> TraversalStats {
         self.stats
+    }
+
+    /// The byte range of each object record (tag byte through its last
+    /// field), in stream order — what [`object_slices`](crate::object_slices)
+    /// reports — if the record was built by [`CheckpointRecord::validate`]
+    /// and so kept its offsets; `None` otherwise.
+    pub fn object_ranges(&self) -> Option<Vec<Range<usize>>> {
+        let starts = &self.validated.as_ref()?.starts;
+        // The records tile the stream, and the 5-byte footer follows the
+        // last one.
+        let ends = starts.iter().skip(1).map(|&s| s as usize).chain([self.bytes.len() - 5]);
+        Some(starts.iter().zip(ends).map(|(&s, e)| s as usize..e).collect())
+    }
+
+    /// The start offset of each object record, if the record kept them and
+    /// they were validated against `registry`'s class layouts.
+    pub(crate) fn object_starts(&self, registry: &ClassRegistry) -> Option<&[u32]> {
+        let validated = self.validated.as_ref()?;
+        (validated.layout == registry.layout_digest()).then_some(&*validated.starts)
     }
 }
 

@@ -83,5 +83,5 @@ pub use stats::TraversalStats;
 pub use store::CheckpointStore;
 pub use stream::{
     decode, object_slices, CheckpointKind, DecodedCheckpoint, RecordedObject, RecordedValue,
-    StreamLayout, StreamWriter, MAGIC, RECORD_HEADER_BYTES, VERSION,
+    StreamWriter, MAGIC, RECORD_HEADER_BYTES, VERSION,
 };

@@ -12,7 +12,8 @@ use crate::checkpoint::CheckpointRecord;
 use crate::error::CoreError;
 use crate::store::CheckpointStore;
 use crate::stream::{
-    object_fields, object_identity, walk, RecordedValue, Visit, RECORD_HEADER_BYTES,
+    declared_objects, object_fields, object_identity, walk, RecordedValue, Visit,
+    RECORD_HEADER_BYTES,
 };
 use ickp_heap::{ClassDef, ClassId, ClassRegistry, Heap, HeapSnapshot, ObjectId, StableId, Value};
 use std::collections::HashMap;
@@ -70,19 +71,19 @@ impl<'a> FoldedHistory<'a> {
     /// its checkpoint holds it.
     pub fn slice(&self, pos: usize) -> &'a [u8] {
         let bytes = self.newest_bytes(pos);
-        let len = RECORD_HEADER_BYTES + self.class(object_identity(bytes).1).encoded_state_size();
+        let len = RECORD_HEADER_BYTES + self.class(self.identity(pos).1).encoded_state_size();
         &bytes[..len]
     }
 
     /// The stable id and class of the survivor at `pos`.
     pub fn identity(&self, pos: usize) -> (StableId, ClassId) {
-        object_identity(self.newest_bytes(pos))
+        object_identity(self.newest_bytes(pos)).expect("the fold holds whole object records")
     }
 
     /// The newest field values of the survivor at `pos`, in layout order.
     pub fn fields(&self, pos: usize) -> impl Iterator<Item = RecordedValue> + 'a {
         let bytes = self.newest_bytes(pos);
-        object_fields(bytes, self.class(object_identity(bytes).1).layout())
+        object_fields(bytes, self.class(self.identity(pos).1).layout())
     }
 
     /// The bytes of the record holding the newest state of the survivor at
@@ -155,15 +156,20 @@ impl IdIndex {
 /// Folds `records` (an ascending run from one chain) last-writer-wins.
 /// An empty run folds to an empty history with no roots.
 ///
-/// One validating scan per record reports each object's stable id and
-/// byte range; the fold keeps, per stable id, its first-touch position and
-/// the location of its newest state. Nothing is decoded.
+/// The fold keeps, per stable id, its first-touch position and the
+/// location of its newest state; nothing is decoded. A record built by
+/// [`CheckpointRecord::validate`] against a registry with `registry`'s
+/// [`layout_digest`](ClassRegistry::layout_digest) is not scanned again:
+/// the fold reads each object's stable id at the offsets that scan kept.
+/// Every other record — from [`CheckpointRecord::from_parts`], a
+/// checkpointer, a merge, or validated under different class layouts — is
+/// walked once, with every check [`decode`](crate::decode) makes.
 ///
 /// # Errors
 ///
-/// The errors of [`decode`](crate::decode) if a record does not match
-/// `registry`, and a [`CoreError::Decode`] for a record over 4 GiB or
-/// records that could hold `u32::MAX` objects, which the fold cannot
+/// The errors of [`decode`](crate::decode) if a walked record does not
+/// match `registry`, and a [`CoreError::Decode`] for a record over 4 GiB
+/// or records that could hold `u32::MAX` objects, which the fold cannot
 /// index.
 pub fn fold_records<'a>(
     records: &'a [CheckpointRecord],
@@ -175,14 +181,21 @@ pub fn fold_records<'a>(
         record: u32,
         limit: usize,
     }
-    impl Visit<'_> for Fold {
-        fn end_object(&mut self, stable: StableId, _: ClassId, range: Range<usize>) {
-            let at = Newest { record: self.record, offset: range.start as u32 };
+    impl Fold {
+        /// The object record at `offset` of the current record holds the
+        /// newest state of `stable` so far.
+        fn touch(&mut self, stable: StableId, offset: u32) {
+            let at = Newest { record: self.record, offset };
             let pos = self.index.get_or_insert(stable, self.newest.len() as u32, self.limit);
             match self.newest.get_mut(pos as usize) {
                 Some(slot) => *slot = at,
                 None => self.newest.push(at),
             }
+        }
+    }
+    impl Visit for Fold {
+        fn end_object(&mut self, stable: StableId, _: ClassId, range: Range<usize>) {
+            self.touch(stable, range.start as u32);
         }
     }
 
@@ -199,9 +212,7 @@ pub fn fold_records<'a>(
     }
     // The footers' object counts, capped by what each record's length
     // allows so a corrupt footer cannot inflate them, size the fold once.
-    let footer = |b: &[u8]| b.last_chunk().map_or(0, |&n| u32::from_be_bytes(n) as usize);
-    let declared: usize =
-        records.iter().map(|r| footer(r.bytes()).min(r.bytes().len() / RECORD_HEADER_BYTES)).sum();
+    let declared: usize = records.iter().map(|r| declared_objects(r.bytes())).sum();
     let mut fold = Fold {
         index: IdIndex::Dense(Vec::with_capacity(declared)),
         newest: Vec::with_capacity(declared),
@@ -210,7 +221,21 @@ pub fn fold_records<'a>(
     };
     let mut roots = Vec::new();
     for record in records {
-        roots = walk(record.bytes(), registry, &mut fold)?.roots;
+        match record.object_starts(registry) {
+            Some(starts) => {
+                for &offset in starts {
+                    let object = record.bytes().get(offset as usize..).unwrap_or_default();
+                    let (stable, _) = object_identity(object).ok_or_else(|| {
+                        let what = "object offset outside its record".into();
+                        CoreError::Decode { offset: offset as usize, what }
+                    })?;
+                    fold.touch(stable, offset);
+                }
+                roots.clear();
+                roots.extend_from_slice(record.roots());
+            }
+            None => roots = walk(record.bytes(), registry, &mut fold)?.roots,
+        }
         fold.record += 1;
     }
     let Fold { index, newest, .. } = fold;
@@ -520,6 +545,33 @@ mod tests {
         assert_eq!(history.fields(tail_pos).next(), Some(RecordedValue::Int(42)));
         assert_eq!(history.roots(), [head_sid]);
         assert!(fold_records(&[], run.heap.registry()).unwrap().is_empty());
+    }
+
+    #[test]
+    fn validated_records_keep_their_offsets_for_their_layouts_only() {
+        let mut run = start_incremental_run();
+        run.checkpoint();
+        let (record, reg) = (run.store.latest().unwrap(), run.heap.registry());
+        let checked = CheckpointRecord::validate(record.bytes().to_vec(), reg).unwrap();
+        let parts =
+            |r: &CheckpointRecord| (r.seq(), r.kind(), r.roots().to_vec(), r.bytes().to_vec());
+        assert_eq!(parts(&checked), parts(record));
+        let slices = crate::stream::object_slices(record.bytes(), reg).unwrap();
+        assert_eq!(checked.object_ranges(), Some(slices.clone()));
+        let starts: Vec<u32> = slices.iter().map(|r| r.start as u32).collect();
+        assert_eq!(checked.object_starts(reg), Some(&starts[..]));
+        assert_eq!(checked.clone().object_starts(reg), Some(&starts[..]));
+        // A checkpointer's record was never scanned; a registry with one
+        // more class has another layout digest.
+        assert_eq!((record.object_starts(reg), record.object_ranges()), (None, None));
+        let mut grown = reg.clone();
+        grown.define("Extra", None, &[]).unwrap();
+        assert_eq!(checked.object_starts(&grown), None);
+        let empty = CheckpointRecord::validate(
+            StreamWriter::new(0, CheckpointKind::Full, &[]).finish(),
+            reg,
+        );
+        assert_eq!(empty.unwrap().object_ranges(), Some(Vec::new()));
     }
 
     /// A store of one full record with the given roots, whose objects

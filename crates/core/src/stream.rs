@@ -18,6 +18,8 @@
 //! what lets a sequence of incremental checkpoints be stitched back
 //! together by identity.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+
 use std::ops::Range;
 
 use crate::error::CoreError;
@@ -267,62 +269,38 @@ pub struct DecodedCheckpoint {
     pub objects: Vec<RecordedObject>,
 }
 
-/// The byte geography of one encoded checkpoint stream — where the
-/// header ends and where each object record begins and ends — plus the
-/// header's sequence number, kind and roots.
+/// Scans an encoded checkpoint stream and returns the byte range of each
+/// object record (tag byte through its last field), in stream order,
+/// without materializing any field values.
 ///
 /// This is what content-hash deduplication in `ickp-durable` chunks on:
 /// the header (which embeds the sequence number and so never repeats)
 /// and the footer stay literal, while each object record — whose bytes
 /// are a pure function of the object's identity, class, and field
 /// values — is a dedup candidate that recurs byte-identically whenever
-/// the same object state is recorded again. The header fields let a
-/// store rebuild a [`CheckpointRecord`](crate::CheckpointRecord) from
-/// validated bytes without decoding them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamLayout {
-    /// Sequence number within the run.
-    pub seq: u64,
-    /// Full or incremental.
-    pub kind: CheckpointKind,
-    /// Stable ids of the checkpoint roots.
-    pub roots: Vec<StableId>,
-    /// Bytes of the stream header (magic through the root table).
-    pub header_len: usize,
-    /// Byte range of each object record (tag byte through its last
-    /// field), in stream order.
-    pub objects: Vec<Range<usize>>,
-}
-
-/// Scans an encoded checkpoint stream and returns its [`StreamLayout`]
-/// without materializing any field values.
+/// the same object state is recorded again. The ranges tile the stream
+/// exactly: header, then the object ranges back-to-back, then the
+/// footer.
 ///
 /// The scan accepts exactly the streams [`decode`] accepts and fails on
-/// the others with the same error, so it validates a stream for the
-/// price of one pass over its bytes: durable recovery and the
-/// replication follower check every payload with it, and only restore
-/// decodes. The ranges tile the stream exactly: header, then the object
-/// ranges back-to-back, then the footer.
+/// the others with the same error.
 ///
 /// # Errors
 ///
 /// As [`decode`].
-pub fn object_slices(bytes: &[u8], registry: &ClassRegistry) -> Result<StreamLayout, CoreError> {
+pub fn object_slices(
+    bytes: &[u8],
+    registry: &ClassRegistry,
+) -> Result<Vec<Range<usize>>, CoreError> {
     struct Slices(Vec<Range<usize>>);
-    impl Visit<'_> for Slices {
+    impl Visit for Slices {
         fn end_object(&mut self, _: StableId, _: ClassId, range: Range<usize>) {
             self.0.push(range);
         }
     }
     let mut slices = Slices(Vec::new());
-    let header = walk(bytes, registry, &mut slices)?;
-    Ok(StreamLayout {
-        seq: header.seq,
-        kind: header.kind,
-        roots: header.roots,
-        header_len: header.len,
-        objects: slices.0,
-    })
+    walk(bytes, registry, &mut slices)?;
+    Ok(slices.0)
 }
 
 /// Decodes one checkpoint stream against the class registry it was
@@ -340,12 +318,12 @@ pub fn decode(bytes: &[u8], registry: &ClassRegistry) -> Result<DecodedCheckpoin
         fields: Vec<RecordedValue>,
         objects: Vec<RecordedObject>,
     }
-    impl Visit<'_> for Decoder {
+    impl Visit for Decoder {
         fn begin_object(&mut self, nfields: usize) {
             self.fields = Vec::with_capacity(nfields);
         }
         fn field(&mut self, ty: FieldType, bytes: &[u8]) {
-            self.fields.push(field_value(ty, bytes));
+            self.fields.extend(read_field(ty, bytes).map(|(value, _)| value));
         }
         fn end_object(&mut self, stable: StableId, class: ClassId, _: Range<usize>) {
             let fields = std::mem::take(&mut self.fields);
@@ -362,82 +340,100 @@ pub fn decode(bytes: &[u8], registry: &ClassRegistry) -> Result<DecodedCheckpoin
     })
 }
 
-/// A field's bytes as a fixed-width array; the walker hands each field
-/// exactly its encoded size.
-fn fixed<const N: usize>(bytes: &[u8]) -> [u8; N] {
-    bytes.try_into().expect("the walker hands out whole fields")
-}
-
-/// The value of one field of type `ty` from its validated encoded bytes.
-fn field_value(ty: FieldType, bytes: &[u8]) -> RecordedValue {
-    match ty {
-        FieldType::Int => RecordedValue::Int(i32::from_be_bytes(fixed(bytes))),
-        FieldType::Long => RecordedValue::Long(i64::from_be_bytes(fixed(bytes))),
-        FieldType::Double => {
-            RecordedValue::Double(f64::from_bits(u64::from_be_bytes(fixed(bytes))))
-        }
-        FieldType::Bool => RecordedValue::Bool(bytes[0] == 1),
-        FieldType::Ref(_) => {
-            let raw = u64::from_be_bytes(fixed(bytes));
-            RecordedValue::Ref(if raw == 0 { None } else { Some(StableId(raw)) })
-        }
-    }
-}
-
 /// The stable id and class in the header of an object record that [`walk`]
-/// validated and reported as a range.
-pub(crate) fn object_identity(object: &[u8]) -> (StableId, ClassId) {
-    let stable = StableId(u64::from_be_bytes(fixed(&object[1..9])));
-    (stable, ClassId::from_index(u32::from_be_bytes(fixed(&object[9..13])) as usize))
+/// validated and reported as a range, or `None` if `object` is shorter
+/// than a record header.
+pub(crate) fn object_identity(object: &[u8]) -> Option<(StableId, ClassId)> {
+    let mut c = Cursor { bytes: object, pos: 1 };
+    let stable = StableId(c.u64().ok()?);
+    Some((stable, ClassId::from_index(c.u32().ok()? as usize)))
 }
 
 /// The fields of a validated object record, decoded in the order of
-/// `layout`, its class's layout.
+/// `layout`, its class's layout. The values stop early only where the
+/// bytes do not hold the layout, which a record [`walk`] validated
+/// against that layout always does.
 pub(crate) fn object_fields<'a>(
     object: &'a [u8],
     layout: &'a [FieldDef],
 ) -> impl Iterator<Item = RecordedValue> + 'a {
-    let mut at = RECORD_HEADER_BYTES;
-    layout.iter().map(move |f| {
-        let ty = f.ty();
-        let start = at;
-        at += ty.encoded_size();
-        field_value(ty, &object[start..at])
+    let mut rest = object.get(RECORD_HEADER_BYTES..).unwrap_or_default();
+    layout.iter().map_while(move |f| {
+        let (value, after) = read_field(f.ty(), rest)?;
+        rest = after;
+        Some(value)
     })
+}
+
+/// The value of a field of type `ty` encoded at the start of `bytes`,
+/// and the bytes after it; `None` if `bytes` is too short or holds a
+/// boolean byte other than 0 or 1.
+fn read_field(ty: FieldType, bytes: &[u8]) -> Option<(RecordedValue, &[u8])> {
+    fn split<const N: usize>(bytes: &[u8]) -> Option<([u8; N], &[u8])> {
+        bytes.split_first_chunk().map(|(&head, rest)| (head, rest))
+    }
+    Some(match ty {
+        FieldType::Int => {
+            split(bytes).map(|(b, rest)| (RecordedValue::Int(i32::from_be_bytes(b)), rest))?
+        }
+        FieldType::Long => {
+            split(bytes).map(|(b, rest)| (RecordedValue::Long(i64::from_be_bytes(b)), rest))?
+        }
+        FieldType::Double => split(bytes).map(|(b, rest)| {
+            (RecordedValue::Double(f64::from_bits(u64::from_be_bytes(b))), rest)
+        })?,
+        FieldType::Bool => match bytes.split_first()? {
+            (0, rest) => (RecordedValue::Bool(false), rest),
+            (1, rest) => (RecordedValue::Bool(true), rest),
+            _ => return None,
+        },
+        FieldType::Ref(_) => split(bytes).map(|(b, rest)| {
+            let raw = u64::from_be_bytes(b);
+            (RecordedValue::Ref((raw != 0).then_some(StableId(raw))), rest)
+        })?,
+    })
+}
+
+/// The number of object records the footer of `bytes` declares, capped
+/// by how many record headers fit in `bytes`, so a corrupt footer never
+/// sizes a buffer beyond the stream's length.
+pub(crate) fn declared_objects(bytes: &[u8]) -> usize {
+    let declared = bytes.last_chunk().map_or(0, |&n| u32::from_be_bytes(n) as usize);
+    declared.min(bytes.len() / RECORD_HEADER_BYTES)
 }
 
 /// What [`walk`] reports while it scans, in stream order: each object
 /// record opens, yields its fields, and closes.
-pub(crate) trait Visit<'a> {
+pub(crate) trait Visit {
     /// A record with `nfields` fields starts.
     fn begin_object(&mut self, _nfields: usize) {}
     /// The next field of the open record: its type and its validated
     /// encoded bytes.
-    fn field(&mut self, _ty: FieldType, _bytes: &'a [u8]) {}
+    fn field(&mut self, _ty: FieldType, _bytes: &[u8]) {}
     /// The open record is complete; `range` is its span in the stream.
     fn end_object(&mut self, stable: StableId, class: ClassId, range: Range<usize>);
 }
 
 /// The stream header, as [`walk`] read it.
 pub(crate) struct Header {
-    seq: u64,
-    kind: CheckpointKind,
+    pub(crate) seq: u64,
+    pub(crate) kind: CheckpointKind,
     pub(crate) roots: Vec<StableId>,
-    len: usize,
 }
 
 /// The one reader of the stream format: checks every byte of `bytes`
 /// against the format and the registry's class layouts and reports what
-/// it passes to `visit`. [`object_slices`], [`decode`] and
+/// it passes to `visit`. [`object_slices`], [`decode`],
+/// [`CheckpointRecord::validate`](crate::CheckpointRecord::validate) and
 /// [`fold_records`](crate::fold_records) are its views, which is why they
 /// accept and reject exactly the same streams.
-pub(crate) fn walk<'a>(
-    bytes: &'a [u8],
+pub(crate) fn walk(
+    bytes: &[u8],
     registry: &ClassRegistry,
-    visit: &mut impl Visit<'a>,
+    visit: &mut impl Visit,
 ) -> Result<Header, CoreError> {
     let mut c = Cursor { bytes, pos: 0 };
-    if c.take(4)? != MAGIC {
+    if c.array()? != MAGIC {
         return Err(CoreError::Decode { offset: 0, what: "bad magic".into() });
     }
     let version = c.u16()?;
@@ -455,7 +451,6 @@ pub(crate) fn walk<'a>(
     for _ in 0..nroots {
         roots.push(StableId(c.u64()?));
     }
-    let header_len = c.pos;
     let mut records = 0usize;
     loop {
         let tag_off = c.pos;
@@ -479,13 +474,15 @@ pub(crate) fn walk<'a>(
                     let ty = f.ty();
                     let field_off = c.pos;
                     let field = c.take(ty.encoded_size())?;
-                    if ty == FieldType::Bool && field[0] > 1 {
-                        return Err(CoreError::Decode {
-                            offset: field_off,
-                            what: format!("invalid boolean byte {}", field[0]),
-                        });
+                    match field.first() {
+                        Some(&b) if ty == FieldType::Bool && b > 1 => {
+                            return Err(CoreError::Decode {
+                                offset: field_off,
+                                what: format!("invalid boolean byte {b}"),
+                            });
+                        }
+                        _ => visit.field(ty, field),
                     }
-                    visit.field(ty, field);
                 }
                 visit.end_object(stable, class, tag_off..c.pos);
                 records += 1;
@@ -504,7 +501,7 @@ pub(crate) fn walk<'a>(
                         what: "trailing bytes after footer".into(),
                     });
                 }
-                return Ok(Header { seq, kind, roots, len: header_len });
+                return Ok(Header { seq, kind, roots });
             }
             other => {
                 return Err(CoreError::Decode {
@@ -516,6 +513,8 @@ pub(crate) fn walk<'a>(
     }
 }
 
+/// A read position in a stream. Every read checks the bounds and fails
+/// with a [`CoreError::Decode`] at the position it was made.
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -523,35 +522,42 @@ struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], CoreError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(CoreError::Decode {
-                offset: self.pos,
-                what: format!("unexpected end of stream (wanted {n} bytes)"),
-            });
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        let end = self.pos.checked_add(n).ok_or_else(|| self.end(n))?;
+        let taken = self.bytes.get(self.pos..end).ok_or_else(|| self.end(n))?;
+        self.pos = end;
+        Ok(taken)
+    }
+
+    /// The error for a read of `n` bytes that runs past the stream.
+    fn end(&self, n: usize) -> CoreError {
+        let what = format!("unexpected end of stream (wanted {n} bytes)");
+        CoreError::Decode { offset: self.pos, what }
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CoreError> {
+        let (&array, _) = self.take(N)?.split_first_chunk().ok_or_else(|| self.end(N))?;
+        Ok(array)
     }
 
     fn u8(&mut self) -> Result<u8, CoreError> {
-        Ok(self.take(1)?[0])
+        self.array().map(|[b]| b)
     }
 
     fn u16(&mut self) -> Result<u16, CoreError> {
-        Ok(u16::from_be_bytes(fixed(self.take(2)?)))
+        self.array().map(u16::from_be_bytes)
     }
 
     fn u32(&mut self) -> Result<u32, CoreError> {
-        Ok(u32::from_be_bytes(fixed(self.take(4)?)))
+        self.array().map(u32::from_be_bytes)
     }
 
     fn u64(&mut self) -> Result<u64, CoreError> {
-        Ok(u64::from_be_bytes(fixed(self.take(8)?)))
+        self.array().map(u64::from_be_bytes)
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::indexing_slicing)]
 mod tests {
     use super::*;
     use ickp_heap::ClassRegistry;
@@ -574,18 +580,28 @@ mod tests {
         (reg, node)
     }
 
-    /// Runs `bytes` through both views of the stream walker, asserting
-    /// that the scan accepts exactly what `decode` accepts (with equal
-    /// header fields and record count) and fails with the same error.
+    /// Runs `bytes` through the views of the stream walker, asserting
+    /// that the scans accept exactly what `decode` accepts (with equal
+    /// header fields and record count) and fail with the same error.
     fn decode_and_scan(bytes: &[u8], reg: &ClassRegistry) -> Result<DecodedCheckpoint, CoreError> {
         let decoded = decode(bytes, reg);
-        match (&decoded, object_slices(bytes, reg)) {
-            (Ok(d), Ok(layout)) => {
-                assert_eq!((layout.seq, layout.kind, &layout.roots), (d.seq, d.kind, &d.roots));
-                assert_eq!(layout.objects.len(), d.objects.len());
+        let validated = crate::CheckpointRecord::validate(bytes.to_vec(), reg);
+        match (&decoded, object_slices(bytes, reg), validated) {
+            (Ok(d), Ok(slices), Ok(record)) => {
+                assert_eq!(
+                    (record.seq(), record.kind(), record.roots()),
+                    (d.seq, d.kind, &*d.roots)
+                );
+                assert_eq!(record.object_ranges(), Some(slices.clone()));
+                assert_eq!(slices.len(), d.objects.len());
             }
-            (Err(want), Err(got)) => assert_eq!(&got, want),
-            (_, scanned) => panic!("decode gave {decoded:?} but the scan gave {scanned:?}"),
+            (Err(want), Err(sliced), Err(validated)) => {
+                assert_eq!(&sliced, want);
+                assert_eq!(&validated, want);
+            }
+            (_, sliced, validated) => {
+                panic!("decode gave {decoded:?}, the scans {sliced:?} and {validated:?}")
+            }
         }
         decoded
     }
@@ -774,17 +790,18 @@ mod tests {
     fn object_slices_tile_the_stream_exactly() {
         let (reg, node) = registry();
         let bytes = sample_stream(node);
-        let layout = object_slices(&bytes, &reg).unwrap();
-        assert_eq!(layout.objects.len(), 2);
-        // Header, objects, footer tile the stream back-to-back.
-        assert_eq!(layout.objects[0].start, layout.header_len);
-        assert_eq!(layout.objects[1].start, layout.objects[0].end);
-        assert_eq!(layout.objects[1].end, bytes.len() - 5); // footer = tag + u32
-                                                            // Each slice decodes as the bytes of exactly that object: slicing
-                                                            // the same object's state out of a re-recorded stream is
-                                                            // byte-identical (the dedup premise).
+        let slices = object_slices(&bytes, &reg).unwrap();
+        assert_eq!(slices.len(), 2);
+        // Header (magic, version, seq, kind, one root), objects, footer
+        // tile the stream back-to-back.
+        assert_eq!(slices[0].start, 4 + 2 + 8 + 1 + 4 + 8);
+        assert_eq!(slices[1].start, slices[0].end);
+        assert_eq!(slices[1].end, bytes.len() - 5); // footer = tag + u32
+                                                    // Each slice decodes as the bytes of exactly that object: slicing
+                                                    // the same object's state out of a re-recorded stream is
+                                                    // byte-identical (the dedup premise).
         let again = object_slices(&sample_stream(node), &reg).unwrap();
-        for (a, b) in layout.objects.iter().zip(&again.objects) {
+        for (a, b) in slices.iter().zip(&again) {
             assert_eq!(&bytes[a.clone()], &sample_stream(node)[b.clone()]);
         }
     }

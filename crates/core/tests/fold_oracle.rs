@@ -9,11 +9,17 @@
 //! default fields and store its slots one by one, and re-encode survivors
 //! field by field. Every case is determined by its seed, named in the
 //! assertion messages for replay.
+//!
+//! Records built by [`CheckpointRecord::validate`] fold from the object
+//! offsets their validating scan kept instead of scanning again; the last
+//! tests hold them to the records `from_parts` builds from the same
+//! bytes, under the registry they were validated with and under
+//! registries whose class layouts differ.
 
 use ickp_core::{
     compact, decode, fold_records, merge_records, restore, state_digest, CheckpointKind,
-    CheckpointRecord, CheckpointStore, CoreError, RecordedObject, RecordedValue, RestorePolicy,
-    StreamWriter, TraversalStats,
+    CheckpointRecord, CheckpointStore, CoreError, FoldedHistory, RecordedObject, RecordedValue,
+    RestorePolicy, StreamWriter, TraversalStats,
 };
 use ickp_heap::{ClassId, ClassRegistry, FieldType, Heap, ObjectId, StableId, Value};
 use ickp_prng::Prng;
@@ -293,8 +299,7 @@ fn corrupt(
         }
         _ => {
             let mut writer = StreamWriter::new(seq, kind, &[StableId(unrecorded)]);
-            let layout = ickp_core::object_slices(&bytes, &w.reg).unwrap();
-            for object in &layout.objects {
+            for object in &ickp_core::object_slices(&bytes, &w.reg).unwrap() {
                 writer.append_shard(&bytes[object.clone()], 1);
             }
             bytes = writer.finish();
@@ -316,15 +321,21 @@ fn store_of(records: &[CheckpointRecord]) -> CheckpointStore {
 
 // ------------------------------------------------------------------- cases
 
+/// Every stable id a history's records or roots name, plus a few no
+/// record holds.
+fn named_ids(records: &[CheckpointRecord], reg: &ClassRegistry) -> HashSet<StableId> {
+    records
+        .iter()
+        .filter_map(|r| decode(r.bytes(), reg).ok())
+        .flat_map(|d| d.objects.into_iter().map(|o| o.stable).chain(d.roots))
+        .chain([StableId(0), StableId(7777), StableId(u64::MAX)])
+        .collect()
+}
+
 /// Runs the fold, restore, merge and compaction of one history against
 /// the oracle. Returns whether the history restored.
 fn check(w: &World, records: &[CheckpointRecord], case: &str) -> bool {
-    let ids: HashSet<StableId> = records
-        .iter()
-        .filter_map(|r| decode(r.bytes(), &w.reg).ok())
-        .flat_map(|d| d.objects.into_iter().map(|o| o.stable).chain(d.roots))
-        .chain([StableId(0), StableId(7777), StableId(u64::MAX)])
-        .collect();
+    let ids = named_ids(records, &w.reg);
 
     let folded = fold_records(records, &w.reg);
     match (&folded, oracle_fold(records, &w.reg)) {
@@ -435,4 +446,155 @@ fn an_empty_run_folds_to_nothing() {
         restore(&CheckpointStore::new(), &w.reg, RestorePolicy::Lenient).unwrap_err(),
         CoreError::EmptyStore
     );
+}
+
+// ------------------------------------------------------- validated records
+
+/// `records` rebuilt as durable recovery and the replication follower
+/// build them: one validating scan of each record's bytes under `reg`.
+fn validated(records: &[CheckpointRecord], reg: &ClassRegistry) -> Vec<CheckpointRecord> {
+    let scan = |r: &CheckpointRecord| CheckpointRecord::validate(r.bytes().to_vec(), reg).unwrap();
+    records.iter().map(scan).collect()
+}
+
+/// Asserts that two folds hold the same history: roots, and per
+/// survivor its identity, object record bytes and field values, and per
+/// named id its position.
+fn assert_same_fold(a: &FoldedHistory, b: &FoldedHistory, ids: &HashSet<StableId>, case: &str) {
+    assert_eq!(a.len(), b.len(), "{case}: survivors");
+    assert_eq!(a.roots(), b.roots(), "{case}: roots");
+    for p in 0..a.len() {
+        assert_eq!(a.identity(p), b.identity(p), "{case}: identity at {p}");
+        assert_eq!(a.slice(p), b.slice(p), "{case}: slice at {p}");
+        let fields = |h: &FoldedHistory| h.fields(p).collect::<Vec<_>>();
+        assert_eq!(fields(a), fields(b), "{case}: fields at {p}");
+    }
+    for &id in ids {
+        assert_eq!(a.position(id), b.position(id), "{case}: position of {id}");
+    }
+}
+
+/// Folds and restores `plain` and `checked` under `reg` and asserts both
+/// give the same history and the same state, or fail with the same error.
+/// Returns whether they restored.
+fn assert_fold_like_plain(
+    plain: &[CheckpointRecord],
+    checked: &[CheckpointRecord],
+    reg: &ClassRegistry,
+    case: &str,
+) -> bool {
+    match (fold_records(plain, reg), fold_records(checked, reg)) {
+        (Ok(a), Ok(b)) => assert_same_fold(&a, &b, &named_ids(plain, reg), case),
+        (Err(a), Err(b)) => assert_eq!(a, b, "{case}: fold error"),
+        (a, b) => panic!("{case}: plain records fold to {a:?}, validated ones to {b:?}"),
+    }
+    let digest = |records: &[CheckpointRecord]| {
+        let restored = restore(&store_of(records), reg, RestorePolicy::Lenient)?;
+        state_digest(restored.heap(), restored.roots())
+    };
+    match (digest(plain), digest(checked)) {
+        (Ok(a), Ok(b)) => {
+            assert_eq!(a, b, "{case}: state digest");
+            true
+        }
+        (Err(a), Err(b)) => {
+            assert_eq!(a, b, "{case}: restore error");
+            false
+        }
+        (a, b) => panic!("{case}: plain records restore to {a:?}, validated ones to {b:?}"),
+    }
+}
+
+#[test]
+fn validated_records_fold_and_restore_like_their_plain_copies() {
+    let w = world();
+    for (ids, base) in
+        [(Ids::Dense, 0x0FF5_0000), (Ids::Sparse, 0x0FF5_1000), (Ids::Mixed, 0x0FF5_2000)]
+    {
+        for case in 0..120u64 {
+            let plain = history(&w, base + case, ids, false);
+            let checked = validated(&plain, &w.reg);
+            let case = format!("{ids:?} seed {:#x}", base + case);
+            for (a, b) in plain.iter().zip(&checked) {
+                assert_eq!(a, b, "{case}: a validated record equals its plain copy");
+            }
+            let restored = assert_fold_like_plain(&plain, &checked, &w.reg, &case);
+            // The oracle holds for validated records too.
+            assert_eq!(check(&w, &checked, &case), restored, "{case}: restored");
+        }
+    }
+}
+
+/// `world`'s classes with one layout changed, or only renamed.
+fn changed_registries(w: &World) -> Vec<(&'static str, ClassRegistry)> {
+    let node_fields = |b: FieldType, extra: Option<(&'static str, FieldType)>| {
+        let mut fields = vec![
+            ("v", FieldType::Int),
+            ("w", FieldType::Double),
+            ("b", b),
+            ("any", FieldType::Ref(None)),
+            ("next", FieldType::Ref(Some(w.node))),
+        ];
+        fields.extend(extra);
+        fields
+    };
+    let registry = |node: &[(&str, FieldType)], leaf: Option<FieldType>, names: [&str; 2]| {
+        let mut reg = ClassRegistry::new();
+        reg.define(names[0], None, node).unwrap();
+        if let Some(x) = leaf {
+            reg.define(names[1], None, &[("x", x)]).unwrap();
+        }
+        reg
+    };
+    let names = ["Node", "Leaf"];
+    vec![
+        (
+            "renamed",
+            registry(&node_fields(FieldType::Bool, None), Some(FieldType::Long), ["N", "L"]),
+        ),
+        ("Node gains a field", {
+            let node = node_fields(FieldType::Bool, Some(("z", FieldType::Int)));
+            registry(&node, Some(FieldType::Long), names)
+        }),
+        ("Node's boolean is an int", {
+            registry(&node_fields(FieldType::Int, None), Some(FieldType::Long), names)
+        }),
+        ("Leaf's long is a double", {
+            registry(&node_fields(FieldType::Bool, None), Some(FieldType::Double), names)
+        }),
+        ("Leaf's long is an int", {
+            registry(&node_fields(FieldType::Bool, None), Some(FieldType::Int), names)
+        }),
+        ("no Leaf", registry(&node_fields(FieldType::Bool, None), None, names)),
+    ]
+}
+
+#[test]
+fn records_validated_under_other_class_layouts_fold_by_walking() {
+    let w = world();
+    let changed = changed_registries(&w);
+    assert_eq!(changed[0].1.layout_digest(), w.reg.layout_digest(), "names do not count");
+    for (name, reg) in &changed[1..] {
+        assert_ne!(reg.layout_digest(), w.reg.layout_digest(), "{name}: layouts count");
+    }
+    let mut errors = HashMap::new();
+    for (ids, base) in [(Ids::Dense, 0x1A70_0000), (Ids::Mixed, 0x1A70_1000)] {
+        for case in 0..60u64 {
+            let plain = history(&w, base + case, ids, false);
+            let checked = validated(&plain, &w.reg);
+            for (name, reg) in &changed {
+                let case = format!("{name}, {ids:?} seed {:#x}", base + case);
+                let restored = assert_fold_like_plain(&plain, &checked, reg, &case);
+                *errors.entry(*name).or_insert(0) += usize::from(!restored);
+            }
+        }
+    }
+    // Every layout a walk must refuse was refused somewhere; under the
+    // renamed registry, and with a long's bytes read as a double, every
+    // history restores.
+    for (name, _) in &changed[1..] {
+        let refused = errors[name];
+        assert_eq!(refused > 0, *name != "Leaf's long is a double", "{name}: {refused} refused");
+    }
+    assert_eq!(errors["renamed"], 0);
 }

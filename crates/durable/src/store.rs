@@ -61,8 +61,9 @@
 //! truncated back to its committed length (bytes past the frontier are a
 //! torn tail from a crash mid-append — expected, and discarded), and the
 //! frames inside the frontier are CRC-checked and their streams
-//! validated by one scan ([`ickp_core::object_slices`]; restore decodes
-//! them later, once). Any anomaly
+//! validated by one scan ([`CheckpointRecord::validate`], whose records
+//! keep the object offsets it found, so restore folds them without a
+//! second scan and decodes each surviving object once). Any anomaly
 //! *inside* the frontier — missing segment, short segment, bad CRC — is
 //! real corruption and surfaces as [`DurableError::Corrupt`] rather than
 //! being silently dropped.
@@ -74,9 +75,7 @@ use crate::crc::{crc32, Crc32};
 use crate::dedup::{ChunkIndex, DedupStats, Staged};
 use crate::error::DurableError;
 use crate::vfs::Vfs;
-use ickp_core::{
-    object_slices, CheckpointRecord, CheckpointStore, CoreError, RecordSink, TraversalStats,
-};
+use ickp_core::{CheckpointRecord, CheckpointStore, CoreError, RecordSink};
 use ickp_heap::ClassRegistry;
 
 const SEGMENT_MAGIC: [u8; 4] = *b"ICKD";
@@ -522,27 +521,21 @@ impl<F: Vfs> DurableStore<F> {
                     .map_err(|(part_at, what)| corrupt((body_at + part_at) as u64, what))?;
 
                 // One validating scan (everything `decode` checks, no
-                // field materialized); `restore` decodes later, once.
-                let scanned = object_slices(&payload, registry)?;
+                // field materialized). The record keeps the object offsets
+                // it found, so `restore` folds it without a second scan.
+                let record = CheckpointRecord::validate(payload, registry)?;
                 if let Some(last) = recovered.latest() {
                     // Generation 0 is untouched append-only history:
                     // sequence numbers are contiguous. After a rewrite,
                     // retention merges leave gaps; order still holds.
-                    if manifest.generation == 0 && scanned.seq != last.seq() + 1 {
+                    if manifest.generation == 0 && record.seq() != last.seq() + 1 {
                         return Err(DurableError::SequenceGap {
                             expected: last.seq() + 1,
-                            got: scanned.seq,
+                            got: record.seq(),
                         });
                     }
                 }
-                let record = CheckpointRecord::from_parts(
-                    scanned.seq,
-                    scanned.kind,
-                    scanned.roots,
-                    payload,
-                    TraversalStats::default(),
-                );
-                store.seqs.push(scanned.seq);
+                store.seqs.push(record.seq());
                 if manifest.generation == 0 {
                     recovered.push(record)?;
                 } else {
@@ -1346,8 +1339,8 @@ mod tests {
         let mut store = DurableStore::create(&mut fs, DurableConfig::default()).unwrap();
         let mut saved = 0;
         for r in &records {
-            let layout = object_slices(r.bytes(), registry).unwrap();
-            let stats = store.append_deduped(r, &layout.objects).unwrap();
+            let slices = object_slices(r.bytes(), registry).unwrap();
+            let stats = store.append_deduped(r, &slices).unwrap();
             saved += stats.bytes_saved();
         }
         assert!(saved > 0, "identical head records must dedup");

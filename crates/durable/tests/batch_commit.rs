@@ -57,10 +57,7 @@ fn workload(rounds: usize) -> (Heap, Vec<ObjectId>, States, Vec<CheckpointRecord
 }
 
 fn layouts(records: &[CheckpointRecord], registry: &ClassRegistry) -> Vec<Vec<Range<usize>>> {
-    records
-        .iter()
-        .map(|r| object_slices(r.bytes(), registry).expect("records decode").objects)
-        .collect()
+    records.iter().map(|r| object_slices(r.bytes(), registry).expect("records decode")).collect()
 }
 
 #[test]

@@ -123,10 +123,22 @@ impl ClassDef {
 /// assert_eq!(reg.class(bt_entry)?.slot_of("bt")?, 0);
 /// # Ok(()) }
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ClassRegistry {
     classes: Vec<ClassDef>,
     by_name: HashMap<String, ClassId>,
+    /// FNV-1a over each class's slot count and slot encodings, in id
+    /// order; see [`ClassRegistry::layout_digest`].
+    layout_digest: u64,
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+impl Default for ClassRegistry {
+    fn default() -> ClassRegistry {
+        ClassRegistry { classes: Vec::new(), by_name: HashMap::new(), layout_digest: FNV_OFFSET }
+    }
 }
 
 impl ClassRegistry {
@@ -172,6 +184,7 @@ impl ClassRegistry {
             layout.push(FieldDef::new(*fname, *ty));
         }
         let id = ClassId(self.classes.len() as u32);
+        self.layout_digest = digest_layout(self.layout_digest, &layout);
         self.classes.push(ClassDef { id, name: name.to_string(), superclass, layout, depth });
         self.by_name.insert(name.to_string(), id);
         Ok(id)
@@ -224,6 +237,33 @@ impl ClassRegistry {
     pub fn iter(&self) -> impl Iterator<Item = &ClassDef> {
         self.classes.iter()
     }
+
+    /// A digest of what a checkpoint stream's validity depends on: the
+    /// number of classes and, per class in id order, its slot count and
+    /// each slot's encoding (int, long, double, boolean or reference).
+    /// Names and reference class constraints do not enter it, since no
+    /// stream check reads them. Registries with equal layouts accept the
+    /// same streams; registries whose layouts differ have different
+    /// digests unless their 64-bit FNV-1a values collide.
+    pub fn layout_digest(&self) -> u64 {
+        self.layout_digest
+    }
+}
+
+/// Extends a registry's layout digest by one class's flattened layout.
+fn digest_layout(digest: u64, layout: &[FieldDef]) -> u64 {
+    let slots = (layout.len() as u64).to_le_bytes();
+    let encodings = layout.iter().map(|f| match f.ty() {
+        FieldType::Int => 1,
+        FieldType::Long => 2,
+        FieldType::Double => 3,
+        FieldType::Bool => 4,
+        FieldType::Ref(_) => 5,
+    });
+    slots
+        .into_iter()
+        .chain(encodings)
+        .fold(digest, |h, b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
 }
 
 #[cfg(test)]
@@ -241,6 +281,29 @@ mod tests {
             )
             .unwrap();
         (reg, base, sub)
+    }
+
+    #[test]
+    fn the_layout_digest_follows_encodings_not_names() {
+        let (reg, _, _) = registry();
+        let mut renamed = ClassRegistry::new();
+        let base = renamed.define("E", None, &[("t", FieldType::Int)]).unwrap();
+        let sub = FieldType::Ref(Some(base));
+        renamed.define("B", Some(base), &[("b", sub), ("c", FieldType::Long)]).unwrap();
+        assert_eq!(renamed.layout_digest(), reg.layout_digest());
+
+        let mut widened = ClassRegistry::new();
+        let base = widened.define("Entry", None, &[("tag", FieldType::Long)]).unwrap();
+        widened.define("BTEntry", Some(base), &[("bt", sub), ("count", FieldType::Long)]).unwrap();
+        assert_ne!(widened.layout_digest(), reg.layout_digest());
+
+        // A class with no fields still counts.
+        let mut one = ClassRegistry::new();
+        one.define("A", None, &[]).unwrap();
+        let mut two = one.clone();
+        two.define("B", None, &[]).unwrap();
+        let digests = [ClassRegistry::new(), one, two].map(|r| r.layout_digest());
+        assert!(digests[0] != digests[1] && digests[1] != digests[2] && digests[0] != digests[2]);
     }
 
     #[test]

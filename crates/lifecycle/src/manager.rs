@@ -141,7 +141,7 @@ impl<F: Vfs> CheckpointManager<F> {
         if !self.config.dedup {
             return Ok(Vec::new());
         }
-        Ok(object_slices(record.bytes(), &self.registry)?.objects)
+        Ok(object_slices(record.bytes(), &self.registry)?)
     }
 
     /// Durably appends one checkpoint, deduplicating when configured.

@@ -34,9 +34,7 @@
 
 use std::ops::Range;
 
-use ickp_core::{
-    object_slices, CheckpointRecord, CheckpointStore, CoreError, RecordSink, TraversalStats,
-};
+use ickp_core::{object_slices, CheckpointRecord, CheckpointStore, CoreError, RecordSink};
 use ickp_durable::{DedupStats, DurableConfig, DurableError, DurableStore, Vfs};
 use ickp_heap::ClassRegistry;
 
@@ -186,9 +184,9 @@ impl<F: Vfs> FollowerNode<F> {
 type ChunkLayouts = Vec<Vec<Range<usize>>>;
 
 /// Rebuilds owned records from shipped payload bytes, with one
-/// validating scan per payload ([`object_slices`], which rejects
-/// everything `decode` rejects). The payload *is* the record's exact
-/// byte stream, so the rebuilt record is byte-identical to the
+/// validating scan per payload ([`CheckpointRecord::validate`], which
+/// rejects everything `decode` rejects). The payload *is* the record's
+/// exact byte stream, so the rebuilt record is byte-identical to the
 /// primary's; the scan yields its `seq`, `kind` and root set, and its
 /// chunk layout for dedup-aware storage (object-record boundaries when
 /// dedup is on, empty when off).
@@ -200,15 +198,10 @@ fn records_from_payloads(
     payloads
         .into_iter()
         .map(|payload| {
-            let layout = object_slices(&payload, registry).map_err(ReplicateError::Core)?;
-            let chunks = if dedup { layout.objects } else { Vec::new() };
-            let record = CheckpointRecord::from_parts(
-                layout.seq,
-                layout.kind,
-                layout.roots,
-                payload,
-                TraversalStats::default(),
-            );
+            let record =
+                CheckpointRecord::validate(payload, registry).map_err(ReplicateError::Core)?;
+            let chunks =
+                if dedup { record.object_ranges().unwrap_or_default() } else { Vec::new() };
             Ok((record, chunks))
         })
         .collect()
@@ -226,11 +219,7 @@ fn layouts_for(
     }
     records
         .iter()
-        .map(|r| {
-            object_slices(r.bytes(), registry)
-                .map(|layout| layout.objects)
-                .map_err(ReplicateError::Core)
-        })
+        .map(|r| object_slices(r.bytes(), registry).map_err(ReplicateError::Core))
         .collect()
 }
 
@@ -324,7 +313,7 @@ impl<P: Vfs, F: Vfs, T: Transport> ReplicaPair<P, F, T> {
         self.primary.append_batch_deduped(&records, &layouts).map_err(ReplicateError::Primary)?;
         let msg = WireMessage::Batch {
             op_seq: self.next_op,
-            payloads: records.iter().map(|r| r.bytes().to_vec()).collect(),
+            payloads: records.iter().map(CheckpointRecord::bytes).collect(),
         };
         self.ship(msg)?;
         self.stats.batches_shipped += 1;
@@ -382,7 +371,7 @@ impl<P: Vfs, F: Vfs, T: Transport> ReplicaPair<P, F, T> {
             self.primary.rewrite(records, &layouts, tags).map_err(ReplicateError::Primary)?;
         let msg = WireMessage::Rewrite {
             op_seq: self.next_op,
-            payloads: records.iter().map(|r| r.bytes().to_vec()).collect(),
+            payloads: records.iter().map(CheckpointRecord::bytes).collect(),
             tags: tags.to_vec(),
         };
         self.ship(msg)?;
@@ -391,18 +380,17 @@ impl<P: Vfs, F: Vfs, T: Transport> ReplicaPair<P, F, T> {
     }
 
     /// Ships one wire operation and blocks until the follower
-    /// acknowledges it, retransmitting up to the configured budget.
-    fn ship(&mut self, msg: WireMessage) -> Result<(), ReplicateError> {
+    /// acknowledges it, retransmitting up to the configured budget. The
+    /// message borrows its payloads from the committed records, so each
+    /// send encodes the frame straight from their bytes.
+    fn ship(&mut self, msg: WireMessage<&[u8]>) -> Result<(), ReplicateError> {
         let op_seq = msg.op_seq();
         debug_assert_eq!(op_seq, self.next_op, "wire ops are assigned in order");
         self.next_op += 1;
-        // The first attempt sends the frame itself; a retransmission
-        // encodes it again instead of every send paying for a copy.
-        let mut first = Some(msg.encode());
         let mut attempts = 0u32;
         loop {
             attempts += 1;
-            let frame = first.take().unwrap_or_else(|| msg.encode());
+            let frame = msg.encode();
             self.stats.wire_bytes += frame.len() as u64;
             self.transport.send_to_follower(frame).map_err(ReplicateError::Transport)?;
             self.pump()?;
@@ -424,7 +412,7 @@ impl<P: Vfs, F: Vfs, T: Transport> ReplicaPair<P, F, T> {
             let msg = WireMessage::decode(&bytes).map_err(ReplicateError::Wire)?;
             let mark =
                 self.follower.apply(msg, &self.registry, self.config.dedup, &mut self.stats)?;
-            let ack = WireMessage::Ack { op_seq: mark }.encode();
+            let ack = WireMessage::<&[u8]>::Ack { op_seq: mark }.encode();
             self.stats.wire_bytes += ack.len() as u64;
             self.transport.send_to_primary(ack).map_err(ReplicateError::Transport)?;
         }

@@ -17,7 +17,12 @@
 //! frames idempotent. Checkpoint payloads travel as their *exact*
 //! `StreamWriter` bytes, so a shipped record is byte-identical on both
 //! nodes and the follower re-derives `seq`/`kind`/roots by scanning the
-//! payload it was handed (`ickp_core::object_slices`).
+//! payload it was handed (`ickp_core::CheckpointRecord::validate`).
+//!
+//! A message is generic over how it holds its payloads: the primary
+//! encodes frames from payloads borrowed from its committed records
+//! (`WireMessage<&[u8]>`), and [`WireMessage::decode`] hands the follower
+//! owned ones (`WireMessage<Vec<u8>>`, the default).
 
 use ickp_durable::crc32;
 
@@ -33,16 +38,16 @@ const KIND_REMOVE_TAG: u8 = 0x03;
 const KIND_REWRITE: u8 = 0x04;
 const KIND_ACK: u8 = 0x05;
 
-/// One replication frame, decoded.
+/// One replication frame, decoded; `P` holds each checkpoint payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireMessage {
+pub enum WireMessage<P = Vec<u8>> {
     /// A committed group-commit batch: the payload bytes of each record,
     /// in sequence order.
     Batch {
         /// Replication operation number.
         op_seq: u64,
         /// Exact `StreamWriter` bytes of each record in the batch.
-        payloads: Vec<Vec<u8>>,
+        payloads: Vec<P>,
     },
     /// Pin `label` to checkpoint `seq`.
     Tag {
@@ -66,7 +71,7 @@ pub enum WireMessage {
         /// Replication operation number.
         op_seq: u64,
         /// Exact payload bytes of the replacement records.
-        payloads: Vec<Vec<u8>>,
+        payloads: Vec<P>,
         /// Tags surviving the rewrite.
         tags: Vec<(String, u64)>,
     },
@@ -78,7 +83,7 @@ pub enum WireMessage {
     },
 }
 
-impl WireMessage {
+impl<P: AsRef<[u8]>> WireMessage<P> {
     /// The replication operation number this frame carries.
     pub fn op_seq(&self) -> u64 {
         match self {
@@ -131,7 +136,7 @@ impl WireMessage {
 
     /// The length of the frame [`WireMessage::encode`] writes.
     fn encoded_len(&self) -> usize {
-        let payloads = |ps: &[Vec<u8>]| 4 + ps.iter().map(|p| 4 + p.len()).sum::<usize>();
+        let payloads = |ps: &[P]| 4 + ps.iter().map(|p| 4 + p.as_ref().len()).sum::<usize>();
         let label = |l: &str| 2 + l.len();
         let body = match self {
             WireMessage::Batch { payloads: ps, .. } => payloads(ps),
@@ -144,7 +149,9 @@ impl WireMessage {
         };
         WIRE_MAGIC.len() + 2 + 1 + 8 + body + 4
     }
+}
 
+impl WireMessage {
     /// Decodes and integrity-checks one frame.
     ///
     /// # Errors
@@ -201,9 +208,9 @@ impl WireMessage {
     }
 }
 
-fn put_payloads(out: &mut Vec<u8>, payloads: &[Vec<u8>]) {
+fn put_payloads(out: &mut Vec<u8>, payloads: &[impl AsRef<[u8]>]) {
     out.extend_from_slice(&(payloads.len() as u32).to_le_bytes());
-    for p in payloads {
+    for p in payloads.iter().map(AsRef::as_ref) {
         out.extend_from_slice(&(p.len() as u32).to_le_bytes());
         out.extend_from_slice(p);
     }
@@ -288,8 +295,24 @@ mod tests {
     }
 
     #[test]
+    fn borrowed_payloads_encode_like_owned_ones() {
+        let owned = vec![vec![1, 2, 3], vec![], vec![0xFF; 40]];
+        let borrowed: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
+        let tags = vec![("keep".to_string(), 12)];
+        assert_eq!(
+            WireMessage::Batch { op_seq: 7, payloads: borrowed.clone() }.encode(),
+            WireMessage::Batch { op_seq: 7, payloads: owned.clone() }.encode()
+        );
+        assert_eq!(
+            WireMessage::Rewrite { op_seq: 8, payloads: borrowed, tags: tags.clone() }.encode(),
+            WireMessage::Rewrite { op_seq: 8, payloads: owned, tags }.encode()
+        );
+    }
+
+    #[test]
     fn corruption_is_rejected() {
-        let mut bytes = WireMessage::Tag { op_seq: 1, label: "t".into(), seq: 0 }.encode();
+        let mut bytes =
+            WireMessage::<Vec<u8>>::Tag { op_seq: 1, label: "t".into(), seq: 0 }.encode();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         let err = WireMessage::decode(&bytes).unwrap_err();
@@ -298,7 +321,7 @@ mod tests {
 
     #[test]
     fn truncation_is_rejected() {
-        let bytes = WireMessage::Ack { op_seq: 3 }.encode();
+        let bytes = WireMessage::<Vec<u8>>::Ack { op_seq: 3 }.encode();
         assert!(WireMessage::decode(&bytes[..bytes.len() - 1]).is_err());
         assert!(WireMessage::decode(&[]).is_err());
     }
@@ -308,7 +331,8 @@ mod tests {
         // A CRC-valid Rewrite frame claiming u32::MAX tags and holding
         // none must fail on the missing bytes, not size a buffer from
         // the claim.
-        let mut bytes = WireMessage::Rewrite { op_seq: 1, payloads: vec![], tags: vec![] }.encode();
+        let mut bytes =
+            WireMessage::<Vec<u8>>::Rewrite { op_seq: 1, payloads: vec![], tags: vec![] }.encode();
         bytes.truncate(bytes.len() - 8);
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         let crc = crc32(&bytes);
@@ -321,7 +345,7 @@ mod tests {
     fn trailing_garbage_is_rejected() {
         // Valid body + extra byte + recomputed CRC: structurally sound
         // but longer than the kind says — must be rejected, not ignored.
-        let mut bytes = WireMessage::Ack { op_seq: 3 }.encode();
+        let mut bytes = WireMessage::<Vec<u8>>::Ack { op_seq: 3 }.encode();
         bytes.truncate(bytes.len() - 4);
         bytes.push(0xAB);
         let crc = crc32(&bytes);

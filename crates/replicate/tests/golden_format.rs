@@ -103,7 +103,7 @@ fn workload() -> (Heap, Vec<ObjectId>, Vec<CheckpointRecord>) {
 /// three, a single deduplicated append, and a tag.
 fn write_store(registry: &ClassRegistry, records: &[CheckpointRecord]) -> MemFs {
     let layouts: Vec<Vec<Range<usize>>> =
-        records.iter().map(|r| object_slices(r.bytes(), registry).unwrap().objects).collect();
+        records.iter().map(|r| object_slices(r.bytes(), registry).unwrap()).collect();
     let mut fs = MemFs::new();
     let mut store = DurableStore::create(&mut fs, DurableConfig::default()).unwrap();
     store.append_batch_deduped(&records[..3], &layouts[..3]).unwrap();
