@@ -15,53 +15,27 @@
 //! interesting ratio is memfs vs memory (protocol overhead) and stdfs vs
 //! memfs (the price of real fsyncs).
 
-use ickp_bench::BenchGroup;
-use ickp_core::{CheckpointConfig, MethodTable};
-use ickp_core::{CheckpointRecord, CheckpointStore, Checkpointer};
+use ickp_bench::history::sequential;
+use ickp_bench::{record_history, BenchGroup};
+use ickp_core::{CheckpointRecord, CheckpointStore};
 use ickp_durable::{DurableConfig, DurableStore, MemFs, StdFs};
-use ickp_synth::{ModificationSpec, SynthConfig, SynthWorld};
+use ickp_synth::{ModificationSpec, SynthConfig};
 use std::time::{Duration, Instant};
 
-/// A realistic record stream: one full base plus incremental rounds.
-fn build_records(rounds: usize) -> Vec<CheckpointRecord> {
-    let mut world = SynthWorld::build(SynthConfig {
+fn main() {
+    // A realistic record stream: one full base plus incremental rounds,
+    // numbered from 0, so every iteration appends it to a fresh store.
+    let config = SynthConfig {
         structures: 400,
         lists_per_structure: 5,
         list_len: 5,
         ints_per_element: 2,
         seed: 41,
+    };
+    let records = record_history(config, 16, &ModificationSpec::uniform(20), false, |world| {
+        sequential(world.heap().registry())
     })
-    .expect("world builds");
-    let roots = world.roots().to_vec();
-    let table = MethodTable::derive(world.heap().registry());
-    let mut ckp = Checkpointer::new(CheckpointConfig::incremental());
-    let mut records = Vec::new();
-    world.heap_mut().mark_all_modified();
-    for round in 0..rounds {
-        if round > 0 {
-            world.apply_modifications(&ModificationSpec::uniform(20));
-        }
-        records.push(ckp.checkpoint(world.heap_mut(), &table, &roots).expect("checkpoint"));
-    }
-    records
-}
-
-/// Re-sequences `records` so iteration `i` of a timing loop can append
-/// the same payloads with contiguous sequence numbers.
-fn reseq(records: &[CheckpointRecord], base: u64) -> Vec<CheckpointRecord> {
-    records
-        .iter()
-        .cloned()
-        .enumerate()
-        .map(|(i, r)| {
-            let (_, kind, roots, bytes, stats) = r.into_parts();
-            CheckpointRecord::from_parts(base + i as u64, kind, roots, bytes, stats)
-        })
-        .collect()
-}
-
-fn main() {
-    let records = build_records(16);
+    .records;
     let payload: usize = records.iter().map(CheckpointRecord::len_bytes).sum();
     println!("durable_write: {} records, {} payload bytes per iteration", records.len(), payload);
 
@@ -73,15 +47,14 @@ fn main() {
 
     group.bench_custom("memory/store-push", |iters| {
         let mut total = Duration::ZERO;
-        for i in 0..iters {
-            let batch = reseq(&records, 0);
+        for _ in 0..iters {
+            let batch = records.clone();
             let mut store = CheckpointStore::new();
             let start = Instant::now();
             for r in batch {
                 store.push(r).expect("push");
             }
             total += start.elapsed();
-            let _ = i;
         }
         total
     });
@@ -91,11 +64,10 @@ fn main() {
             let config = DurableConfig { segment_target_bytes: target };
             let mut total = Duration::ZERO;
             for _ in 0..iters {
-                let batch = reseq(&records, 0);
                 let mut fs = MemFs::new();
                 let mut store = DurableStore::create(&mut fs, config).expect("create");
                 let start = Instant::now();
-                for r in &batch {
+                for r in &records {
                     store.append(r).expect("append");
                 }
                 total += start.elapsed();
@@ -110,12 +82,11 @@ fn main() {
             let config = DurableConfig { segment_target_bytes: target };
             let mut total = Duration::ZERO;
             for i in 0..iters {
-                let batch = reseq(&records, 0);
                 let sub = dir.join(format!("{label}-{i}"));
                 let fs = StdFs::new(&sub).expect("temp dir");
                 let mut store = DurableStore::create(fs, config).expect("create");
                 let start = Instant::now();
-                for r in &batch {
+                for r in &records {
                     store.append(r).expect("append");
                 }
                 total += start.elapsed();

@@ -18,56 +18,30 @@
 //! segment sync + one manifest sync + one directory sync, so the ratio
 //! falls from 3.0 at batch 1 to below 1.0 from batch 4 up.
 
-use ickp_bench::BenchGroup;
-use ickp_core::{CheckpointConfig, CheckpointRecord, Checkpointer, MethodTable};
+use ickp_bench::history::sequential;
+use ickp_bench::{record_history, BenchGroup};
+use ickp_core::CheckpointRecord;
 use ickp_durable::{DurableConfig, DurableStore, MemFs, StdFs};
 use ickp_replicate::{ChannelTransport, ReplicaPair, ReplicateConfig, TransportPlan};
-use ickp_synth::{ModificationSpec, SynthConfig, SynthWorld};
+use ickp_synth::{ModificationSpec, SynthConfig};
 use std::time::{Duration, Instant};
 
 const BATCH_SIZES: [usize; 5] = [1, 2, 4, 8, 16];
 
-/// A realistic record stream: one full base plus incremental rounds.
-fn build_records(rounds: usize) -> (ickp_heap::ClassRegistry, Vec<CheckpointRecord>) {
-    let mut world = SynthWorld::build(SynthConfig {
+fn main() {
+    // A realistic record stream: one full base plus incremental rounds,
+    // numbered from 0, so every iteration appends it to a fresh store.
+    let config = SynthConfig {
         structures: 400,
         lists_per_structure: 5,
         list_len: 5,
         ints_per_element: 2,
         seed: 43,
-    })
-    .expect("world builds");
-    let registry = world.heap().registry().clone();
-    let roots = world.roots().to_vec();
-    let table = MethodTable::derive(world.heap().registry());
-    let mut ckp = Checkpointer::new(CheckpointConfig::incremental());
-    let mut records = Vec::new();
-    world.heap_mut().mark_all_modified();
-    for round in 0..rounds {
-        if round > 0 {
-            world.apply_modifications(&ModificationSpec::uniform(20));
-        }
-        records.push(ckp.checkpoint(world.heap_mut(), &table, &roots).expect("checkpoint"));
-    }
-    (registry, records)
-}
-
-/// Re-sequences `records` so each timing iteration appends the same
-/// payloads with contiguous sequence numbers into a fresh store.
-fn reseq(records: &[CheckpointRecord]) -> Vec<CheckpointRecord> {
-    records
-        .iter()
-        .cloned()
-        .enumerate()
-        .map(|(i, r)| {
-            let (_, kind, roots, bytes, stats) = r.into_parts();
-            CheckpointRecord::from_parts(i as u64, kind, roots, bytes, stats)
-        })
-        .collect()
-}
-
-fn main() {
-    let (registry, records) = build_records(16);
+    };
+    let history = record_history(config, 16, &ModificationSpec::uniform(20), false, |world| {
+        sequential(world.heap().registry())
+    });
+    let (registry, records) = (history.world.heap().registry(), history.records);
     let payload: usize = records.iter().map(CheckpointRecord::len_bytes).sum();
     println!("group_commit: {} records, {} payload bytes per iteration", records.len(), payload);
 
@@ -76,17 +50,16 @@ fn main() {
     println!("\n{:>6} {:>8} {:>8} {:>14}", "batch", "fsyncs", "swaps", "fsyncs/record");
     for batch in BATCH_SIZES {
         let config = DurableConfig { segment_target_bytes: 4 * 1024 * 1024 };
-        let stream = reseq(&records);
         let mut fs = MemFs::new();
         let mut store = DurableStore::create(&mut fs, config).expect("create");
         let before = store.io_stats();
-        for chunk in stream.chunks(batch) {
+        for chunk in records.chunks(batch) {
             store.append_batch(chunk).expect("append");
         }
         let after = store.io_stats();
         let fsyncs = after.fsyncs() - before.fsyncs();
         let swaps = after.manifest_swaps - before.manifest_swaps;
-        let ratio = fsyncs as f64 / stream.len() as f64;
+        let ratio = fsyncs as f64 / records.len() as f64;
         println!("{batch:>6} {fsyncs:>8} {swaps:>8} {ratio:>14.3}");
     }
 
@@ -101,11 +74,10 @@ fn main() {
             let config = DurableConfig { segment_target_bytes: 4 * 1024 * 1024 };
             let mut total = Duration::ZERO;
             for _ in 0..iters {
-                let stream = reseq(&records);
                 let mut fs = MemFs::new();
                 let mut store = DurableStore::create(&mut fs, config).expect("create");
                 let start = Instant::now();
-                for chunk in stream.chunks(batch) {
+                for chunk in records.chunks(batch) {
                     store.append_batch(chunk).expect("append");
                 }
                 total += start.elapsed();
@@ -120,12 +92,11 @@ fn main() {
             let config = DurableConfig { segment_target_bytes: 4 * 1024 * 1024 };
             let mut total = Duration::ZERO;
             for i in 0..iters {
-                let stream = reseq(&records);
                 let sub = dir.join(format!("b{batch}-{i}"));
                 let fs = StdFs::new(&sub).expect("temp dir");
                 let mut store = DurableStore::create(fs, config).expect("create");
                 let start = Instant::now();
-                for chunk in stream.chunks(batch) {
+                for chunk in records.chunks(batch) {
                     store.append_batch(chunk).expect("append");
                 }
                 total += start.elapsed();
@@ -147,13 +118,13 @@ fn main() {
             };
             let mut total = Duration::ZERO;
             for _ in 0..iters {
-                let stream = reseq(&records);
+                let stream = records.clone();
                 let mut pair = ReplicaPair::create(
                     MemFs::new(),
                     MemFs::new(),
                     ChannelTransport::new(TransportPlan::none()),
                     config,
-                    &registry,
+                    registry,
                 )
                 .expect("pair");
                 let start = Instant::now();

@@ -6,23 +6,49 @@
 //! ```
 //!
 //! Experiments: `table1`, `fig7`, `fig8`, `fig9`, `fig10`, `fig11`,
-//! `table2`, or `all`. Absolute numbers are machine-dependent; the
-//! *shape* (who wins, by what factor, where the crossovers are) is the
-//! reproduction target. See EXPERIMENTS.md. The `audit`, `crashes`,
-//! `shards`, `barriers`, `lifecycle`, `scaling`, `replicate`, and
-//! `durability` subcommands are deterministic correctness gates whose
-//! exit codes feed CI; they run alone, not under `all`. `shards --max-imbalance R` additionally gates on the
-//! heaviest/lightest per-shard byte ratio; `scaling` measures the
+//! `table2`, `recovery`, `journal`, or `all` (every experiment, in that
+//! order). `recovery` and `journal` extend the paper: restore cost
+//! against store length with compaction, and the dirty-set journal's
+//! fast path. Absolute numbers are machine-dependent; the *shape* (who
+//! wins, by what factor, where the crossovers are) is the reproduction
+//! target. See EXPERIMENTS.md. The `audit`, `crashes`, `shards`,
+//! `barriers`, `lifecycle`, `scaling`, `replicate`, and `durability`
+//! subcommands are correctness gates whose exit codes feed CI; they run
+//! alone, not under `all`. `shards --max-imbalance R` additionally gates
+//! on the heaviest/lightest per-shard byte ratio; `scaling` measures the
 //! parallel engine's phase breakdown and proves byte-identity at every
-//! worker count.
+//! worker count. [`COMMANDS`] is the one list of subcommands: parsing,
+//! the usage line and `all` are read from it.
 
-use ickp_analysis::Phase;
-use ickp_backend::Engine;
-use ickp_bench::timing::{fmt_bytes, fmt_duration, speedup};
-use ickp_bench::{run_table1, Strategy, SynthRunner, Variant};
-use ickp_minic::programs::DEFAULT_FILTERS;
-use ickp_synth::ModificationSpec;
-use std::time::Duration;
+use ickp_analysis::{AnalysisEngine, Division, Phase};
+use ickp_audit::{
+    audit_barriers, audit_barriers_with, audit_durability, audit_phase_patterns, audit_shards,
+    cross_validate_barriers, cross_validate_shards, engine_footprints, verify_plan, AuditReport,
+    DiagCode, MutatorSpec, Severity,
+};
+use ickp_backend::{Engine, GenericBackend, ParallelBackend};
+use ickp_bench::history::{parallel, sequential};
+use ickp_bench::timing::{fmt_bytes, fmt_duration, median_time, speedup};
+use ickp_bench::{record_history, run_table1, History, Strategy, SynthRunner, Variant};
+use ickp_core::{
+    compact, object_slices, plan_shards, restore, verify_restore, CheckpointConfig,
+    CheckpointRecord, CheckpointStore, Checkpointer, CoreError, MethodTable, RestorePolicy,
+    RestoredHeap,
+};
+use ickp_durable::{
+    crash_matrix, DurableConfig, DurableStore, MatrixOptions, MatrixReport, MemFs, OpCounter,
+    StoreTopology, TraceEvent, TraceLog, TraceNode, TraceOp, TraceVfs, MANIFEST,
+};
+use ickp_heap::{
+    chunk_roots, first_touch_plan, ClassRegistry, DeclaredEffect, DirtyScope, FieldType, Heap,
+    HeapError, MutationCatalog, MutationProbe, ObjectId, Value,
+};
+use ickp_lifecycle::{CheckpointManager, LifecycleConfig, RetentionPolicy};
+use ickp_minic::programs::{image_program, DEFAULT_FILTERS};
+use ickp_minic::Program;
+use ickp_spec::Specializer;
+use ickp_synth::{ModificationSpec, SynthConfig, SynthWorld};
+use std::time::{Duration, Instant};
 
 struct Options {
     structures: usize,
@@ -31,146 +57,188 @@ struct Options {
     max_imbalance: Option<f64>,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut experiment = String::from("all");
-    let mut opts =
-        Options { structures: 20_000, rounds: 3, filters: DEFAULT_FILTERS, max_imbalance: None };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--structures" => {
-                opts.structures = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--structures needs a number"))
-            }
-            "--rounds" => {
-                opts.rounds = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--rounds needs a number"))
-            }
-            "--filters" => {
-                opts.filters = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--filters needs a number"))
-            }
-            "--max-imbalance" => {
-                opts.max_imbalance = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|r: &f64| *r >= 1.0)
-                        .unwrap_or_else(|| usage("--max-imbalance needs a ratio >= 1.0")),
-                )
-            }
-            "table1" | "fig7" | "fig8" | "fig9" | "fig10" | "fig11" | "table2" | "recovery"
-            | "journal" | "audit" | "crashes" | "shards" | "barriers" | "lifecycle" | "scaling"
-            | "replicate" | "durability" | "all" => experiment = arg.clone(),
-            other => usage(&format!("unknown argument `{other}`")),
-        }
-    }
+/// What a subcommand runs.
+enum Run {
+    /// A paper experiment: prints its table. `all` runs every one.
+    Experiment(fn(&Options)),
+    /// A correctness gate: runs alone, never under `all`, and returns the
+    /// process exit code, which feeds CI.
+    Gate(fn(&Options) -> i32),
+}
 
-    // The auditor is a static gate, not a benchmark: it runs alone (not
-    // under `all`) and its exit code feeds CI.
-    if experiment == "audit" {
-        std::process::exit(audit());
-    }
-
+/// Every subcommand, in the usage line's order; `all` runs the
+/// experiments in this order.
+const COMMANDS: [(&str, Run); 17] = [
+    ("table1", Run::Experiment(table1)),
+    ("fig7", Run::Experiment(fig7)),
+    ("fig8", Run::Experiment(fig8)),
+    ("fig9", Run::Experiment(fig9)),
+    ("fig10", Run::Experiment(fig10)),
+    ("fig11", Run::Experiment(fig11)),
+    ("table2", Run::Experiment(table2)),
+    ("recovery", Run::Experiment(recovery)),
+    ("journal", Run::Experiment(journal)),
+    // The auditor is a static gate, not a benchmark.
+    ("audit", Run::Gate(audit)),
     // Likewise the crash matrix: a deterministic correctness gate (every
     // I/O operation of two workloads crashed and recovered), not a
-    // benchmark. Runs alone; its exit code feeds CI.
-    if experiment == "crashes" {
-        std::process::exit(crashes());
-    }
-
-    // And the shard-interference audit: proves every in-repo shard plan
+    // benchmark.
+    ("crashes", Run::Gate(crashes)),
+    // The shard-interference audit: proves every in-repo shard plan
     // disjoint, complete, and deterministic, then cross-validates the
-    // static footprints against the traced engine. Exit code feeds CI.
-    if experiment == "shards" {
-        std::process::exit(shards(opts.max_imbalance));
-    }
-
+    // static footprints against the traced engine.
+    ("shards", Run::Gate(shards)),
     // The barrier-coverage gate: statically proves the dirty-set journal
     // sound over the heap's mutator catalog, pins every injected breakage
     // to its AUD30x code, and cross-validates with randomized mutation
     // sequences, then restores real checkpoint rounds and compares them
-    // with the live heap. Exit code feeds CI.
-    if experiment == "barriers" {
-        std::process::exit(barriers(&opts));
-    }
-
-    // The measured-scaling harness: byte-identity of the parallel engine
-    // at every worker count plus its wall-clock phase breakdown, at paper
-    // scale. Exit code feeds CI; the printed table is the CI artifact.
-    if experiment == "scaling" {
-        std::process::exit(scaling(&opts));
-    }
-
+    // with the live heap.
+    ("barriers", Run::Gate(barriers)),
     // The lifecycle gate: tags, binomial retention, and content-hash
     // dedup over the checkpoint manager, with every restored heap
-    // verified. Deterministic apart from latencies; exit code feeds CI.
-    if experiment == "lifecycle" {
-        std::process::exit(lifecycle(&opts));
-    }
-
+    // verified. Deterministic apart from latencies.
+    ("lifecycle", Run::Gate(lifecycle)),
+    // The measured-scaling harness: byte-identity of the parallel engine
+    // at every worker count plus its wall-clock phase breakdown, at paper
+    // scale. The printed table is the CI artifact.
+    ("scaling", Run::Gate(scaling)),
     // The replication gate: the two-node failover crash matrix (kill
     // either node at every interleaved I/O or wire operation, mask every
     // transport fault, survive every partition) plus the group-commit
-    // fsync amortization check. Deterministic; exit code feeds CI.
-    if experiment == "replicate" {
-        std::process::exit(replicate());
-    }
-
+    // fsync amortization check. Deterministic.
+    ("replicate", Run::Gate(replicate)),
     // The durability-ordering gate: the static crash-consistency prover
     // (`audit_durability`) over traced store, lifecycle, and replicated
     // workloads, six injected violations pinned to their exact AUD4xx
     // codes, and the crash-class verdicts cross-validated against the
-    // MemFs crash oracle. Deterministic; exit code feeds CI.
-    if experiment == "durability" {
-        std::process::exit(durability());
+    // MemFs crash oracle. Deterministic.
+    ("durability", Run::Gate(durability)),
+];
+
+fn main() {
+    let mut command = None; // `all`
+    let mut opts =
+        Options { structures: 20_000, rounds: 3, filters: DEFAULT_FILTERS, max_imbalance: None };
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--structures" => opts.structures = value(args.next(), "--structures needs a number"),
+            "--rounds" => opts.rounds = value(args.next(), "--rounds needs a number"),
+            "--filters" => opts.filters = value(args.next(), "--filters needs a number"),
+            "--max-imbalance" => {
+                let what = "--max-imbalance needs a ratio >= 1.0";
+                let ratio: f64 = value(args.next(), what);
+                opts.max_imbalance = Some(ratio).filter(|r| *r >= 1.0).or_else(|| usage(what));
+            }
+            "all" => command = None,
+            name => match COMMANDS.iter().find(|(known, _)| *known == name) {
+                Some(entry) => command = Some(entry),
+                None => usage(&format!("unknown argument `{name}`")),
+            },
+        }
     }
 
-    println!("# ickp reproduction — {experiment}");
+    if let Some((_, Run::Gate(gate))) = command {
+        std::process::exit(gate(&opts));
+    }
+    let chosen = command.map_or("all", |(name, _)| *name);
+    println!("# ickp reproduction — {chosen}");
     println!("# structures={} rounds={} filters={}\n", opts.structures, opts.rounds, opts.filters);
-    let run = |name: &str| experiment == name || experiment == "all";
-    if run("table1") {
-        table1(&opts);
-    }
-    if run("fig7") {
-        fig7(&opts);
-    }
-    if run("fig8") {
-        fig8(&opts);
-    }
-    if run("fig9") {
-        fig9(&opts);
-    }
-    if run("fig10") {
-        fig10(&opts);
-    }
-    if run("fig11") {
-        fig11(&opts);
-    }
-    if run("table2") {
-        table2(&opts);
-    }
-    if run("recovery") {
-        recovery(&opts);
-    }
-    if run("journal") {
-        journal(&opts);
+    for (name, run) in &COMMANDS {
+        if let Run::Experiment(experiment) = run {
+            if chosen == "all" || chosen == *name {
+                experiment(&opts);
+            }
+        }
     }
 }
 
+/// Parses an option's value, or exits with `what` as the usage error.
+fn value<T: std::str::FromStr>(arg: Option<String>, what: &str) -> T {
+    arg.and_then(|v| v.parse().ok()).unwrap_or_else(|| usage(what))
+}
+
 fn usage(msg: &str) -> ! {
+    let names: Vec<&str> = COMMANDS.iter().map(|(name, _)| *name).collect();
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: repro [table1|fig7|fig8|fig9|fig10|fig11|table2|recovery|journal|audit|crashes|shards|barriers|lifecycle|scaling|replicate|durability|all] \
-         [--structures N] [--rounds R] [--filters F] [--max-imbalance RATIO]"
+        "usage: repro [{}|all] [--structures N] [--rounds R] [--filters F] [--max-imbalance RATIO]",
+        names.join("|")
     );
     std::process::exit(2);
+}
+
+/// A gate's last line and exit code: `pass` and 0 if nothing failed,
+/// else `fail` and 1.
+fn verdict(failures: usize, pass: &str, fail: &str) -> i32 {
+    println!("{}", if failures == 0 { pass } else { fail });
+    i32::from(failures > 0)
+}
+
+// ------------------------------------------------------- shared subjects
+
+/// The small three-phase program the gates analyse, with its division.
+fn sample_program() -> (Program, Division) {
+    let program = ickp_minic::parse("int d; int s; void main() { s = d + 1; }").expect("parses");
+    (program, Division { dynamic_globals: vec!["d".to_string()] })
+}
+
+/// The analysis engine over [`sample_program`].
+fn sample_engine() -> AnalysisEngine {
+    let (program, division) = sample_program();
+    AnalysisEngine::new(program, division).expect("engine builds")
+}
+
+/// The sample engine's attribute heap and roots as its binding-time
+/// phase's last iteration sees them.
+fn sample_binding_time_heap() -> (Heap, Vec<ObjectId>) {
+    let mut engine = sample_engine();
+    let mut captured = None;
+    engine
+        .run_phase(Phase::BindingTime, |heap, attrs, _| {
+            captured = Some((heap.clone(), attrs.to_vec()));
+            Ok(())
+        })
+        .expect("phase runs");
+    captured.expect("the phase iterates at least once")
+}
+
+/// The paper's synthetic shape (5 lists of 5 elements of 10 ints) at
+/// `structures` structures.
+fn paper_scale(structures: usize) -> SynthConfig {
+    SynthConfig {
+        structures,
+        lists_per_structure: 5,
+        list_len: 5,
+        ints_per_element: 10,
+        seed: 0x5ca1e,
+    }
+}
+
+/// The crash matrices' state check: a recovery that kept `acked`
+/// checkpoints must restore the heap the last of them captured.
+fn acked_state(
+    states: &[(Heap, Vec<ObjectId>)],
+) -> impl FnMut(usize, &RestoredHeap) -> Option<String> + '_ {
+    |acked, restored| {
+        let (heap, roots) = &states[acked - 1];
+        verify_restore(heap, roots, restored).expect("verify_restore runs")
+    }
+}
+
+/// The codes of `report`'s error-severity findings, in report order.
+fn error_codes(report: &AuditReport) -> Vec<DiagCode> {
+    report.diagnostics().iter().filter(|d| d.severity == Severity::Error).map(|d| d.code).collect()
+}
+
+/// The first `int` slot of `id`'s class, if it has one.
+fn int_slot(heap: &Heap, id: ObjectId) -> Result<Option<usize>, HeapError> {
+    let class = heap.class(heap.class_of(id)?)?;
+    Ok(class.layout().iter().position(|f| matches!(f.ty(), FieldType::Int)))
+}
+
+fn mods(pct: u8, lists: usize, last_only: bool) -> ModificationSpec {
+    ModificationSpec { pct_modified: pct, modified_lists: lists, last_only }
 }
 
 // ------------------------------------------------------------------ audit
@@ -180,12 +248,7 @@ fn usage(msg: &str) -> ! {
 /// image workload) and the synthetic benchmark's shape family, each
 /// compiled plain and register-compacted. Prints one report per subject
 /// and returns the process exit code (1 if any error-severity finding).
-fn audit() -> i32 {
-    use ickp_analysis::{AnalysisEngine, Division};
-    use ickp_audit::{audit_phase_patterns, engine_footprints, verify_plan, AuditReport};
-    use ickp_spec::Specializer;
-    use ickp_synth::{SynthConfig, SynthWorld};
-
+fn audit(_: &Options) -> i32 {
     println!("# ickp audit — static soundness of in-repo declarations\n");
     let mut errors = 0usize;
     let mut report_on = |subject: &str, report: &AuditReport| {
@@ -199,18 +262,10 @@ fn audit() -> i32 {
 
     // 1. The analysis engine's own phase declarations, over both a small
     //    three-phase program and the paper's image workload.
-    let division = |dynamic: &[&str]| Division {
-        dynamic_globals: dynamic.iter().map(|s| s.to_string()).collect(),
-    };
-    let workloads = [
-        (
-            "sample",
-            ickp_minic::parse("int d; int s; void main() { s = d + 1; }").expect("parses"),
-            division(&["d"]),
-        ),
-        ("image", ickp_minic::programs::image_program(), division(&["image", "work"])),
-    ];
-    for (name, program, div) in workloads {
+    let image = Division { dynamic_globals: vec!["image".to_string(), "work".to_string()] };
+    for (name, (program, div)) in
+        [("sample", sample_program()), ("image", (image_program(), image))]
+    {
         let engine = AnalysisEngine::new(program, div.clone()).expect("engine builds");
         let plans = engine.compile_phase_plans().expect("plans compile");
         let mut phases: Vec<&str> = plans.phases().collect();
@@ -248,13 +303,11 @@ fn audit() -> i32 {
         );
     }
 
-    if errors == 0 {
-        println!("\naudit passed: no error-severity findings");
-        0
-    } else {
-        println!("\naudit FAILED: {errors} subject(s) with error-severity findings");
-        1
-    }
+    verdict(
+        errors,
+        "\naudit passed: no error-severity findings",
+        &format!("\naudit FAILED: {errors} subject(s) with error-severity findings"),
+    )
 }
 
 // --------------------------------------------------------------- crashes
@@ -266,50 +319,27 @@ fn audit() -> i32 {
 /// checkpoints back — byte-identical and restorable to the matching
 /// program state. Deterministic (no timing dependence); returns the
 /// process exit code.
-fn crashes() -> i32 {
-    use ickp_analysis::{AnalysisEngine, Division};
-    use ickp_backend::{GenericBackend, ParallelBackend};
-    use ickp_core::{verify_restore, CheckpointRecord};
-    use ickp_durable::{
-        crash_matrix, DurableConfig, DurableStore, MatrixOptions, MatrixReport, StoreTopology,
-    };
-    use ickp_heap::{ClassRegistry, Heap, ObjectId};
-    use ickp_synth::{SynthConfig, SynthWorld};
-
+fn crashes(_: &Options) -> i32 {
     type Workload = (ClassRegistry, Vec<(Heap, Vec<ObjectId>)>, Vec<CheckpointRecord>);
 
     println!("# ickp crashes — crash-point enumeration over the durable store\n");
 
     let synthetic: Workload = {
-        let mut world = SynthWorld::build(SynthConfig {
+        let config = SynthConfig {
             structures: 10,
             lists_per_structure: 3,
             list_len: 4,
             ints_per_element: 1,
             seed: 23,
-        })
-        .expect("world builds");
-        let registry = world.heap().registry().clone();
-        let roots = world.roots().to_vec();
-        let mut backend = ParallelBackend::new(2, &registry);
-        let mut states = Vec::new();
-        let mut records = Vec::new();
-        world.heap_mut().mark_all_modified();
-        for round in 0..5 {
-            if round > 0 {
-                world.apply_modifications(&mods(40, 3, false));
-            }
-            records.push(backend.checkpoint(world.heap_mut(), &roots).expect("checkpoint"));
-            states.push((world.heap().clone(), roots.clone()));
-        }
-        (registry, states, records)
+        };
+        let history = record_history(config, 5, &mods(40, 3, false), true, |world| {
+            parallel(2, world.heap().registry())
+        });
+        (history.world.heap().registry().clone(), history.states, history.records)
     };
 
     let analysis: Workload = {
-        let program =
-            ickp_minic::parse("int d; int s; void main() { s = d + 1; }").expect("parses");
-        let division = Division { dynamic_globals: vec!["d".to_string()] };
-        let mut engine = AnalysisEngine::new(program, division).expect("engine builds");
+        let mut engine = sample_engine();
         let registry = engine.heap().registry().clone();
         let mut backend = GenericBackend::new(Engine::Jdk12, &registry);
         let mut states = Vec::new();
@@ -345,10 +375,7 @@ fn crashes() -> i32 {
                 }
                 Ok(())
             },
-            |acked, restored| {
-                let (heap, roots) = &states[acked - 1];
-                verify_restore(heap, roots, restored).expect("verify_restore runs")
-            },
+            acked_state(&states),
         );
         match outcome {
             Ok(MatrixReport { total_ops, records, .. }) => {
@@ -364,13 +391,11 @@ fn crashes() -> i32 {
         }
     }
 
-    if failures == 0 {
-        println!("\ncrash matrix passed");
-        0
-    } else {
-        println!("\ncrash matrix FAILED: {failures} workload(s)");
-        1
-    }
+    verdict(
+        failures,
+        "\ncrash matrix passed",
+        &format!("\ncrash matrix FAILED: {failures} workload(s)"),
+    )
 }
 
 // ------------------------------------------------------------- replicate
@@ -389,41 +414,26 @@ fn crashes() -> i32 {
 /// 3. **Fsync amortization** — group commit must push fsyncs/record
 ///    below 1.0 from batch size 4 up (3 fsyncs acknowledge a whole
 ///    single-segment batch), measured exactly via `IoStats`.
-fn replicate() -> i32 {
-    use ickp_backend::ParallelBackend;
-    use ickp_core::{verify_restore, CheckpointRecord};
-    use ickp_durable::{
-        crash_matrix, DurableConfig, DurableStore, MatrixOptions, MemFs, OpCounter,
-    };
+fn replicate(_: &Options) -> i32 {
     use ickp_replicate::{PairFaults, PairTopology, ReplicateConfig};
-    use ickp_synth::{SynthConfig, SynthWorld};
 
     println!("# ickp replicate — two-node failover matrix and group-commit gate\n");
     let mut failures = 0usize;
 
     // A workload small enough that the O(ops²) matrix stays fast but
     // wide enough to cross batch boundaries and segment rolls.
-    let mut world = SynthWorld::build(SynthConfig {
+    let workload = SynthConfig {
         structures: 6,
         lists_per_structure: 2,
         list_len: 3,
         ints_per_element: 1,
         seed: 29,
-    })
-    .expect("world builds");
-    let registry = world.heap().registry().clone();
-    let roots = world.roots().to_vec();
-    let mut backend = ParallelBackend::new(2, &registry);
-    let mut states = Vec::new();
-    let mut records = Vec::new();
-    world.heap_mut().mark_all_modified();
-    for round in 0..5 {
-        if round > 0 {
-            world.apply_modifications(&ModificationSpec::uniform(35));
-        }
-        records.push(backend.checkpoint(world.heap_mut(), &roots).expect("checkpoint"));
-        states.push((world.heap().clone(), roots.clone()));
-    }
+    };
+    let History { world, records, states, .. } =
+        record_history(workload, 5, &ModificationSpec::uniform(35), true, |world| {
+            parallel(2, world.heap().registry())
+        });
+    let registry = world.heap().registry();
 
     let config = ReplicateConfig {
         durable: DurableConfig { segment_target_bytes: 512 },
@@ -434,7 +444,7 @@ fn replicate() -> i32 {
     let topology = PairTopology { config };
     let matrix = crash_matrix(
         &topology,
-        &registry,
+        registry,
         &records,
         MatrixOptions { full: true },
         |pair, acks| {
@@ -446,10 +456,7 @@ fn replicate() -> i32 {
             acks.ack(pair.acked_records());
             Ok(())
         },
-        |acked, restored| {
-            let (heap, roots) = &states[acked - 1];
-            verify_restore(heap, roots, restored).expect("verify_restore runs")
-        },
+        acked_state(&states),
     );
     match matrix {
         Ok(report) => {
@@ -470,21 +477,20 @@ fn replicate() -> i32 {
     }
 
     // Byte identity over a perfect link.
-    let run =
-        topology.run_once(&registry, PairFaults::default(), &OpCounter::new(), None, |pair| {
-            for r in &records {
-                pair.append(r.clone())?;
-            }
-            pair.commit()?;
-            Ok(())
-        });
+    let run = topology.run_once(registry, PairFaults::default(), &OpCounter::new(), None, |pair| {
+        for r in &records {
+            pair.append(r.clone())?;
+        }
+        pair.commit()?;
+        Ok(())
+    });
     run.result.expect("fault-free run");
     if run.acked != records.len() as u64 {
         println!("byte identity: FAILED — not every record was acknowledged");
         failures += 1;
     }
     let recovered = |mut fs: MemFs| {
-        let (_, store) = DurableStore::open(&mut fs, config.durable, &registry).expect("reopen");
+        let (_, store) = DurableStore::open(&mut fs, config.durable, registry).expect("reopen");
         store
     };
     let [p, f] =
@@ -533,13 +539,11 @@ fn replicate() -> i32 {
         }
     }
 
-    if failures == 0 {
-        println!("\nreplication gate passed");
-        0
-    } else {
-        println!("\nreplication gate FAILED: {failures} check(s)");
-        1
-    }
+    verdict(
+        failures,
+        "\nreplication gate passed",
+        &format!("\nreplication gate FAILED: {failures} check(s)"),
+    )
 }
 
 // ---------------------------------------------------------------- shards
@@ -551,46 +555,26 @@ fn replicate() -> i32 {
 /// (`ickp_audit::cross_validate_shards`). Plans are the engine's own
 /// (`ickp_core::plan_shards`). Deterministic; returns the process exit code
 /// (1 if any AUD20x error or dynamic inconsistency — or, when
-/// `max_imbalance` is given, any finite heaviest/lightest per-shard byte
+/// `--max-imbalance` is given, any finite heaviest/lightest per-shard byte
 /// ratio above it; the infinite ratio of an empty shard means more
 /// workers than roots, which no balancing can fix, and is not gated).
-fn shards(max_imbalance: Option<f64>) -> i32 {
-    use ickp_analysis::{AnalysisEngine, Division};
-    use ickp_audit::{audit_shards, cross_validate_shards};
-    use ickp_core::plan_shards;
-    use ickp_heap::{Heap, ObjectId};
-    use ickp_synth::{SynthConfig, SynthWorld};
-
+fn shards(opts: &Options) -> i32 {
     println!("# ickp shards — shard-interference audit + dynamic cross-validation\n");
-    if let Some(max) = max_imbalance {
+    if let Some(max) = opts.max_imbalance {
         println!("# gating on per-shard byte imbalance <= {max:.2}\n");
     }
 
     // Subjects: the synthetic benchmark world and the analysis engine's
     // attribute heap as its binding-time phase sees it.
-    let mut subjects: Vec<(String, Heap, Vec<ObjectId>)> = Vec::new();
-    {
-        let world = SynthWorld::build(SynthConfig::small()).expect("world builds");
-        subjects.push(("synth[small]".into(), world.heap().clone(), world.roots().to_vec()));
-    }
-    {
-        let program =
-            ickp_minic::parse("int d; int s; void main() { s = d + 1; }").expect("parses");
-        let division = Division { dynamic_globals: vec!["d".to_string()] };
-        let mut engine = AnalysisEngine::new(program, division).expect("engine builds");
-        let mut captured = None;
-        engine
-            .run_phase(Phase::BindingTime, |heap, attrs, _| {
-                captured = Some((heap.clone(), attrs.to_vec()));
-                Ok(())
-            })
-            .expect("phase runs");
-        let (heap, attrs) = captured.expect("the phase iterates at least once");
-        subjects.push(("engine[sample]".into(), heap, attrs));
-    }
+    let world = SynthWorld::build(SynthConfig::small()).expect("world builds");
+    let (engine_heap, engine_roots) = sample_binding_time_heap();
+    let subjects: [(&str, &Heap, &[ObjectId]); 2] = [
+        ("synth[small]", world.heap(), world.roots()),
+        ("engine[sample]", &engine_heap, &engine_roots),
+    ];
 
     let mut failures = 0usize;
-    for (name, heap, roots) in &subjects {
+    for (name, heap, roots) in subjects {
         for workers in [1usize, 2, 4, 8] {
             let plan = match plan_shards(heap, roots, workers) {
                 Ok(plan) => plan,
@@ -610,7 +594,7 @@ fn shards(max_imbalance: Option<f64>) -> i32 {
             };
             let objects: Vec<usize> = audit.footprints.iter().map(|f| f.objects.len()).collect();
             let ratio = audit.byte_imbalance();
-            let balance_verdict = match max_imbalance {
+            let balance_verdict = match opts.max_imbalance {
                 Some(max) if ratio.is_finite() && ratio > max => {
                     failures += 1;
                     format!("byte imbalance {ratio:.2} EXCEEDS {max:.2}")
@@ -650,13 +634,11 @@ fn shards(max_imbalance: Option<f64>) -> i32 {
         println!();
     }
 
-    if failures == 0 {
-        println!("shard audit passed: every plan disjoint, complete, and deterministic");
-        0
-    } else {
-        println!("shard audit FAILED: {failures} subject(s)");
-        1
-    }
+    verdict(
+        failures,
+        "shard audit passed: every plan disjoint, complete, and deterministic",
+        &format!("shard audit FAILED: {failures} subject(s)"),
+    )
 }
 
 // -------------------------------------------------------------- barriers
@@ -674,17 +656,6 @@ fn shards(max_imbalance: Option<f64>) -> i32 {
 /// write. Deterministic; returns the process exit code (1 on any error or
 /// inconsistency).
 fn barriers(opts: &Options) -> i32 {
-    use ickp_analysis::{AnalysisEngine, Division};
-    use ickp_audit::{
-        audit_barriers, audit_barriers_with, cross_validate_barriers, DiagCode, MutatorSpec,
-        Severity,
-    };
-    use ickp_heap::{
-        DeclaredEffect, DirtyScope, Heap, HeapError, MutationCatalog, MutationProbe, ObjectId,
-        Value,
-    };
-    use ickp_synth::{SynthConfig, SynthWorld};
-
     println!("# ickp barriers — write-barrier coverage audit + restore-checked rounds\n");
 
     let mut failures = 0usize;
@@ -695,38 +666,14 @@ fn barriers(opts: &Options) -> i32 {
     // ---- Static pass over real heaps -----------------------------------
     // The paper-scale world (probes clone the heap, so this is also a
     // scale test of the auditor itself) and the analysis engine's heap.
-    let mut subjects: Vec<(String, Heap, Vec<ObjectId>)> = Vec::new();
-    {
-        let config = SynthConfig {
-            structures: opts.structures,
-            lists_per_structure: 5,
-            list_len: 5,
-            ints_per_element: 10,
-            seed: 0x5ca1e,
-        };
-        let world = SynthWorld::build(config).expect("world builds");
-        subjects.push((
-            format!("synth[{}]", opts.structures),
-            world.heap().clone(),
-            world.roots().to_vec(),
-        ));
-    }
-    {
-        let program =
-            ickp_minic::parse("int d; int s; void main() { s = d + 1; }").expect("parses");
-        let division = Division { dynamic_globals: vec!["d".to_string()] };
-        let mut engine = AnalysisEngine::new(program, division).expect("engine builds");
-        let mut captured = None;
-        engine
-            .run_phase(Phase::BindingTime, |heap, attrs, _| {
-                captured = Some((heap.clone(), attrs.to_vec()));
-                Ok(())
-            })
-            .expect("phase runs");
-        let (heap, attrs) = captured.expect("the phase iterates at least once");
-        subjects.push(("engine[sample]".into(), heap, attrs));
-    }
-    for (name, heap, roots) in &subjects {
+    let paper = SynthWorld::build(paper_scale(opts.structures)).expect("world builds");
+    let paper_name = format!("synth[{}]", opts.structures);
+    let (engine_heap, engine_roots) = sample_binding_time_heap();
+    let subjects: [(&str, &Heap, &[ObjectId]); 2] = [
+        (&paper_name, paper.heap(), paper.roots()),
+        ("engine[sample]", &engine_heap, &engine_roots),
+    ];
+    for (name, heap, roots) in subjects {
         match audit_barriers(heap, roots, &catalog) {
             Ok(audit) if !audit.report.has_errors() => {
                 println!(
@@ -781,13 +728,7 @@ fn barriers(opts: &Options) -> i32 {
             // First non-seed target with a scalar slot, so no structure
             // bump muddies the verdict.
             for &target in probe.targets.iter().filter(|&&t| Some(t) != probe.seed) {
-                let class = heap.class_of(target)?;
-                let slot = heap
-                    .class(class)?
-                    .layout()
-                    .iter()
-                    .position(|f| matches!(f.ty(), ickp_heap::FieldType::Int));
-                if let Some(slot) = slot {
+                if let Some(slot) = int_slot(heap, target)? {
                     return heap.set_field_unbarriered(
                         target,
                         slot,
@@ -821,8 +762,6 @@ fn barriers(opts: &Options) -> i32 {
             Ok(())
         },
     };
-    let (inj_name, inj_heap, inj_roots) = &subjects[1]; // the engine heap
-    let _ = inj_name;
     let injections: [(&Injected, DiagCode); 3] = [
         (&rogue_store, DiagCode::BarrierUnjournaledWrite),
         (&silent_rewire, DiagCode::BarrierMissedVersionBump),
@@ -831,15 +770,9 @@ fn barriers(opts: &Options) -> i32 {
     for (broken, expected) in injections {
         let mut armed = specs.clone();
         armed.push(broken);
-        match audit_barriers_with(inj_heap, inj_roots, &armed) {
+        match audit_barriers_with(&engine_heap, &engine_roots, &armed) {
             Ok(audit) => {
-                let codes: Vec<DiagCode> = audit
-                    .report
-                    .diagnostics()
-                    .iter()
-                    .filter(|d| d.severity == Severity::Error)
-                    .map(|d| d.code)
-                    .collect();
+                let codes = error_codes(&audit.report);
                 if codes == [expected] {
                     println!("injection `{}`: pinned to {}", broken.name, expected.code());
                 } else {
@@ -859,15 +792,9 @@ fn barriers(opts: &Options) -> i32 {
             }
         }
     }
-    match audit_barriers(inj_heap, inj_roots, &catalog.without("set_modified")) {
+    match audit_barriers(&engine_heap, &engine_roots, &catalog.without("set_modified")) {
         Ok(audit) => {
-            let codes: Vec<DiagCode> = audit
-                .report
-                .diagnostics()
-                .iter()
-                .filter(|d| d.severity == Severity::Error)
-                .map(|d| d.code)
-                .collect();
+            let codes = error_codes(&audit.report);
             if codes == [DiagCode::BarrierUncataloged] {
                 println!("injection `uncataloged`: pinned to AUD306");
             } else {
@@ -886,8 +813,10 @@ fn barriers(opts: &Options) -> i32 {
     // 50+ randomized workloads per run: every seed must report the real
     // catalog consistent with the ground-truth state diff.
     let small = SynthWorld::build(SynthConfig::small()).expect("world builds");
-    let dyn_subjects: [(&str, &Heap, &[ObjectId]); 2] =
-        [("synth[small]", small.heap(), small.roots()), ("engine[sample]", inj_heap, inj_roots)];
+    let dyn_subjects: [(&str, &Heap, &[ObjectId]); 2] = [
+        ("synth[small]", small.heap(), small.roots()),
+        ("engine[sample]", &engine_heap, &engine_roots),
+    ];
     for (name, heap, roots) in dyn_subjects {
         let mut consistent = 0usize;
         let seeds = 28u64;
@@ -912,108 +841,89 @@ fn barriers(opts: &Options) -> i32 {
     println!();
 
     // ---- Restore-checked checkpoint rounds ------------------------------
-    // Real checkpoint rounds on both backends: after every round the
-    // records emitted so far are restored and compared with the live heap.
-    {
-        use ickp_backend::{Engine, GenericBackend, ParallelBackend};
-        use ickp_core::{
-            restore, verify_restore, CheckpointRecord, CheckpointStore, CoreError, RestorePolicy,
-        };
-
-        // Appends a round's record and restores the whole store. `Lenient`:
-        // each backend's first record is an all-dirty incremental, complete
-        // because `mark_all_modified` runs before it.
-        let check = |store: &mut CheckpointStore,
-                     record: CheckpointRecord,
-                     live: &Heap,
-                     roots: &[ObjectId]|
-         -> Result<Option<String>, CoreError> {
-            store.push(record)?;
-            verify_restore(live, roots, &restore(store, live.registry(), RestorePolicy::Lenient)?)
-        };
-        let spec = mods(20, 2, false);
-        let rounds = opts.rounds.max(6);
-        let mut exact_rounds = 0usize;
-        let mut tally = |label: &str, outcome: Result<Option<String>, CoreError>| match outcome {
-            Ok(None) => exact_rounds += 1,
-            Ok(Some(diff)) => {
-                failures += 1;
-                println!("{label} restore: {diff}");
-            }
-            Err(e) => {
-                failures += 1;
-                println!("{label} restore FAILED — {e}");
-            }
-        };
-        let mut world = SynthWorld::build(SynthConfig::small()).expect("world builds");
-        let roots = world.roots().to_vec();
-        let mut generic = GenericBackend::new(Engine::Harissa, world.heap().registry());
-        let mut store = CheckpointStore::new();
-        world.heap_mut().mark_all_modified();
-        for _ in 0..rounds {
-            world.apply_modifications(&spec);
-            let record = generic.checkpoint(world.heap_mut(), &roots).expect("checkpoint");
-            tally("generic", check(&mut store, record, world.heap(), &roots));
-        }
-        let mut world2 = SynthWorld::build(SynthConfig::small()).expect("world builds");
-        let roots2 = world2.roots().to_vec();
-        let mut parallel = ParallelBackend::new(4, world2.heap().registry());
-        let mut store2 = CheckpointStore::new();
-        world2.heap_mut().mark_all_modified();
-        for _ in 0..rounds {
-            world2.apply_modifications(&spec);
-            let record = parallel.checkpoint(world2.heap_mut(), &roots2).expect("checkpoint");
-            tally("parallel", check(&mut store2, record, world2.heap(), &roots2));
-        }
-        println!("restore check: {exact_rounds}/{} checkpoint round(s) exact", 2 * rounds);
-
-        // Detection demo: one write smuggled past the barrier must be
-        // caught on the very next checkpoint.
-        let scalar_target = world.heap().iter_live().find_map(|id| {
-            let class = world.heap().class_of(id).ok()?;
-            let def = world.heap().class(class).ok()?;
-            let slot =
-                def.layout().iter().position(|f| matches!(f.ty(), ickp_heap::FieldType::Int))?;
-            Some((id, slot))
-        });
-        match scalar_target {
-            Some((id, slot)) => {
-                world
-                    .heap_mut()
-                    .set_field_unbarriered(id, slot, Value::Int(0x5EED))
-                    .expect("store");
-                let record = generic.checkpoint(world.heap_mut(), &roots).expect("checkpoint");
-                let seq = record.seq();
-                match check(&mut store, record, world.heap(), &roots) {
+    // Real checkpoint rounds on both backends, each applying `spec` before
+    // its first checkpoint too: after every round the records emitted so
+    // far are restored and compared with the heap that round captured.
+    // `Lenient`: each backend's first record is an all-dirty incremental,
+    // complete because `mark_all_modified` runs before it.
+    let check = |store: &mut CheckpointStore,
+                 record: CheckpointRecord,
+                 live: &Heap,
+                 roots: &[ObjectId]|
+     -> Result<Option<String>, CoreError> {
+        store.push(record)?;
+        verify_restore(live, roots, &restore(store, live.registry(), RestorePolicy::Lenient)?)
+    };
+    let spec = mods(20, 2, false);
+    let rounds = opts.rounds.max(6);
+    let mut generic = record_history(SynthConfig::small(), rounds, &spec, true, |world| {
+        world.apply_modifications(&spec);
+        let mut backend = GenericBackend::new(Engine::Harissa, world.heap().registry());
+        move |heap: &mut Heap, roots: &[ObjectId]| backend.checkpoint(heap, roots)
+    });
+    let sharded = record_history(SynthConfig::small(), rounds, &spec, true, |world| {
+        world.apply_modifications(&spec);
+        parallel(4, world.heap().registry())
+    });
+    let mut exact_rounds = 0usize;
+    let mut restore_rounds =
+        |label: &str, records: Vec<CheckpointRecord>, states: &[(Heap, Vec<ObjectId>)]| {
+            let mut store = CheckpointStore::new();
+            for (record, (heap, roots)) in records.into_iter().zip(states) {
+                match check(&mut store, record, heap, roots) {
+                    Ok(None) => exact_rounds += 1,
                     Ok(Some(diff)) => {
-                        println!("detection demo: unbarriered write caught — seq {seq}: {diff}");
-                    }
-                    Ok(None) => {
                         failures += 1;
-                        println!("detection demo: unbarriered write NOT caught at seq {seq}");
+                        println!("{label} restore: {diff}");
                     }
                     Err(e) => {
                         failures += 1;
-                        println!("detection demo: restore FAILED — {e}");
+                        println!("{label} restore FAILED — {e}");
                     }
                 }
             }
-            None => {
-                failures += 1;
-                println!("detection demo: no scalar slot found in the synth world");
+            store
+        };
+    let mut store =
+        restore_rounds("generic", std::mem::take(&mut generic.records), &generic.states);
+    restore_rounds("parallel", sharded.records, &sharded.states);
+    println!("restore check: {exact_rounds}/{} checkpoint round(s) exact", 2 * rounds);
+
+    // Detection demo: one write smuggled past the barrier must be
+    // caught on the very next checkpoint.
+    let History { mut world, roots, engine: mut checkpoint, .. } = generic;
+    let heap = world.heap();
+    let scalar_target = heap.iter_live().find_map(|id| Some((id, int_slot(heap, id).ok()??)));
+    match scalar_target {
+        Some((id, slot)) => {
+            world.heap_mut().set_field_unbarriered(id, slot, Value::Int(0x5EED)).expect("store");
+            let record = checkpoint(world.heap_mut(), &roots).expect("checkpoint");
+            let seq = record.seq();
+            match check(&mut store, record, world.heap(), &roots) {
+                Ok(Some(diff)) => {
+                    println!("detection demo: unbarriered write caught — seq {seq}: {diff}");
+                }
+                Ok(None) => {
+                    failures += 1;
+                    println!("detection demo: unbarriered write NOT caught at seq {seq}");
+                }
+                Err(e) => {
+                    failures += 1;
+                    println!("detection demo: restore FAILED — {e}");
+                }
             }
+        }
+        None => {
+            failures += 1;
+            println!("detection demo: no scalar slot found in the synth world");
         }
     }
 
-    if failures == 0 {
-        println!(
-            "\nbarrier audit passed: journal protocol proven sound, statically and dynamically"
-        );
-        0
-    } else {
-        println!("\nbarrier audit FAILED: {failures} check(s)");
-        1
-    }
+    verdict(
+        failures,
+        "\nbarrier audit passed: journal protocol proven sound, statically and dynamically",
+        &format!("\nbarrier audit FAILED: {failures} check(s)"),
+    )
 }
 
 // --------------------------------------------------------------- scaling
@@ -1028,27 +938,13 @@ fn barriers(opts: &Options) -> i32 {
 /// 1-worker engine. The journal is pinned off so every round runs the
 /// shard workers. Identity gates the exit code; timing is informational.
 fn scaling(opts: &Options) -> i32 {
-    use ickp_audit::cross_validate_shards;
-    use ickp_backend::ParallelBackend;
-    use ickp_bench::timing::median;
-    use ickp_core::{plan_shards, CheckpointConfig, Checkpointer, MethodTable};
-    use ickp_heap::{chunk_roots, first_touch_plan};
-    use ickp_synth::{SynthConfig, SynthWorld};
-    use std::time::Instant;
-
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("# ickp scaling — parallel engine, measured end to end\n");
     println!("# structures={} rounds={} cpus={}", opts.structures, opts.rounds, cpus);
     println!("# shards: every round's access sets cross-validated against static footprints");
     println!();
 
-    let config = SynthConfig {
-        structures: opts.structures,
-        lists_per_structure: 5,
-        list_len: 5,
-        ints_per_element: 10,
-        seed: 0x5ca1e,
-    };
+    let config = paper_scale(opts.structures);
     let no_journal = CheckpointConfig::incremental().without_journal();
     let mut failures = 0usize;
 
@@ -1104,25 +1000,13 @@ fn scaling(opts: &Options) -> i32 {
     let world = SynthWorld::build(config).expect("world builds");
     let roots = world.roots().to_vec();
     let heap = world.heap();
-    let time_plan = |f: &dyn Fn()| {
-        median(
-            (0..opts.rounds.max(5))
-                .map(|_| {
-                    let start = Instant::now();
-                    f();
-                    start.elapsed()
-                })
-                .collect(),
-        )
-    };
-    let seq_pre = time_plan(&|| {
-        std::hint::black_box(first_touch_plan(heap, chunk_roots(&roots, 8)).expect("plan"));
-    });
+    let samples = opts.rounds.max(5);
+    let (seq_pre, _) =
+        median_time(samples, || first_touch_plan(heap, chunk_roots(&roots, 8)).expect("plan"));
     println!("\npre-pass (8 shards): sequential oracle {}", fmt_duration(seq_pre));
     for workers in [1usize, 2, 4, 8] {
-        let par_pre = time_plan(&|| {
-            std::hint::black_box(plan_shards(heap, &roots, workers).expect("plan"));
-        });
+        let (par_pre, _) =
+            median_time(samples, || plan_shards(heap, &roots, workers).expect("plan"));
         println!("pre-pass ({workers} shard(s), planner): {}", fmt_duration(par_pre));
     }
 
@@ -1161,13 +1045,11 @@ fn scaling(opts: &Options) -> i32 {
         println!("multi-core numbers come from the CI parallel-scaling job.");
     }
 
-    if failures == 0 {
-        println!("\nscaling gate passed: all parallel streams byte-identical");
-        0
-    } else {
-        println!("\nscaling gate FAILED: {failures} check(s)");
-        1
-    }
+    verdict(
+        failures,
+        "\nscaling gate passed: all parallel streams byte-identical",
+        &format!("\nscaling gate FAILED: {failures} check(s)"),
+    )
 }
 
 // ------------------------------------------------------------- lifecycle
@@ -1179,13 +1061,6 @@ fn scaling(opts: &Options) -> i32 {
 /// shrinks the store versus the same history stored plain. Returns the
 /// process exit code.
 fn lifecycle(opts: &Options) -> i32 {
-    use ickp_bench::timing::median;
-    use ickp_core::{verify_restore, CheckpointConfig, Checkpointer, MethodTable};
-    use ickp_durable::{DurableConfig, MemFs};
-    use ickp_lifecycle::{CheckpointManager, LifecycleConfig, RetentionPolicy};
-    use ickp_synth::{SynthConfig, SynthWorld};
-    use std::time::Instant;
-
     println!("# ickp lifecycle — tags, binomial retention, content-hash dedup\n");
     let structures = (opts.structures / 40).max(50);
     let rounds = 48usize;
@@ -1216,8 +1091,7 @@ fn lifecycle(opts: &Options) -> i32 {
         .expect("world builds");
         let roots = world.roots().to_vec();
         let registry = world.heap().registry().clone();
-        let table = MethodTable::derive(world.heap().registry());
-        let mut ckp = Checkpointer::new(CheckpointConfig::incremental());
+        let mut checkpoint = sequential(&registry);
         let config = LifecycleConfig {
             durable: DurableConfig { segment_target_bytes: 256 * 1024 },
             policy: RetentionPolicy { budget },
@@ -1225,7 +1099,7 @@ fn lifecycle(opts: &Options) -> i32 {
         };
         let mut mgr = CheckpointManager::create(MemFs::new(), config, &registry).expect("create");
 
-        let mut tagged: Option<(u64, ickp_heap::Heap)> = None;
+        let mut tagged: Option<(u64, Heap)> = None;
         for round in 0..rounds {
             if round % 16 == 0 {
                 world.heap_mut().mark_all_modified();
@@ -1235,7 +1109,7 @@ fn lifecycle(opts: &Options) -> i32 {
                 // byte-identically — the dedup target.
                 world.apply_modifications(&mods(20, 1, false));
             }
-            let record = ckp.checkpoint(world.heap_mut(), &table, &roots).expect("checkpoint");
+            let record = checkpoint(world.heap_mut(), &roots).expect("checkpoint");
             mgr.append(&record).expect("append");
             if round == rounds / 2 {
                 let seq = mgr.tag("midpoint").expect("tag");
@@ -1264,20 +1138,8 @@ fn lifecycle(opts: &Options) -> i32 {
 
         // The folded tip still restores the live heap, and rolling back
         // to the tag reproduces the tagged heap exactly.
-        let time_restore = |mgr: &CheckpointManager<MemFs>| {
-            let samples = (0..opts.rounds.max(2))
-                .map(|_| {
-                    let start = Instant::now();
-                    let rebuilt = mgr.restore_latest().expect("restore");
-                    let d = start.elapsed();
-                    assert!(!rebuilt.is_empty());
-                    d
-                })
-                .collect();
-            median(samples)
-        };
-        let restore_tip = time_restore(&mgr);
-        let tip = mgr.restore_latest().expect("restore tip");
+        let (restore_tip, tip) =
+            median_time(opts.rounds.max(2), || mgr.restore_latest().expect("restore"));
         fail(
             verify_restore(world.heap(), &roots, &tip).expect("verify").is_none(),
             "restore after maintain diverged from the live heap",
@@ -1324,17 +1186,11 @@ fn lifecycle(opts: &Options) -> i32 {
         100.0 * committed[0] as f64 / committed[1].max(1) as f64
     );
 
-    if failures == 0 {
-        println!("\nlifecycle gate passed");
-        0
-    } else {
-        println!("\nlifecycle gate FAILED: {failures} check(s)");
-        1
-    }
-}
-
-fn mods(pct: u8, lists: usize, last_only: bool) -> ModificationSpec {
-    ModificationSpec { pct_modified: pct, modified_lists: lists, last_only }
+    verdict(
+        failures,
+        "\nlifecycle gate passed",
+        &format!("\nlifecycle gate FAILED: {failures} check(s)"),
+    )
 }
 
 const PCTS: [u8; 3] = [100, 50, 25];
@@ -1537,14 +1393,6 @@ fn fig11(opts: &Options) {
 /// Extension experiment (not in the paper): recovery cost as the store
 /// grows, and the effect of compaction.
 fn recovery(opts: &Options) {
-    use ickp_bench::timing::median;
-    use ickp_core::{
-        compact, restore, verify_restore, CheckpointConfig, Checkpointer, MethodTable,
-        RestorePolicy,
-    };
-    use ickp_synth::{SynthConfig, SynthWorld};
-    use std::time::Instant;
-
     println!("## Recovery (extension) — restore time vs store length, and compaction");
     let structures = (opts.structures / 4).max(100);
     println!(
@@ -1552,43 +1400,28 @@ fn recovery(opts: &Options) {
         "increments", "store bytes", "compacted", "restore", "restore-compacted"
     );
     for increments in [1usize, 8, 32] {
-        let mut world = SynthWorld::build(SynthConfig {
+        let config = SynthConfig {
             structures,
             lists_per_structure: 5,
             list_len: 5,
             ints_per_element: 1,
             seed: 5,
-        })
-        .expect("world builds");
-        let roots = world.roots().to_vec();
-        let table = MethodTable::derive(world.heap().registry());
-        let mut ckp = Checkpointer::new(CheckpointConfig::incremental());
-        let mut store = ickp_core::CheckpointStore::new();
-        world.heap_mut().mark_all_modified();
-        store.push(ckp.checkpoint(world.heap_mut(), &table, &roots).expect("base")).unwrap();
-        for _ in 0..increments {
-            world.apply_modifications(&mods(25, 5, false));
-            store
-                .push(ckp.checkpoint(world.heap_mut(), &table, &roots).expect("increment"))
-                .unwrap();
-        }
+        };
+        // A base checkpoint, then `increments` modified rounds.
+        let History { world, roots, records, .. } =
+            record_history(config, increments + 1, &mods(25, 5, false), false, |world| {
+                sequential(world.heap().registry())
+            });
+        let mut store = CheckpointStore::new();
+        store.extend(records);
         let compacted = compact(&store, world.heap().registry()).expect("compaction");
 
-        let time_restore = |s: &ickp_core::CheckpointStore| {
-            let samples = (0..opts.rounds.max(2))
-                .map(|_| {
-                    let start = Instant::now();
-                    let rebuilt = restore(s, world.heap().registry(), RestorePolicy::Lenient)
-                        .expect("restore");
-                    let d = start.elapsed();
-                    assert_eq!(
-                        verify_restore(world.heap(), &roots, &rebuilt).expect("verify"),
-                        None
-                    );
-                    d
-                })
-                .collect();
-            median(samples)
+        let time_restore = |s: &CheckpointStore| {
+            let (time, rebuilt) = median_time(opts.rounds.max(2), || {
+                restore(s, world.heap().registry(), RestorePolicy::Lenient).expect("restore")
+            });
+            assert_eq!(verify_restore(world.heap(), &roots, &rebuilt).expect("verify"), None);
+            time
         };
         println!(
             "{:<14} {:>12} {:>12} {:>14} {:>14}",
@@ -1696,42 +1529,26 @@ fn journal(opts: &Options) {
 ///    pruned crash matrix (whose traced baseline the static pass audits)
 ///    replays the first and last member of every crash class through the
 ///    real `MemFs` crash machinery, held to the class's static verdict.
-fn durability() -> i32 {
-    use ickp_audit::{audit_durability, Severity};
-    use ickp_backend::ParallelBackend;
-    use ickp_core::{object_slices, CheckpointRecord};
-    use ickp_durable::{
-        crash_matrix, DurableConfig, DurableStore, MatrixOptions, MemFs, OpCounter, StoreTopology,
-        TraceEvent, TraceLog, TraceNode, TraceOp, TraceVfs, MANIFEST,
-    };
-    use ickp_lifecycle::{CheckpointManager, LifecycleConfig, RetentionPolicy};
+fn durability(_: &Options) -> i32 {
     use ickp_replicate::{PairFaults, PairTopology, ReplicateConfig};
-    use ickp_synth::{SynthConfig, SynthWorld};
 
     println!("# ickp durability — static crash-consistency proofs over op traces\n");
     let mut failures = 0usize;
 
     // A record stream wide enough to cross segment rolls and batch
     // boundaries on every workload below.
-    let mut world = SynthWorld::build(SynthConfig {
+    let workload = SynthConfig {
         structures: 48,
         lists_per_structure: 3,
         list_len: 4,
         ints_per_element: 2,
         seed: 0xd04a,
-    })
-    .expect("world builds");
-    let registry = world.heap().registry().clone();
-    let roots = world.roots().to_vec();
-    let mut backend = ParallelBackend::new(2, &registry);
-    let mut records: Vec<CheckpointRecord> = Vec::new();
-    world.heap_mut().mark_all_modified();
-    for round in 0..8 {
-        if round > 0 {
-            world.apply_modifications(&ModificationSpec::uniform(30));
-        }
-        records.push(backend.checkpoint(world.heap_mut(), &roots).expect("checkpoint"));
-    }
+    };
+    let History { world, records, .. } =
+        record_history(workload, 8, &ModificationSpec::uniform(30), false, |world| {
+            parallel(2, world.heap().registry())
+        });
+    let registry = world.heap().registry();
     let config = DurableConfig { segment_target_bytes: 512 };
 
     let mut report_subject = |name: &str, audit: &ickp_audit::DurabilityAudit| {
@@ -1758,7 +1575,7 @@ fn durability() -> i32 {
     // pass; its replays are the oracle reported in 4b.
     let matrix = crash_matrix(
         &StoreTopology { config },
-        &registry,
+        registry,
         &records,
         MatrixOptions::default(),
         |fs, acks| {
@@ -1772,7 +1589,7 @@ fn durability() -> i32 {
             store.tag("stable", records[3].seq())?;
             let layouts = records
                 .iter()
-                .map(|r| object_slices(r.bytes(), &registry))
+                .map(|r| object_slices(r.bytes(), registry))
                 .collect::<Result<Vec<_>, _>>()?;
             let tags = store.tags().to_vec();
             store.rewrite(&records, &layouts, &tags)?;
@@ -1791,7 +1608,7 @@ fn durability() -> i32 {
             LifecycleConfig { durable: config, policy: RetentionPolicy { budget: 3 }, dedup: true };
         let log = TraceLog::new();
         let mut fs = TraceVfs::new(MemFs::new(), log.clone());
-        let mut mgr = CheckpointManager::create(&mut fs, lc, &registry).expect("manager creates");
+        let mut mgr = CheckpointManager::create(&mut fs, lc, registry).expect("manager creates");
         let mut appended = 0u64;
         for (i, record) in records.iter().enumerate() {
             mgr.append(record).expect("append");
@@ -1822,7 +1639,7 @@ fn durability() -> i32 {
             },
         };
         let faults = PairFaults::default();
-        let run = topology.run_once(&registry, faults, &counter, Some(&log), |pair| {
+        let run = topology.run_once(registry, faults, &counter, Some(&log), |pair| {
             for record in &records {
                 pair.append(record.clone())?;
                 if pair.acked_records() > 0 {
@@ -1961,13 +1778,7 @@ fn durability() -> i32 {
     println!("{:<40} {:>8}  verdict", "injected violation", "expected");
     for (name, expected, trace) in &injections {
         let audit = audit_durability(trace);
-        let codes: Vec<&str> = audit
-            .report
-            .diagnostics()
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .map(|d| d.code.code())
-            .collect();
+        let codes: Vec<&str> = error_codes(&audit.report).into_iter().map(DiagCode::code).collect();
         if codes == vec![*expected] {
             println!("{name:<40} {expected:>8}  pinned");
         } else {
@@ -1991,11 +1802,9 @@ fn durability() -> i32 {
         }
     }
 
-    if failures == 0 {
-        println!("\ndurability audit passed");
-        0
-    } else {
-        println!("\ndurability audit FAILED: {failures} check(s)");
-        1
-    }
+    verdict(
+        failures,
+        "\ndurability audit passed",
+        &format!("\ndurability audit FAILED: {failures} check(s)"),
+    )
 }

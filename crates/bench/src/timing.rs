@@ -1,7 +1,7 @@
 //! Small timing helpers shared by the `repro` binary and the Criterion
 //! benches.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Median of a set of duration samples (empty ⇒ zero).
 pub fn median(mut samples: Vec<Duration>) -> Duration {
@@ -10,6 +10,24 @@ pub fn median(mut samples: Vec<Duration>) -> Duration {
     }
     samples.sort_unstable();
     samples[samples.len() / 2]
+}
+
+/// Median wall time of `samples` calls of `f` (at least one), and the
+/// last call's result. Each result is dropped only after its clock stops.
+pub fn median_time<T>(samples: usize, mut f: impl FnMut() -> T) -> (Duration, T) {
+    let mut time = || {
+        let start = Instant::now();
+        let out = std::hint::black_box(f());
+        (start.elapsed(), out)
+    };
+    let (first, mut last) = time();
+    let mut times = vec![first];
+    for _ in 1..samples {
+        let (t, out) = time();
+        times.push(t);
+        last = out;
+    }
+    (median(times), last)
 }
 
 /// Ratio of two durations as a speedup factor (`base / other`).
@@ -56,6 +74,27 @@ mod tests {
         assert_eq!(median(vec![d(5), d(1), d(9)]), d(5));
         assert_eq!(median(vec![d(4), d(2)]), d(4));
         assert_eq!(median(vec![]), Duration::ZERO);
+    }
+
+    #[test]
+    fn median_time_calls_at_least_once_and_returns_the_last_result() {
+        let mut calls = 0;
+        assert_eq!(
+            median_time(3, || {
+                calls += 1;
+                calls
+            })
+            .1,
+            3
+        );
+        assert_eq!(
+            median_time(0, || {
+                calls += 1;
+                calls
+            })
+            .1,
+            4
+        );
     }
 
     #[test]

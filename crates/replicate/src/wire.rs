@@ -24,6 +24,8 @@
 //! (`WireMessage<&[u8]>`), and [`WireMessage::decode`] hands the follower
 //! owned ones (`WireMessage<Vec<u8>>`, the default).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+
 use ickp_durable::crc32;
 
 /// Leading magic of every replication frame.
@@ -160,11 +162,11 @@ impl WireMessage {
     /// version, unknown kind, truncation, trailing garbage, or CRC
     /// mismatch.
     pub fn decode(bytes: &[u8]) -> Result<WireMessage, String> {
-        if bytes.len() < 4 + 2 + 1 + 8 + 4 {
-            return Err(format!("frame too short: {} bytes", bytes.len()));
-        }
-        let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let want = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
+        let (body, crc_bytes) = match bytes.split_last_chunk() {
+            Some(split) if bytes.len() >= 4 + 2 + 1 + 8 + 4 => split,
+            _ => return Err(format!("frame too short: {} bytes", bytes.len())),
+        };
+        let want = u32::from_le_bytes(*crc_bytes);
         let got = crc32(body);
         if want != got {
             return Err(format!("frame crc mismatch: stored {want:#010x}, computed {got:#010x}"));
@@ -229,29 +231,37 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    fn truncated(&self) -> String {
+        format!("frame truncated at offset {}", self.pos)
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.pos + n > self.bytes.len() {
-            return Err(format!("frame truncated at offset {}", self.pos));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
+        let s = self.bytes.get(self.pos..self.pos + n).ok_or_else(|| self.truncated())?;
         self.pos += n;
         Ok(s)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], String> {
+        let rest = self.bytes.get(self.pos..).unwrap_or_default();
+        let (head, _) = rest.split_first_chunk().ok_or_else(|| self.truncated())?;
+        self.pos += N;
+        Ok(*head)
+    }
+
     fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
+        self.array().map(|[b]| b)
     }
 
     fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
+        self.array().map(u16::from_le_bytes)
     }
 
     fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        self.array().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        self.array().map(u64::from_le_bytes)
     }
 
     fn label(&mut self) -> Result<String, String> {
@@ -272,6 +282,7 @@ impl<'a> Cursor<'a> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::indexing_slicing)]
 mod tests {
     use super::*;
 
