@@ -123,6 +123,32 @@ mod tests {
     }
 
     #[test]
+    fn a_clone_of_a_churned_heap_digests_equal() {
+        // Churn: many lists grown and freed in turn, so the clone copies
+        // slots and arena ranges that were freed and reused.
+        let (mut heap, mut roots) = chain(&[1, 2, 3]);
+        let node = heap.registry().id_of("Node").unwrap();
+        for round in 0..40 {
+            let id = heap.alloc(node).unwrap();
+            heap.set_field(id, 0, Value::Int(round)).unwrap();
+            heap.set_field(id, 1, Value::Ref(Some(roots[0]))).unwrap();
+            if round % 3 == 0 {
+                let next = heap.field(roots[0], 1).unwrap();
+                heap.set_field(id, 1, next).unwrap();
+                heap.free(roots[0]).unwrap();
+            }
+            roots[0] = id;
+        }
+        let clone = heap.clone();
+        let digest = state_digest(&heap, &roots).unwrap();
+        assert_eq!(state_digest(&clone, &roots).unwrap(), digest);
+        // The clone owns its arena: a store into the original leaves it.
+        heap.set_field(roots[0], 0, Value::Int(-1)).unwrap();
+        assert_eq!(state_digest(&clone, &roots).unwrap(), digest);
+        assert_ne!(state_digest(&heap, &roots).unwrap(), digest);
+    }
+
+    #[test]
     fn field_and_shape_changes_change_the_digest() {
         let (a, ra) = chain(&[1, 2, 3]);
         let base = state_digest(&a, &ra).unwrap();

@@ -8,6 +8,8 @@
 //! [`compact`](crate::compact) and [`merge_records`](crate::merge_records)
 //! write it out as one record.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+
 use crate::checkpoint::CheckpointRecord;
 use crate::error::CoreError;
 use crate::store::CheckpointStore;
@@ -15,7 +17,9 @@ use crate::stream::{
     declared_objects, object_fields, object_identity, walk, RecordedValue, Visit,
     RECORD_HEADER_BYTES,
 };
-use ickp_heap::{ClassDef, ClassId, ClassRegistry, Heap, HeapSnapshot, ObjectId, StableId, Value};
+use ickp_heap::{
+    ClassDef, ClassId, ClassRegistry, FieldDef, Heap, HeapSnapshot, ObjectId, StableId, Value,
+};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -26,9 +30,9 @@ use std::ops::Range;
 /// one would first meet each object, so everything built from a fold —
 /// a restored heap, a merged record — comes out the same however the
 /// history was split into records. Survivors are addressed by their
-/// first-touch position, which is below [`FoldedHistory::len`]; the
-/// accessors panic for any other. Each survivor's state stays in the record that
-/// last wrote it and is decoded only on demand.
+/// first-touch position, which is below [`FoldedHistory::len`]. Each
+/// survivor's state stays in the record that last wrote it and is
+/// decoded only on demand.
 #[derive(Debug)]
 pub struct FoldedHistory<'a> {
     records: &'a [CheckpointRecord],
@@ -69,33 +73,80 @@ impl<'a> FoldedHistory<'a> {
 
     /// The newest object record of the survivor at `pos`, byte for byte as
     /// its checkpoint holds it.
+    ///
+    /// # Panics
+    ///
+    /// If `pos` is not below [`FoldedHistory::len`].
     pub fn slice(&self, pos: usize) -> &'a [u8] {
-        let bytes = self.newest_bytes(pos);
-        let len = RECORD_HEADER_BYTES + self.class(self.identity(pos).1).encoded_state_size();
-        &bytes[..len]
+        let (_, class, bytes) = self.at(pos);
+        let state = self.registry.class(class).map_or(0, ClassDef::encoded_state_size);
+        bytes.get(..RECORD_HEADER_BYTES + state).unwrap_or(bytes)
     }
 
     /// The stable id and class of the survivor at `pos`.
+    ///
+    /// # Panics
+    ///
+    /// If `pos` is not below [`FoldedHistory::len`].
     pub fn identity(&self, pos: usize) -> (StableId, ClassId) {
-        object_identity(self.newest_bytes(pos)).expect("the fold holds whole object records")
+        let (stable, class, _) = self.at(pos);
+        (stable, class)
     }
 
     /// The newest field values of the survivor at `pos`, in layout order.
+    ///
+    /// # Panics
+    ///
+    /// If `pos` is not below [`FoldedHistory::len`].
     pub fn fields(&self, pos: usize) -> impl Iterator<Item = RecordedValue> + 'a {
-        let bytes = self.newest_bytes(pos);
-        object_fields(bytes, self.class(self.identity(pos).1).layout())
+        let (_, class, bytes) = self.at(pos);
+        object_fields(bytes, self.registry.class(class).map_or(&[][..], ClassDef::layout))
     }
 
-    /// The bytes of the record holding the newest state of the survivor at
-    /// `pos`, from the start of its object record.
-    fn newest_bytes(&self, pos: usize) -> &'a [u8] {
-        let Newest { record, offset } = self.newest[pos];
-        &self.records[record as usize].bytes()[offset as usize..]
+    /// The stable id and class of every survivor, in first-touch order,
+    /// each read once from its newest object record.
+    fn identities(
+        &self,
+    ) -> impl ExactSizeIterator<Item = Result<(StableId, ClassId), CoreError>> + '_ {
+        self.newest.iter().map(|newest| {
+            let (stable, class, _) = self.locate(newest).ok_or_else(|| CoreError::Decode {
+                offset: newest.offset as usize,
+                what: "object offset outside its record".into(),
+            })?;
+            Ok((stable, class))
+        })
     }
 
-    /// A class the scan validated.
-    fn class(&self, class: ClassId) -> &'a ClassDef {
-        self.registry.class(class).expect("the scan validated every class")
+    /// The newest field values of the survivor at `pos`, decoded in the
+    /// order of `layout`, its class's layout; none past the end.
+    fn fields_in<'l>(
+        &self,
+        pos: usize,
+        layout: &'l [FieldDef],
+    ) -> impl Iterator<Item = RecordedValue> + 'l
+    where
+        'a: 'l,
+    {
+        let bytes = self.newest.get(pos).and_then(|newest| self.locate(newest));
+        object_fields(bytes.map_or(&[][..], |(_, _, bytes)| bytes), layout)
+    }
+
+    /// The stable id, class and object record bytes of the survivor at
+    /// `pos`.
+    fn at(&self, pos: usize) -> (StableId, ClassId, &'a [u8]) {
+        let survivor = self.newest.get(pos).and_then(|newest| self.locate(newest));
+        survivor.unwrap_or_else(|| panic!("position {pos} of {} survivors", self.len()))
+    }
+
+    /// The stable id and class of the object record at `newest`, and the
+    /// record's bytes from its start. The scan checked the record index,
+    /// the offset and the header there, so this is `None` only for a
+    /// location it never produced.
+    fn locate(&self, newest: &Newest) -> Option<(StableId, ClassId, &'a [u8])> {
+        let record = self.records.get(newest.record as usize)?;
+        let bytes = record.bytes().get(newest.offset as usize..)?;
+        let (stable, class) = object_identity(bytes)?;
+        Some((stable, class, bytes))
     }
 }
 
@@ -126,30 +177,27 @@ impl IdIndex {
     /// The position of `id`, after giving it position `next` if it had
     /// none. A dense table grows to at most `limit` entries.
     fn get_or_insert(&mut self, id: StableId, next: u32, limit: usize) -> u32 {
-        if let IdIndex::Dense(table) = self {
-            match usize::try_from(id.0) {
-                Ok(i) if i < table.len() => {
-                    if table[i] == IdIndex::ABSENT {
-                        table[i] = next;
-                    }
-                    return table[i];
+        let table = match self {
+            IdIndex::Sparse(map) => return *map.entry(id).or_insert(next),
+            IdIndex::Dense(table) => table,
+        };
+        if let Ok(i) = usize::try_from(id.0) {
+            if i >= table.len() && i < limit {
+                table.resize(i + 1, IdIndex::ABSENT);
+            }
+            if let Some(pos) = table.get_mut(i) {
+                if *pos == IdIndex::ABSENT {
+                    *pos = next;
                 }
-                Ok(i) if i < limit => {
-                    table.resize(i + 1, IdIndex::ABSENT);
-                    table[i] = next;
-                    return next;
-                }
-                _ => {
-                    let occupied = table.iter().enumerate().filter(|(_, &p)| p != IdIndex::ABSENT);
-                    *self =
-                        IdIndex::Sparse(occupied.map(|(i, &p)| (StableId(i as u64), p)).collect());
-                }
+                return *pos;
             }
         }
-        match self {
-            IdIndex::Sparse(map) => *map.entry(id).or_insert(next),
-            IdIndex::Dense(_) => unreachable!("a dense table was turned into a map above"),
-        }
+        let occupied = table.iter().enumerate().filter(|(_, &p)| p != IdIndex::ABSENT);
+        let mut map: HashMap<StableId, u32> =
+            occupied.map(|(i, &p)| (StableId(i as u64), p)).collect();
+        let pos = *map.entry(id).or_insert(next);
+        *self = IdIndex::Sparse(map);
+        pos
     }
 }
 
@@ -303,8 +351,9 @@ impl RestoredHeap {
 /// Rebuilds program state from a checkpoint store.
 ///
 /// The store is folded with [`fold_records`] and the survivors are built
-/// with [`Heap::materialize`] in first-touch order, each decoded once
-/// from its newest state.
+/// with [`Heap::materialize`] into one field arena in first-touch order.
+/// Each survivor's stable id and class are read once from its newest
+/// object record, and its fields are decoded once under that class.
 ///
 /// # Errors
 ///
@@ -332,9 +381,8 @@ pub fn restore(
 
     // Materialize under original identities, flags clear: the restored
     // state is by definition in sync with the last checkpoint.
-    let ids = (0..history.len()).map(|pos| history.identity(pos));
-    let heap = Heap::materialize(registry.clone(), ids, |pos, out| {
-        for field in history.fields(pos) {
+    let heap = Heap::materialize(registry.clone(), history.identities(), |pos, out| {
+        for field in history.fields_in(pos, out.layout()) {
             let value = match field {
                 RecordedValue::Int(v) => Value::Int(v),
                 RecordedValue::Long(v) => Value::Long(v),
@@ -380,6 +428,7 @@ pub fn verify_restore(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::indexing_slicing)]
 mod tests {
     use super::*;
     use crate::checkpoint::{CheckpointConfig, Checkpointer};
@@ -630,22 +679,26 @@ mod tests {
     }
 
     #[test]
-    fn a_reference_to_an_object_of_the_wrong_class_is_refused() {
+    fn bad_histories_fail_with_typed_errors() {
         let mut reg = ClassRegistry::new();
         let entry = reg.define("Entry", None, &[]).unwrap();
         let holder = reg.define("Holder", None, &[("e", FieldType::Ref(Some(entry)))]).unwrap();
+        let node = reg
+            .define("Node", None, &[("v", FieldType::Int), ("next", FieldType::Ref(None))])
+            .unwrap();
+        let restored = |store: &CheckpointStore| restore(store, &reg, RestorePolicy::Lenient);
+
+        // A recorded reference that breaks its slot's class constraint: the
+        // holder at position 0 names the holder at position 1.
         let store = store_of(&[1], |w| {
             w.begin_object(StableId(1), holder, 1);
             w.write_ref(Some(StableId(2)));
             w.begin_object(StableId(2), holder, 1);
             w.write_ref(None);
         });
-        // The first object restored is the one whose store breaks the
-        // constraint.
-        let mut expected = Heap::new(reg.clone());
-        let first = expected.alloc_restored(holder, StableId(1), false).unwrap();
+        let first = Heap::new(reg.clone()).alloc_restored(holder, StableId(1), false).unwrap();
         assert_eq!(
-            restore(&store, &reg, RestorePolicy::Lenient).unwrap_err(),
+            restored(&store).unwrap_err(),
             CoreError::Heap(HeapError::ClassConstraint {
                 object: first,
                 slot: 0,
@@ -653,6 +706,31 @@ mod tests {
                 actual: holder,
             })
         );
+
+        // A reference to a stable id no record holds.
+        let store = store_of(&[1], |w| {
+            w.begin_object(StableId(1), node, 2);
+            w.write_int(7);
+            w.write_ref(Some(StableId(5)));
+        });
+        assert_eq!(restored(&store).unwrap_err(), CoreError::MissingObject(StableId(5)));
+
+        // A short field list: declared short of the layout, or declared in
+        // full with a field missing.
+        let store = store_of(&[1], |w| {
+            w.begin_object(StableId(1), node, 1);
+            w.write_int(7);
+        });
+        assert_eq!(
+            restored(&store).unwrap_err(),
+            CoreError::FieldCountMismatch { class: "Node".into(), recorded: 1, expected: 2 }
+        );
+        let store = store_of(&[1], |w| {
+            w.begin_object(StableId(1), node, 2);
+            w.write_int(7);
+        });
+        let what = "unexpected end of stream (wanted 8 bytes)".into();
+        assert_eq!(restored(&store).unwrap_err(), CoreError::Decode { offset: 46, what });
     }
 
     #[test]

@@ -65,6 +65,9 @@ pub enum HeapError {
     /// An allocation would take a stable id past the 64-bit range: no
     /// stable id follows this one.
     StableIdOverflow(u64),
+    /// An allocation's fields would start past the `u32` offsets of the
+    /// heap's field arena.
+    ArenaFull,
 }
 
 impl fmt::Display for HeapError {
@@ -94,6 +97,7 @@ impl fmt::Display for HeapError {
             HeapError::StableIdOverflow(id) => {
                 write!(f, "stable id {id} is the last one: no stable id follows it")
             }
+            HeapError::ArenaFull => write!(f, "the field arena is full: offsets are 32-bit"),
         }
     }
 }
@@ -124,6 +128,7 @@ mod tests {
             HeapError::DanglingObject(obj),
             HeapError::DuplicateStableId(4),
             HeapError::StableIdOverflow(u64::MAX),
+            HeapError::ArenaFull,
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

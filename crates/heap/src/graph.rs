@@ -65,7 +65,7 @@ pub fn preorder<E, Enter, Visit>(
 where
     E: From<HeapError>,
     Enter: FnMut(ObjectId) -> bool,
-    Visit: FnMut(ObjectId, &Object) -> Result<(), E>,
+    Visit: FnMut(ObjectId, Object<'_>) -> Result<(), E>,
 {
     let mut stack: Vec<ObjectId> = roots.iter().rev().copied().collect();
     let mut refs = 0u64;
@@ -283,7 +283,7 @@ impl ShardPlan {
     pub fn walk_shard<E, F>(&self, heap: &Heap, shard: usize, visit: F) -> Result<u64, E>
     where
         E: From<HeapError>,
-        F: FnMut(ObjectId, &Object) -> Result<(), E>,
+        F: FnMut(ObjectId, Object<'_>) -> Result<(), E>,
     {
         // Dense and slot-indexed like the owner array; only owned slots are
         // ever looked up, so the owner array's length bounds it.

@@ -1,6 +1,6 @@
 //! The object arena: allocation, typed field access, and the write barrier.
 
-use crate::class::{ClassDef, ClassRegistry};
+use crate::class::{ClassDef, ClassRegistry, FieldDef};
 use crate::error::HeapError;
 use crate::ids::{ClassId, ObjectId, StableId};
 use crate::value::{FieldType, Value};
@@ -39,28 +39,29 @@ impl CheckpointInfo {
     }
 }
 
-/// A live heap object: class, checkpoint metadata, and field slots.
-#[derive(Debug, Clone)]
-pub struct Object {
+/// A live heap object, borrowed from its heap: class, checkpoint metadata,
+/// and field slots. The fields are a slice of the heap's field arena.
+#[derive(Debug, Clone, Copy)]
+pub struct Object<'a> {
     class: ClassId,
-    info: CheckpointInfo,
-    fields: Box<[Value]>,
+    info: &'a CheckpointInfo,
+    fields: &'a [Value],
 }
 
-impl Object {
+impl<'a> Object<'a> {
     /// The object's class.
     pub fn class(&self) -> ClassId {
         self.class
     }
 
     /// The object's checkpoint metadata.
-    pub fn info(&self) -> &CheckpointInfo {
-        &self.info
+    pub fn info(&self) -> &'a CheckpointInfo {
+        self.info
     }
 
     /// The field slots, in layout order.
-    pub fn fields(&self) -> &[Value] {
-        &self.fields
+    pub fn fields(&self) -> &'a [Value] {
+        self.fields
     }
 }
 
@@ -82,23 +83,46 @@ pub struct HeapStats {
     pub barrier_marks: u64,
 }
 
+/// One arena slot: a generation, bumped by every free so stale handles
+/// are detected, and the live object's entry, if any.
 #[derive(Debug, Clone)]
 struct Slot {
     generation: u32,
-    object: Option<Object>,
+    object: Option<Live>,
+}
+
+/// A live object's slot entry. Its fields are the class's slot count of
+/// values in the field arena, starting at `offset`.
+#[derive(Debug, Clone, Copy)]
+struct Live {
+    class: ClassId,
+    offset: u32,
+    info: CheckpointInfo,
 }
 
 /// The managed object heap.
 ///
-/// Objects are held in an arena indexed by [`ObjectId`] (slot + generation,
-/// so stale handles are detected). All mutation goes through
-/// [`Heap::set_field`], which implements the write barrier. See the crate
-/// docs for an end-to-end example.
+/// Objects are held in slots indexed by [`ObjectId`] (slot + generation,
+/// so stale handles are detected). A slot keeps the object's class, its
+/// [`CheckpointInfo`] and a `u32` offset into one field arena, a
+/// `Vec<Value>` that holds every object's fields back to back in layout
+/// order. All objects of a class have the same number of fields, so a
+/// freed object's range goes on its class's free list and the next
+/// allocation of that class reuses it exactly: the arena never needs
+/// compacting, and a range is never reused across classes.
+///
+/// All mutation goes through [`Heap::set_field`], which implements the
+/// write barrier. See the crate docs for an end-to-end example.
 #[derive(Debug, Clone)]
 pub struct Heap {
     registry: ClassRegistry,
     slots: Vec<Slot>,
+    /// Freed slot indices, reused by the next allocation of any class.
     free: Vec<u32>,
+    /// Every live object's fields, each at its slot's offset.
+    arena: Vec<Value>,
+    /// Per class index, the arena offsets of freed objects' field ranges.
+    free_ranges: Vec<Vec<u32>>,
     next_stable: u64,
     live: usize,
     stats: HeapStats,
@@ -130,6 +154,8 @@ impl Heap {
             registry,
             slots: Vec::new(),
             free: Vec::new(),
+            arena: Vec::new(),
+            free_ranges: Vec::new(),
             next_stable: 1,
             live: 0,
             stats: HeapStats::default(),
@@ -172,9 +198,7 @@ impl Heap {
     /// Returns [`HeapError::UnknownClass`] for a foreign class id, and
     /// [`HeapError::StableIdOverflow`] once the stable ids are used up.
     pub fn alloc(&mut self, class: ClassId) -> Result<ObjectId, HeapError> {
-        let layout = self.registry.class(class)?.layout();
-        let fields: Vec<Value> = layout.iter().map(|f| f.ty().default_value()).collect();
-        self.insert(class, fields.into_boxed_slice(), None, true)
+        self.insert(class, None, true)
     }
 
     /// Allocates an instance of `class` with the given field values
@@ -221,25 +245,41 @@ impl Heap {
         stable: StableId,
         modified: bool,
     ) -> Result<ObjectId, HeapError> {
-        let layout = self.registry.class(class)?.layout();
-        let fields: Vec<Value> = layout.iter().map(|f| f.ty().default_value()).collect();
-        self.insert(class, fields.into_boxed_slice(), Some(stable), modified)
+        self.insert(class, Some(stable), modified)
     }
 
+    /// Allocates an instance of `class` with zero-initialized fields: in
+    /// the class's most recently freed arena range if it has one, else at
+    /// the end of the arena.
     fn insert(
         &mut self,
         class: ClassId,
-        fields: Box<[Value]>,
         stable: Option<StableId>,
         modified: bool,
     ) -> Result<ObjectId, HeapError> {
+        let layout = self.registry.class(class)?.layout();
         let stable = stable.unwrap_or(StableId(self.next_stable));
-        self.next_stable = self.next_stable.max(id_after(stable)?);
-        let object = Object {
-            class,
-            info: CheckpointInfo { stable, modified, journaled: modified },
-            fields,
+        let next_stable = self.next_stable.max(id_after(stable)?);
+        let defaults = layout.iter().map(|f| f.ty().default_value());
+        let offset = match self.free_ranges.get_mut(class.index()).and_then(Vec::pop) {
+            Some(offset) => {
+                let start = offset as usize;
+                for (field, value) in
+                    self.arena[start..start + layout.len()].iter_mut().zip(defaults)
+                {
+                    *field = value;
+                }
+                offset
+            }
+            None => {
+                let offset = arena_offset(self.arena.len())?;
+                self.arena.extend(defaults);
+                offset
+            }
         };
+        self.next_stable = next_stable;
+        let info = CheckpointInfo { stable, modified, journaled: modified };
+        let object = Live { class, offset, info };
         let id = match self.free.pop() {
             Some(index) => {
                 let slot = &mut self.slots[index as usize];
@@ -267,67 +307,71 @@ impl Heap {
     /// on every slot, with every modified flag clear.
     ///
     /// `objects` yields each object's stable id and class in allocation
-    /// order; the object at position `p` lives in arena slot `p`
-    /// ([`Heap::handle_at`]). Every class and stable id is checked first,
-    /// as allocating all objects before storing any field would. Then
-    /// `fields` runs once per position, in order, and pushes that object's
-    /// values in layout order into a [`FieldWriter`], which names referents
-    /// by position. The arena is reserved once and each object is built
-    /// straight from the pushed values, with no default field vector. Each
+    /// order, or the error that stops the build; the object at position
+    /// `p` lives in slot `p` ([`Heap::handle_at`]). One pass over
+    /// `objects` checks every class and stable id, as allocating all
+    /// objects before storing any field would, builds every slot and gives
+    /// each object its range of the field arena, back to back in position
+    /// order. The arena is then reserved once, and `fields` runs once per
+    /// position, in order, pushing that object's values in layout order
+    /// through a [`FieldWriter`] straight into its range; the writer names
+    /// referents by position and gives the object's class layout. Each
     /// value passes the same kind and class-constraint checks as a field
     /// store, and the heap's counters end as if the objects had been
     /// allocated and every slot stored one by one.
     ///
     /// # Errors
     ///
-    /// * [`HeapError::UnknownClass`] for a foreign class, and
-    ///   [`HeapError::StableIdOverflow`] for `StableId(u64::MAX)`.
+    /// * [`HeapError::UnknownClass`] for a foreign class,
+    ///   [`HeapError::StableIdOverflow`] for `StableId(u64::MAX)`, and
+    ///   [`HeapError::ArenaFull`] if the fields would not fit the arena.
     /// * The errors of [`Heap::set_field`] for a pushed value that does
     ///   not fit its slot, and [`HeapError::SlotOutOfBounds`] if `fields`
     ///   pushes fewer values than the layout has.
-    /// * Whatever `fields` returns.
+    /// * Whatever `objects` or `fields` returns.
     pub fn materialize<E: From<HeapError>>(
         registry: ClassRegistry,
-        objects: impl ExactSizeIterator<Item = (StableId, ClassId)> + Clone,
+        objects: impl ExactSizeIterator<Item = Result<(StableId, ClassId), E>>,
         mut fields: impl FnMut(usize, &mut FieldWriter<'_>) -> Result<(), E>,
     ) -> Result<Heap, E> {
         let mut heap = Heap::new(registry);
-        let mut classes = Vec::with_capacity(objects.len());
-        for (stable, class) in objects.clone() {
-            heap.registry.class(class)?;
+        heap.slots.reserve_exact(objects.len());
+        let mut end = 0;
+        for object in objects {
+            let (stable, class) = object?;
+            let len = heap.registry.class(class)?.num_slots();
             heap.next_stable = heap.next_stable.max(id_after(stable)?);
-            classes.push(class);
-        }
-        heap.slots.reserve_exact(classes.len());
-        heap.structure_version = classes.len() as u64;
-        for (index, (stable, class)) in objects.enumerate() {
-            let object = ObjectId { index: index as u32, generation: 0 };
-            let def = heap.registry.class(class)?;
-            let mut out = FieldWriter {
-                registry: &heap.registry,
-                classes: &classes,
-                object,
-                def,
-                values: Vec::with_capacity(def.num_slots()),
-                refs: 0,
-            };
-            fields(index, &mut out)?;
-            let FieldWriter { values, refs, .. } = out;
-            if values.len() != def.num_slots() {
-                let len = def.num_slots();
-                return Err(HeapError::SlotOutOfBounds { object, slot: values.len(), len }.into());
-            }
-            heap.structure_version = heap.structure_version.wrapping_add(refs);
+            let offset = arena_offset(end)?;
+            end += len;
             let info = CheckpointInfo { stable, modified: false, journaled: false };
-            let object = Object { class, info, fields: values.into_boxed_slice() };
-            heap.slots.push(Slot { generation: 0, object: Some(object) });
+            heap.slots.push(Slot { generation: 0, object: Some(Live { class, offset, info }) });
+        }
+        heap.arena.reserve_exact(end);
+        heap.structure_version = heap.slots.len() as u64;
+        let Heap { ref registry, ref slots, ref mut arena, ref mut structure_version, .. } = heap;
+        for (index, slot) in slots.iter().enumerate() {
+            let Some(live) = &slot.object else { continue };
+            let object = ObjectId { index: index as u32, generation: 0 };
+            let def = registry.class(live.class)?;
+            let start = arena.len();
+            let mut out =
+                FieldWriter { registry, slots, object, def, arena: &mut *arena, start, refs: 0 };
+            fields(index, &mut out)?;
+            let refs = out.refs;
+            let pushed = arena.len() - start;
+            if pushed != def.num_slots() {
+                let len = def.num_slots();
+                return Err(HeapError::SlotOutOfBounds { object, slot: pushed, len }.into());
+            }
+            *structure_version = structure_version.wrapping_add(refs);
         }
         heap.live = heap.slots.len();
         heap.stats.allocs = heap.live as u64;
         Ok(heap)
     }
 
-    /// Frees an object, invalidating its handle. Returns the object.
+    /// Frees an object, invalidating its handle. Its field range goes on
+    /// its class's free list for the next allocation of that class.
     ///
     /// Dangling references *to* the freed object are not chased; reading
     /// them later yields [`HeapError::DanglingObject`], mirroring the
@@ -336,43 +380,49 @@ impl Heap {
     /// # Errors
     ///
     /// Returns [`HeapError::DanglingObject`] if the handle is stale.
-    pub fn free(&mut self, id: ObjectId) -> Result<Object, HeapError> {
+    pub fn free(&mut self, id: ObjectId) -> Result<(), HeapError> {
         let slot = self
             .slots
             .get_mut(id.index())
-            .filter(|s| s.generation == id.generation && s.object.is_some())
+            .filter(|s| s.generation == id.generation)
             .ok_or(HeapError::DanglingObject(id))?;
-        let object = slot.object.take().expect("checked above");
+        let object = slot.object.take().ok_or(HeapError::DanglingObject(id))?;
         slot.generation = slot.generation.wrapping_add(1);
         self.free.push(id.index);
+        let class = object.class.index();
+        if self.free_ranges.len() <= class {
+            self.free_ranges.resize_with(class + 1, Vec::new);
+        }
+        self.free_ranges[class].push(object.offset);
         if object.info.modified {
             self.live_dirty -= 1;
         }
         self.live -= 1;
         self.stats.frees += 1;
         self.structure_version = self.structure_version.wrapping_add(1);
-        Ok(object)
+        Ok(())
     }
 
-    fn object_ref(&self, id: ObjectId) -> Result<&Object, HeapError> {
+    fn object_ref(&self, id: ObjectId) -> Result<&Live, HeapError> {
         live_object(&self.slots, id)
     }
 
-    fn object_mut(&mut self, id: ObjectId) -> Result<&mut Object, HeapError> {
-        self.slots
-            .get_mut(id.index())
-            .filter(|s| s.generation == id.generation)
-            .and_then(|s| s.object.as_mut())
-            .ok_or(HeapError::DanglingObject(id))
+    fn object_mut(&mut self, id: ObjectId) -> Result<&mut Live, HeapError> {
+        live_object_mut(&mut self.slots, id)
     }
 
-    /// Borrows an object.
+    /// Borrows an object: its slot entry, and its fields as a slice of the
+    /// field arena.
     ///
     /// # Errors
     ///
     /// Returns [`HeapError::DanglingObject`] if the handle is stale.
-    pub fn object(&self, id: ObjectId) -> Result<&Object, HeapError> {
-        self.object_ref(id)
+    pub fn object(&self, id: ObjectId) -> Result<Object<'_>, HeapError> {
+        let live = self.object_ref(id)?;
+        let start = live.offset as usize;
+        let len = self.registry.class(live.class)?.num_slots();
+        let fields = &self.arena[start..start + len];
+        Ok(Object { class: live.class, info: &live.info, fields })
     }
 
     /// `true` if the handle refers to a live object.
@@ -405,12 +455,9 @@ impl Heap {
     /// Returns [`HeapError::DanglingObject`] or
     /// [`HeapError::SlotOutOfBounds`].
     pub fn field(&self, id: ObjectId, slot: usize) -> Result<Value, HeapError> {
-        let obj = self.object_ref(id)?;
-        obj.fields.get(slot).copied().ok_or(HeapError::SlotOutOfBounds {
-            object: id,
-            slot,
-            len: obj.fields.len(),
-        })
+        let fields = self.object(id)?.fields();
+        let len = fields.len();
+        fields.get(slot).copied().ok_or(HeapError::SlotOutOfBounds { object: id, slot, len })
     }
 
     /// Reads a field by name (slower; resolves the slot each call).
@@ -482,8 +529,8 @@ impl Heap {
         let def = self.registry.class(self.object_ref(id)?.class)?;
         let class_of = |target| live_object(&self.slots, target).map(|o| o.class);
         let is_ref = check_store(&self.registry, class_of, id, def, slot, value)?.is_ref();
-        let obj = self.object_mut(id).expect("existence checked above");
-        obj.fields[slot] = value;
+        let obj = live_object_mut(&mut self.slots, id)?;
+        self.arena[obj.offset as usize + slot] = value;
         let newly_marked = barrier && !obj.info.modified;
         let newly_journaled = newly_marked && !obj.info.journaled;
         if barrier {
@@ -711,21 +758,29 @@ impl Heap {
     }
 }
 
-/// Collects one object's field values for [`Heap::materialize`], checking
-/// each value as a field store would.
+/// Writes one object's field values into its range of the field arena
+/// for [`Heap::materialize`], checking each value as a field store would.
 #[derive(Debug)]
 pub struct FieldWriter<'a> {
     registry: &'a ClassRegistry,
-    /// The class of every object being built, by position.
-    classes: &'a [ClassId],
+    /// Every slot being built, by position.
+    slots: &'a [Slot],
     object: ObjectId,
     def: &'a ClassDef,
-    values: Vec<Value>,
+    arena: &'a mut Vec<Value>,
+    /// Where the object's range starts in the arena.
+    start: usize,
     /// Reference slots written so far.
     refs: u64,
 }
 
-impl FieldWriter<'_> {
+impl<'a> FieldWriter<'a> {
+    /// The layout of the object being written: the values to push, in
+    /// order.
+    pub fn layout(&self) -> &'a [FieldDef] {
+        self.def.layout()
+    }
+
     /// Appends the value of the next slot in layout order.
     ///
     /// # Errors
@@ -734,14 +789,11 @@ impl FieldWriter<'_> {
     /// kind must match, and a reference must satisfy the slot's class
     /// constraint.
     pub fn push(&mut self, value: Value) -> Result<(), HeapError> {
-        let slot = self.values.len();
-        let class_of = |target: ObjectId| {
-            let class = self.classes.get(target.index()).filter(|_| target.generation == 0);
-            class.copied().ok_or(HeapError::DanglingObject(target))
-        };
+        let slot = self.arena.len() - self.start;
+        let class_of = |target| live_object(self.slots, target).map(|o| o.class);
         let ty = check_store(self.registry, class_of, self.object, self.def, slot, value)?;
         self.refs += u64::from(ty.is_ref());
-        self.values.push(value);
+        self.arena.push(value);
         Ok(())
     }
 
@@ -754,7 +806,7 @@ impl FieldWriter<'_> {
     pub fn push_ref(&mut self, referent: usize) -> Result<(), HeapError> {
         let index = u32::try_from(referent).unwrap_or(u32::MAX);
         let handle = ObjectId { index, generation: 0 };
-        if referent >= self.classes.len() {
+        if referent >= self.slots.len() {
             return Err(HeapError::DanglingObject(handle));
         }
         self.push(Value::Ref(Some(handle)))
@@ -767,7 +819,20 @@ fn id_after(stable: StableId) -> Result<u64, HeapError> {
     stable.0.checked_add(1).ok_or(HeapError::StableIdOverflow(stable.0))
 }
 
-fn live_object(slots: &[Slot], id: ObjectId) -> Result<&Object, HeapError> {
+/// The arena offset of a range starting `len` values into the arena.
+fn arena_offset(len: usize) -> Result<u32, HeapError> {
+    u32::try_from(len).map_err(|_| HeapError::ArenaFull)
+}
+
+fn live_object_mut(slots: &mut [Slot], id: ObjectId) -> Result<&mut Live, HeapError> {
+    slots
+        .get_mut(id.index())
+        .filter(|s| s.generation == id.generation)
+        .and_then(|s| s.object.as_mut())
+        .ok_or(HeapError::DanglingObject(id))
+}
+
+fn live_object(slots: &[Slot], id: ObjectId) -> Result<&Live, HeapError> {
     slots
         .get(id.index())
         .filter(|s| s.generation == id.generation)
@@ -905,6 +970,59 @@ mod tests {
     }
 
     #[test]
+    fn freed_field_ranges_are_reused_exactly_and_only_within_their_class() {
+        let (mut heap, node, other) = small_heap();
+        let classes = [node, other];
+        let mut live: Vec<ObjectId> = Vec::new();
+        let mut peak = [0usize; 2];
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        for _ in 0..2000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if x % 5 < 3 || live.is_empty() {
+                live.push(heap.alloc(classes[(x >> 8) as usize % 2]).unwrap());
+            } else {
+                let victim = live.swap_remove((x >> 8) as usize % live.len());
+                heap.free(victim).unwrap();
+            }
+            for (class, peak) in classes.iter().zip(&mut peak) {
+                let count = live.iter().filter(|&&id| heap.class_of(id).unwrap() == *class);
+                *peak = (*peak).max(count.count());
+            }
+            // A class appends a range only when all of its ranges are live,
+            // so the arena is each class's peak live count times its slot
+            // count: no range is leaked, shared or handed to another class.
+            let slots = classes.map(|c| heap.class(c).unwrap().num_slots());
+            assert_eq!(heap.arena.len(), peak[0] * slots[0] + peak[1] * slots[1]);
+            let mut ranges: Vec<(usize, usize)> = live
+                .iter()
+                .map(|&id| {
+                    let entry = heap.object_ref(id).unwrap();
+                    let start = entry.offset as usize;
+                    (start, start + heap.object(id).unwrap().fields().len())
+                })
+                .collect();
+            ranges.sort_unstable();
+            assert!(ranges.windows(2).all(|w| w[0].1 <= w[1].0), "live ranges overlap");
+        }
+        assert!(peak.iter().all(|&p| p > 10), "both classes churned: {peak:?}");
+    }
+
+    #[test]
+    fn a_reused_range_starts_zeroed() {
+        let (mut heap, node, _) = small_heap();
+        let a = heap.alloc(node).unwrap();
+        let b = heap.alloc(node).unwrap();
+        heap.set_field(a, 0, Value::Int(9)).unwrap();
+        heap.set_field(a, 1, Value::Ref(Some(b))).unwrap();
+        heap.free(a).unwrap();
+        let c = heap.alloc(node).unwrap();
+        assert_eq!(heap.object(c).unwrap().fields(), [Value::Int(0), Value::Ref(None)]);
+        assert_eq!(heap.arena.len(), 4, "a's range was reused");
+    }
+
+    #[test]
     fn double_free_is_rejected() {
         let (mut heap, node, _) = small_heap();
         let a = heap.alloc(node).unwrap();
@@ -952,7 +1070,7 @@ mod tests {
     fn materialized(reg: &ClassRegistry, objects: &[Spec]) -> Result<Heap, HeapError> {
         Heap::materialize(
             reg.clone(),
-            objects.iter().map(|(s, c, _)| (StableId(*s), *c)),
+            objects.iter().map(|(s, c, _)| Ok((StableId(*s), *c))),
             |pos, out| {
                 for field in &objects[pos].2 {
                     match *field {

@@ -8,7 +8,8 @@
 //!   ([`ClassRegistry`], [`ClassDef`], [`FieldDef`]);
 //! * an **object arena** ([`Heap`]) holding objects whose fields are typed
 //!   [`Value`]s and are addressed by flat slot index (inherited fields
-//!   first, as in a JVM object layout);
+//!   first, as in a JVM object layout); every object's fields live in one
+//!   field arena, and [`Heap::object`] borrows them as a slice;
 //! * per-object **checkpoint metadata** ([`CheckpointInfo`]): a unique
 //!   stable identifier and a `modified` flag;
 //! * a **write barrier**: every field store through [`Heap::set_field`]
