@@ -53,7 +53,7 @@
 //! # Ok(()) }
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![deny(missing_docs)]
 
 mod crc;

@@ -68,6 +68,8 @@
 //! real corruption and surfaces as [`DurableError::Corrupt`] rather than
 //! being silently dropped.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+
 use std::collections::BTreeSet;
 use std::ops::Range;
 
@@ -207,60 +209,47 @@ impl Manifest {
         };
         // magic + version + count + flag + seq + nsegs + generation +
         // ntags + chunk count + chunk digest + crc
-        if bytes.len() < 4 + 2 + 8 + 1 + 8 + 4 + 8 + 4 + 8 + 8 + 4 {
-            return Err(corrupt(0, "manifest shorter than its fixed header"));
-        }
-        let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_be_bytes(crc_bytes.try_into().expect("4-byte split"));
-        if crc32(body) != stored {
+        let (body, crc_bytes) = match bytes.split_last_chunk() {
+            Some(split) if bytes.len() >= 4 + 2 + 8 + 1 + 8 + 4 + 8 + 4 + 8 + 8 + 4 => split,
+            _ => return Err(corrupt(0, "manifest shorter than its fixed header")),
+        };
+        if crc32(body) != u32::from_be_bytes(*crc_bytes) {
             return Err(corrupt(0, "manifest checksum mismatch"));
         }
-        if body[0..4] != MANIFEST_MAGIC {
+        let mut c = Cursor { bytes: body, pos: 0 };
+        if c.array() != Ok(MANIFEST_MAGIC) {
             return Err(corrupt(0, "bad manifest magic"));
         }
-        if u16::from_be_bytes(body[4..6].try_into().expect("2 bytes")) != FORMAT_VERSION {
+        if c.u16() != Ok(FORMAT_VERSION) {
             return Err(corrupt(4, "unsupported manifest version"));
         }
-        let record_count = u64::from_be_bytes(body[6..14].try_into().expect("8 bytes"));
-        let has_seq = body[14] != 0;
-        let seq = u64::from_be_bytes(body[15..23].try_into().expect("8 bytes"));
-        let nsegs = u32::from_be_bytes(body[23..27].try_into().expect("4 bytes")) as usize;
-        let mut at = 27;
-        let take = |at: &mut usize, n: usize| -> Result<Range<usize>, DurableError> {
-            if *at + n > body.len() {
-                return Err(corrupt(*at as u64, "manifest table overruns the payload"));
-            }
-            let r = *at..*at + n;
-            *at += n;
-            Ok(r)
-        };
+        let overrun = |at: usize| corrupt(at as u64, "manifest table overruns the payload");
+        let record_count = c.u64().map_err(overrun)?;
+        let has_seq = c.array().map_err(overrun)? != [0];
+        let seq = c.u64().map_err(overrun)?;
+        let nsegs = c.u32().map_err(overrun)? as usize;
         let mut segments = Vec::with_capacity(nsegs.min(1024));
         for _ in 0..nsegs {
-            segments.push(SegmentEntry {
-                index: u32::from_be_bytes(body[take(&mut at, 4)?].try_into().expect("4 bytes")),
-                committed_len: u64::from_be_bytes(
-                    body[take(&mut at, 8)?].try_into().expect("8 bytes"),
-                ),
-            });
+            let index = c.u32().map_err(overrun)?;
+            let committed_len = c.u64().map_err(overrun)?;
+            segments.push(SegmentEntry { index, committed_len });
         }
-        let generation = u64::from_be_bytes(body[take(&mut at, 8)?].try_into().expect("8 bytes"));
-        let ntags =
-            u32::from_be_bytes(body[take(&mut at, 4)?].try_into().expect("4 bytes")) as usize;
+        let generation = c.u64().map_err(overrun)?;
+        let ntags = c.u32().map_err(overrun)? as usize;
         let mut tags = Vec::with_capacity(ntags.min(1024));
         for _ in 0..ntags {
-            let label_len =
-                u16::from_be_bytes(body[take(&mut at, 2)?].try_into().expect("2 bytes")) as usize;
-            let label_at = at;
-            let label = std::str::from_utf8(&body[take(&mut at, label_len)?])
+            let label_len = c.u16().map_err(overrun)?;
+            let label_at = c.pos;
+            let label = std::str::from_utf8(c.take(label_len.into()).map_err(overrun)?)
                 .map_err(|_| corrupt(label_at as u64, "tag label is not UTF-8"))?
                 .to_string();
-            let seq = u64::from_be_bytes(body[take(&mut at, 8)?].try_into().expect("8 bytes"));
+            let seq = c.u64().map_err(overrun)?;
             tags.push((label, seq));
         }
-        let chunk_count = u64::from_be_bytes(body[take(&mut at, 8)?].try_into().expect("8 bytes"));
-        let chunk_digest = u64::from_be_bytes(body[take(&mut at, 8)?].try_into().expect("8 bytes"));
-        if at != body.len() {
-            return Err(corrupt(at as u64, "manifest has trailing bytes"));
+        let chunk_count = c.u64().map_err(overrun)?;
+        let chunk_digest = c.u64().map_err(overrun)?;
+        if c.pos != body.len() {
+            return Err(corrupt(c.pos as u64, "manifest has trailing bytes"));
         }
         Ok(Manifest {
             record_count,
@@ -271,6 +260,41 @@ impl Manifest {
             chunk_count,
             chunk_digest,
         })
+    }
+}
+
+/// Reads big-endian fields off the front of a byte slice. A read that
+/// needs more bytes than remain consumes nothing and returns `Err` with
+/// the offset it started at.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], usize> {
+        let s = self.bytes.get(self.pos..).and_then(|rest| rest.get(..n)).ok_or(self.pos)?;
+        self.pos += n;
+        Ok(s)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], usize> {
+        let rest = self.bytes.get(self.pos..).unwrap_or_default();
+        let (head, _) = rest.split_first_chunk().ok_or(self.pos)?;
+        self.pos += N;
+        Ok(*head)
+    }
+
+    fn u16(&mut self) -> Result<u16, usize> {
+        self.array().map(u16::from_be_bytes)
+    }
+
+    fn u32(&mut self) -> Result<u32, usize> {
+        self.array().map(u32::from_be_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, usize> {
+        self.array().map(u64::from_be_bytes)
     }
 }
 
@@ -305,8 +329,9 @@ fn seal_frame(mut frame: Vec<u8>) -> Vec<u8> {
     let (header, payload) = frame.split_at_mut(FRAME_HEADER_LEN);
     let len = (payload.len() as u32).to_be_bytes();
     let crc = frame_crc(&len, payload);
-    header[..4].copy_from_slice(&len);
-    header[4..].copy_from_slice(&crc.to_be_bytes());
+    let (len_slot, crc_slot) = header.split_at_mut(4);
+    len_slot.copy_from_slice(&len);
+    crc_slot.copy_from_slice(&crc.to_be_bytes());
     frame
 }
 
@@ -457,7 +482,9 @@ impl<F: Vfs> DurableStore<F> {
             }
             let content = store.fs.read(&name)?;
             let actual = content.len() as u64;
-            if actual < seg.committed_len {
+            let Some(committed) =
+                usize::try_from(seg.committed_len).ok().and_then(|len| content.get(..len))
+            else {
                 return Err(corrupt(
                     actual,
                     format!(
@@ -465,7 +492,7 @@ impl<F: Vfs> DurableStore<F> {
                         seg.committed_len
                     ),
                 ));
-            }
+            };
             if actual > seg.committed_len {
                 // Torn tail beyond the acknowledged frontier: expected
                 // after a crash mid-append; cut it off, durably.
@@ -473,43 +500,33 @@ impl<F: Vfs> DurableStore<F> {
                 store.fs.sync(&name)?;
                 store.io.file_syncs += 1;
             }
-            let committed = &content[..seg.committed_len as usize];
-            if (committed.len() as u64) < SEGMENT_HEADER_LEN {
+            let mut frames = Cursor { bytes: committed, pos: 0 };
+            let (Ok(magic), Ok(version), Ok(index)) = (frames.array(), frames.u16(), frames.u32())
+            else {
                 return Err(corrupt(0, "committed length shorter than the segment header".into()));
-            }
-            if committed[0..4] != SEGMENT_MAGIC {
+            };
+            if magic != SEGMENT_MAGIC {
                 return Err(corrupt(0, "bad segment magic".into()));
             }
-            if u16::from_be_bytes(committed[4..6].try_into().expect("2 bytes")) != FORMAT_VERSION {
+            if version != FORMAT_VERSION {
                 return Err(corrupt(4, "unsupported segment version".into()));
             }
-            if u32::from_be_bytes(committed[6..10].try_into().expect("4 bytes")) != seg.index {
+            if index != seg.index {
                 return Err(corrupt(6, "segment index does not match its manifest entry".into()));
             }
 
-            let mut offset = SEGMENT_HEADER_LEN as usize;
-            while offset < committed.len() {
-                if offset + FRAME_HEADER_LEN > committed.len() {
-                    return Err(corrupt(
-                        offset as u64,
-                        "frame header overruns the committed length".into(),
-                    ));
-                }
-                let len =
-                    u32::from_be_bytes(committed[offset..offset + 4].try_into().expect("4 bytes"))
-                        as usize;
-                let stored_crc = u32::from_be_bytes(
-                    committed[offset + 4..offset + 8].try_into().expect("4 bytes"),
-                );
-                let body_at = offset + FRAME_HEADER_LEN;
-                if body_at + len > committed.len() {
-                    return Err(corrupt(
-                        offset as u64,
-                        "frame body overruns the committed length".into(),
-                    ));
-                }
-                let stored_payload = &committed[body_at..body_at + len];
-                if frame_crc(&committed[offset..offset + 4], stored_payload) != stored_crc {
+            while frames.pos < committed.len() {
+                let offset = frames.pos;
+                let header_overrun =
+                    |_| corrupt(offset as u64, "frame header overruns the committed length".into());
+                let len = frames.array().map_err(header_overrun)?;
+                let stored_crc = frames.u32().map_err(header_overrun)?;
+                let body_at = frames.pos;
+                let stored_payload =
+                    frames.take(u32::from_be_bytes(len) as usize).map_err(|_| {
+                        corrupt(offset as u64, "frame body overruns the committed length".into())
+                    })?;
+                if frame_crc(&len, stored_payload) != stored_crc {
                     return Err(corrupt(offset as u64, "frame checksum mismatch".into()));
                 }
 
@@ -541,7 +558,6 @@ impl<F: Vfs> DurableStore<F> {
                 } else {
                     recovered.push_merged(record)?;
                 }
-                offset = body_at + len;
             }
         }
 
@@ -770,7 +786,7 @@ impl<F: Vfs> DurableStore<F> {
         }
 
         candidate.record_count += records.len() as u64;
-        candidate.last_seq = Some(records.last().expect("non-empty batch").seq());
+        candidate.last_seq = records.last().map(CheckpointRecord::seq).or(candidate.last_seq);
         candidate.chunk_count += staged.len() as u64;
         candidate.chunk_digest =
             staged.iter().fold(candidate.chunk_digest, |d, (h, _)| d.wrapping_add(*h));
@@ -828,9 +844,10 @@ impl<F: Vfs> DurableStore<F> {
             return Err(DurableError::UnknownSeq(seq));
         }
         let mut candidate = self.manifest.clone();
-        match candidate.tags.binary_search_by(|(l, _)| l.as_str().cmp(label)) {
-            Ok(i) => candidate.tags[i].1 = seq,
-            Err(i) => candidate.tags.insert(i, (label.to_string(), seq)),
+        let at = candidate.tags.partition_point(|(l, _)| l.as_str() < label);
+        match candidate.tags.get_mut(at) {
+            Some((l, pinned)) if l == label => *pinned = seq,
+            _ => candidate.tags.insert(at, (label.to_string(), seq)),
         }
         self.swap_manifest(candidate)
     }
@@ -1048,6 +1065,7 @@ impl<F: Vfs> RecordSink for DurableStore<F> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 mod tests {
     use super::*;
     use crate::vfs::MemFs;
