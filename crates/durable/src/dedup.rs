@@ -31,18 +31,27 @@
 //!
 //! The index keeps every chunk's bytes back to back in one arena and
 //! maps each hash to an `(offset, len)` span of it, so a chunk costs no
-//! allocation of its own. Its map, and the per-batch map of staged
-//! chunks, hash their FNV keys with `SeededMix`: one xor with a seed,
+//! allocation of its own. There is one table: the chunks of the batch
+//! being written enter it *pending*, with their bytes at the arena's
+//! tail, and are published by `commit` after the manifest swap or
+//! removed by `rollback` (map entries, arena tail and digest) when the
+//! append or the replica's apply fails. Encoding a chunk and resolving a
+//! stored part therefore cost one probe and at most one byte comparison
+//! each (`IndexOps` counts both).
+//!
+//! The map hashes its FNV keys with `SeededMix`: one xor with a seed,
 //! one multiply, one xor-shift. The seed is drawn once per index from
-//! the standard library's random hasher keys, because `open` indexes
-//! chunks read from disk and a store written in advance must not be able
-//! to pile them into one bucket. Neither map is ever iterated (`count`
-//! is a length, `digest` a wrapping sum), so the seed reaches no output.
+//! the standard library's random hasher keys, because `open` and a
+//! replica index chunks they did not write, and bytes written in advance
+//! must not be able to pile them into one bucket. Nothing the index
+//! reports depends on the map's order (`count` is a length, `digest` a
+//! wrapping sum, and only `rollback` scans it, to drop entries), so the
+//! seed reaches no output.
 
 // `decode` reads bytes back from disk and must not panic on them.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
-use std::collections::hash_map::RandomState;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 use std::ops::Range;
@@ -106,13 +115,6 @@ impl Hasher for SeededMix {
     }
 }
 
-/// The chunks staged so far by one uncommitted batch, by hash, borrowed
-/// from the batch's records. Built by [`ChunkIndex::batch_map`].
-pub(crate) type BatchChunks<'a> = HashMap<u64, &'a [u8], SeededMix>;
-
-/// New indexed chunks as `(hash, bytes)`, in the order they were staged.
-pub(crate) type Staged<'a> = Vec<(u64, &'a [u8])>;
-
 /// Byte accounting for one deduplicating write (or a whole rewrite).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DedupStats {
@@ -142,93 +144,89 @@ impl DedupStats {
     }
 }
 
-/// One frame payload encoded into parts, plus the chunks it would add
-/// to the index *if* the write is acknowledged. Nothing enters the index
-/// until [`ChunkIndex::commit`] — a failed append must not leave hashes
-/// that recovery cannot resolve.
-pub(crate) struct EncodedPayload<'a> {
-    /// Room for the frame header, then the parts.
-    pub stored: Vec<u8>,
-    pub staged: Staged<'a>,
-    pub stats: DedupStats,
+/// How often the index was probed and how many chunk bytes it
+/// compared, since it was made: the counts that keep encode and resolve
+/// linear in the chunks they see.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct IndexOps {
+    /// Hash-table lookups (each `entry` or `get` is one).
+    pub lookups: u64,
+    /// Byte comparisons of a chunk against an indexed one.
+    pub compares: u64,
 }
 
 /// The in-memory content-hash index over every indexed chunk in the
-/// committed frontier. Rebuilt from the segments on open; the manifest
-/// carries only a count + digest summary to cross-check the rebuild.
+/// committed frontier, plus the *pending* chunks of the one batch being
+/// written. Rebuilt from the segments on open; the manifest carries only
+/// a count + digest summary to cross-check the rebuild.
+///
+/// A new chunk enters the map and the arena as soon as a frame is
+/// encoded or resolved, so later frames of the same batch find it with
+/// the same single probe as a committed chunk. [`ChunkIndex::commit`]
+/// publishes the pending chunks once the batch is acknowledged, and
+/// [`ChunkIndex::rollback`] removes them, with the arena bytes and digest
+/// they added, when it is not: a failed append must not leave hashes that
+/// recovery cannot resolve.
 #[derive(Debug)]
 pub(crate) struct ChunkIndex {
     /// Hash → `(offset, len)` of the chunk's bytes in `arena`.
     map: HashMap<u64, (usize, usize), SeededMix>,
-    /// Every indexed chunk's bytes, back to back, in commit order.
+    /// Every indexed chunk's bytes, back to back, in index order. The
+    /// pending chunks are exactly those whose bytes start at or past
+    /// `committed.0`.
     arena: Vec<u8>,
     digest: u64,
+    /// Arena length and digest at the last commit.
+    committed: (usize, u64),
+    pub ops: IndexOps,
 }
 
 impl ChunkIndex {
     pub fn new() -> ChunkIndex {
         let seed = RandomState::new().build_hasher().finish();
         let map = HashMap::with_hasher(SeededMix { seed, key: 0 });
-        ChunkIndex { map, arena: Vec::new(), digest: 0 }
+        ChunkIndex {
+            map,
+            arena: Vec::new(),
+            digest: 0,
+            committed: (0, 0),
+            ops: IndexOps::default(),
+        }
     }
 
-    /// Number of indexed chunks.
+    /// Number of indexed chunks, pending ones included.
     pub fn count(&self) -> u64 {
         self.map.len() as u64
     }
 
     /// Order-independent summary of the index: the wrapping sum of every
-    /// chunk hash. Stored in the manifest so open can verify the rebuilt
-    /// index without the manifest growing with the store.
+    /// chunk hash, pending ones included. Stored in the manifest so open
+    /// can verify the rebuilt index without the manifest growing with
+    /// the store.
     pub fn digest(&self) -> u64 {
         self.digest
     }
 
-    /// The bytes of the indexed chunk `hash`.
-    fn get(&self, hash: u64) -> Option<&[u8]> {
-        let &(at, len) = self.map.get(&hash)?;
-        self.arena.get(at..)?.get(..len)
-    }
-
-    /// Indexes `bytes` under `hash`, which must not be indexed yet.
-    fn insert(&mut self, hash: u64, bytes: &[u8]) {
-        self.map.insert(hash, (self.arena.len(), bytes.len()));
-        self.arena.extend_from_slice(bytes);
-        self.digest = self.digest.wrapping_add(hash);
-    }
-
-    /// An empty map for one batch's staged chunks, with this index's seed.
-    pub fn batch_map<'a>(&self) -> BatchChunks<'a> {
-        HashMap::with_hasher(*self.map.hasher())
-    }
-
     /// Encodes `payload` into parts behind [`FRAME_HEADER_LEN`] bytes of
-    /// room for the frame header. `ranges` are the dedup-candidate chunks
-    /// (the slices `ickp_core::object_slices` reports); everything
-    /// between them is glue.
+    /// room for the frame header, with its accounting. `ranges` are the
+    /// dedup-candidate chunks (the slices `ickp_core::object_slices`
+    /// reports); everything between them is glue.
     ///
-    /// `batch` holds the chunks staged by *earlier frames of the same
-    /// atomic batch*, and this frame's new chunks join it. A reference may
-    /// point at a batch chunk only because the whole batch commits in one
-    /// manifest swap — either every frame of the batch is acknowledged
-    /// (the referenced chunk is inside the frontier, earlier in the scan
-    /// order) or none is. References can therefore never cross an
-    /// un-acknowledged batch boundary. Every lookup is one probe of the
-    /// index and at most one of `batch`.
+    /// Each chunk costs one probe of the index and at most one byte
+    /// comparison. A chunk the index lacks enters it pending, so a later
+    /// frame of the same atomic batch may reference it: the whole batch
+    /// commits in one manifest swap, so either every frame of it is
+    /// acknowledged (the referenced chunk is inside the frontier, earlier
+    /// in the scan order) or none is, and references never cross an
+    /// unacknowledged batch boundary.
     ///
     /// # Panics
     ///
     /// If `ranges` are not ascending, non-empty, non-overlapping and in
     /// bounds: the caller hands us slices of a stream it just validated.
-    pub fn encode_batched<'a>(
-        &self,
-        payload: &'a [u8],
-        ranges: &[Range<usize>],
-        batch: &mut BatchChunks<'a>,
-    ) -> EncodedPayload<'a> {
+    pub fn encode(&mut self, payload: &[u8], ranges: &[Range<usize>]) -> (Vec<u8>, DedupStats) {
         let mut stored = Vec::with_capacity(FRAME_HEADER_LEN + payload.len() + LITERAL_OVERHEAD);
         stored.resize(FRAME_HEADER_LEN, 0);
-        let mut staged = Vec::new();
         let mut stats = DedupStats { bytes_in: payload.len() as u64, ..DedupStats::default() };
         let mut cursor = 0usize;
         let glue = |out: &mut Vec<u8>, bytes: &[u8]| {
@@ -247,23 +245,29 @@ impl ChunkIndex {
             }
             stats.chunks_total += 1;
             let hash = content_hash(chunk);
-            // Hashes are unique across the index and `batch`: a chunk is
-            // staged only when its hash is found in neither.
-            match self.get(hash).or_else(|| batch.get(&hash).copied()) {
-                // A hash hit only dedups when the bytes agree (collision
-                // safety) and the reference is no larger than the chunk.
-                Some(existing)
-                    if existing == chunk && chunk.len() + LITERAL_OVERHEAD > REF_PART_LEN =>
-                {
-                    stats.chunks_deduped += 1;
-                    stored.push(PART_REF);
-                    stored.extend_from_slice(&hash.to_be_bytes());
-                    stored.extend_from_slice(&(chunk.len() as u32).to_be_bytes());
+            self.ops.lookups += 1;
+            match self.map.entry(hash) {
+                // A hash hit only dedups when the reference is no larger
+                // than the chunk and the bytes agree (collision safety).
+                Entry::Occupied(slot) => {
+                    let &(at, len) = slot.get();
+                    let dedups = chunk.len() + LITERAL_OVERHEAD > REF_PART_LEN && {
+                        self.ops.compares += 1;
+                        self.arena.get(at..at + len) == Some(chunk)
+                    };
+                    if dedups {
+                        stats.chunks_deduped += 1;
+                        stored.push(PART_REF);
+                        stored.extend_from_slice(&hash.to_be_bytes());
+                        stored.extend_from_slice(&(chunk.len() as u32).to_be_bytes());
+                    } else {
+                        glue(&mut stored, chunk);
+                    }
                 }
-                Some(_) => glue(&mut stored, chunk),
-                None => {
-                    batch.insert(hash, chunk);
-                    staged.push((hash, chunk));
+                Entry::Vacant(slot) => {
+                    slot.insert((self.arena.len(), chunk.len()));
+                    self.arena.extend_from_slice(chunk);
+                    self.digest = self.digest.wrapping_add(hash);
                     stored.push(PART_CHUNK);
                     stored.extend_from_slice(&(chunk.len() as u32).to_be_bytes());
                     stored.extend_from_slice(chunk);
@@ -275,20 +279,32 @@ impl ChunkIndex {
             glue(&mut stored, tail);
         }
         stats.bytes_stored = (stored.len() - FRAME_HEADER_LEN) as u64;
-        EncodedPayload { stored, staged, stats }
+        (stored, stats)
     }
 
-    /// Enters an acknowledged batch's staged chunks into the index.
-    pub fn commit(&mut self, staged: &[(u64, &[u8])]) {
-        self.arena.reserve(staged.iter().map(|(_, bytes)| bytes.len()).sum());
-        for &(hash, bytes) in staged {
-            self.insert(hash, bytes);
+    /// Publishes the pending chunks: the batch that added them is
+    /// acknowledged.
+    pub fn commit(&mut self) {
+        self.committed = (self.arena.len(), self.digest);
+    }
+
+    /// Forgets the pending chunks — the batch that added them failed —
+    /// leaving the index as the last [`ChunkIndex::commit`] left it. A
+    /// failure path, so it may scan the map: the hot paths keep no list
+    /// of what they added.
+    pub fn rollback(&mut self) {
+        let (committed_len, committed_digest) = self.committed;
+        if self.arena.len() > committed_len {
+            self.map.retain(|_, &mut (at, _)| at < committed_len);
+            self.arena.truncate(committed_len);
         }
+        self.digest = committed_digest;
     }
 
-    /// Decodes a stored frame payload back into its logical bytes,
-    /// entering indexed chunks as they stream past (recovery path: the
-    /// frontier is committed, so inserts are immediate). Errors are
+    /// Decodes a stored frame payload back into its logical bytes. Its
+    /// indexed chunks enter the index pending as they stream past, so
+    /// later frames of the batch resolve references to them; each part
+    /// costs at most one probe and one byte comparison. Errors are
     /// `(offset, what)` for the caller to wrap in its corruption type.
     pub fn decode(&mut self, stored: &[u8]) -> Result<Vec<u8>, (usize, String)> {
         let mut payload = Vec::with_capacity(stored.len());
@@ -305,19 +321,35 @@ impl ChunkIndex {
                         .ok_or_else(|| overrun(at))?;
                     at += len;
                     if tag == PART_CHUNK {
+                        // The encoder never indexes an empty chunk, and an
+                        // empty one would sit at the arena's committed
+                        // end, where `rollback` could not tell it from a
+                        // pending one.
+                        if bytes.is_empty() {
+                            return Err((tag_at, "indexed chunk is empty".to_string()));
+                        }
                         let hash = content_hash(bytes);
-                        match self.get(hash) {
-                            Some(existing) if existing != bytes => {
-                                return Err((
-                                    tag_at,
-                                    "indexed chunk collides with an earlier chunk".to_string(),
-                                ));
+                        self.ops.lookups += 1;
+                        match self.map.entry(hash) {
+                            Entry::Occupied(slot) => {
+                                let &(start, n) = slot.get();
+                                self.ops.compares += 1;
+                                if self.arena.get(start..start + n) != Some(bytes) {
+                                    return Err((
+                                        tag_at,
+                                        "indexed chunk collides with an earlier chunk".to_string(),
+                                    ));
+                                }
+                                // A repeat of an indexed chunk still counts
+                                // in the digest, so the manifest cross-check
+                                // catches a duplicated chunk part.
+                                self.digest = self.digest.wrapping_add(hash);
                             }
-                            // A repeat of an indexed chunk still counts in
-                            // the digest, so the manifest cross-check
-                            // catches a duplicated chunk part.
-                            Some(_) => self.digest = self.digest.wrapping_add(hash),
-                            None => self.insert(hash, bytes),
+                            Entry::Vacant(slot) => {
+                                slot.insert((self.arena.len(), bytes.len()));
+                                self.arena.extend_from_slice(bytes);
+                                self.digest = self.digest.wrapping_add(hash);
+                            }
                         }
                     }
                     payload.extend_from_slice(bytes);
@@ -325,9 +357,14 @@ impl ChunkIndex {
                 PART_REF => {
                     let hash = u64::from_be_bytes(take(stored, &mut at)?);
                     let len = u32::from_be_bytes(take(stored, &mut at)?) as usize;
-                    let chunk = self.get(hash).ok_or_else(|| {
-                        (tag_at, format!("reference to unknown chunk {hash:#018x}"))
-                    })?;
+                    self.ops.lookups += 1;
+                    let chunk = self
+                        .map
+                        .get(&hash)
+                        .and_then(|&(start, n)| self.arena.get(start..start + n))
+                        .ok_or_else(|| {
+                            (tag_at, format!("reference to unknown chunk {hash:#018x}"))
+                        })?;
                     if chunk.len() != len {
                         return Err((
                             tag_at,
@@ -373,34 +410,24 @@ mod tests {
         assert_eq!(content_hash(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
-    impl ChunkIndex {
-        /// A batch of one.
-        fn encode<'a>(&self, payload: &'a [u8], ranges: &[Range<usize>]) -> EncodedPayload<'a> {
-            self.encode_batched(payload, ranges, &mut self.batch_map())
-        }
-    }
-
     /// The parts of an encoded frame, without the header room.
-    fn parts<'e>(enc: &'e EncodedPayload<'_>) -> &'e [u8] {
-        &enc.stored[FRAME_HEADER_LEN..]
+    fn parts(stored: &[u8]) -> &[u8] {
+        &stored[FRAME_HEADER_LEN..]
     }
 
     fn round_trip(payload: &[u8], ranges: &[Range<usize>]) {
         let mut writer = ChunkIndex::new();
         let mut reader = ChunkIndex::new();
-        let enc = writer.encode(payload, ranges);
-        writer.commit(&enc.staged);
-        assert_eq!(reader.decode(parts(&enc)).unwrap(), payload);
+        let (stored, stats) = writer.encode(payload, ranges);
+        writer.commit();
+        assert_eq!(reader.decode(parts(&stored)).unwrap(), payload);
         assert_eq!(reader.count(), writer.count());
         assert_eq!(reader.digest(), writer.digest());
         // A second index hashes with another seed, and that changes
         // nothing the store writes or summarizes.
         let mut other = ChunkIndex::new();
         assert_ne!(other.map.hasher().seed, writer.map.hasher().seed);
-        let again = other.encode(payload, ranges);
-        other.commit(&again.staged);
-        assert_eq!(again.stored, enc.stored);
-        assert_eq!(again.stats, enc.stats);
+        assert_eq!(other.encode(payload, ranges), (stored, stats));
         assert_eq!((other.count(), other.digest()), (writer.count(), writer.digest()));
     }
 
@@ -419,44 +446,42 @@ mod tests {
     fn repeated_chunks_become_references() {
         let mut index = ChunkIndex::new();
         let a = b"glue|CHUNKCHUNKCHUNKCHUNKCHUNKCHUNKCHUNKCHUNK|end";
-        let first = index.encode(a, &[5..45]);
-        assert_eq!(first.stats.chunks_deduped, 0);
-        index.commit(&first.staged);
-        let second = index.encode(a, &[5..45]);
-        assert_eq!(second.stats.chunks_total, 1);
-        assert_eq!(second.stats.chunks_deduped, 1);
-        assert!(second.stats.bytes_stored < second.stats.bytes_in);
-        assert!(second.staged.is_empty());
+        let (first, stats) = index.encode(a, &[5..45]);
+        assert_eq!(stats.chunks_deduped, 0);
+        index.commit();
+        let (second, stats) = index.encode(a, &[5..45]);
+        assert_eq!(stats.chunks_total, 1);
+        assert_eq!(stats.chunks_deduped, 1);
+        assert!(stats.bytes_stored < stats.bytes_in);
+        assert_eq!(index.count(), 1, "a reference adds no chunk");
         let mut reader = ChunkIndex::new();
         assert_eq!(reader.decode(parts(&first)).unwrap(), a);
         assert_eq!(reader.decode(parts(&second)).unwrap(), a);
     }
 
     #[test]
-    fn same_frame_repeats_dedup_against_staging() {
-        let index = ChunkIndex::new();
+    fn same_frame_repeats_dedup_against_pending_chunks() {
+        let mut index = ChunkIndex::new();
         let payload = b"XXXXYYYYYYYYYYYYYYYYZZZZYYYYYYYYYYYYYYYY";
-        let enc = index.encode(payload, &[4..20, 24..40]);
-        assert_eq!(enc.stats.chunks_deduped, 1);
-        assert_eq!(enc.staged.len(), 1);
+        let (stored, stats) = index.encode(payload, &[4..20, 24..40]);
+        assert_eq!(stats.chunks_deduped, 1);
+        assert_eq!(index.count(), 1);
         let mut reader = ChunkIndex::new();
-        assert_eq!(reader.decode(parts(&enc)).unwrap(), payload);
+        assert_eq!(reader.decode(parts(&stored)).unwrap(), payload);
     }
 
     #[test]
-    fn batched_encode_dedups_against_pending_frames() {
-        let index = ChunkIndex::new();
+    fn later_frames_of_a_batch_dedup_against_pending_chunks() {
+        let mut index = ChunkIndex::new();
         let payload = b"....CHUNKCHUNKCHUNKCHUNKCHUNKCHUNK....";
-        // Frame 1 of a batch stages the chunk; frame 2 of the *same*
-        // batch references it without committing anything in between.
-        let mut batch = index.batch_map();
-        let first = index.encode_batched(payload, &[4..34], &mut batch);
-        assert_eq!(first.staged.len(), 1);
-        let second = index.encode_batched(payload, &[4..34], &mut batch);
-        assert_eq!(second.stats.chunks_deduped, 1);
-        assert!(second.staged.is_empty(), "pending chunks are not re-staged");
-        // An in-order decode (how recovery scans the frontier) resolves
-        // the intra-batch reference.
+        // Frame 1 of a batch adds the chunk pending; frame 2 of the
+        // *same* batch references it without a commit in between.
+        let (first, _) = index.encode(payload, &[4..34]);
+        let (second, stats) = index.encode(payload, &[4..34]);
+        assert_eq!(stats.chunks_deduped, 1);
+        assert_eq!(index.count(), 1, "pending chunks are not added twice");
+        // An in-order decode (how recovery scans the frontier and how a
+        // replica resolves a batch) resolves the intra-batch reference.
         let mut reader = ChunkIndex::new();
         assert_eq!(reader.decode(parts(&first)).unwrap(), payload);
         assert_eq!(reader.decode(parts(&second)).unwrap(), payload);
@@ -470,30 +495,50 @@ mod tests {
         let mut writer = ChunkIndex::new();
         let mut reader = ChunkIndex::new();
         let first = b"the very first chunk, indexed early".to_vec();
-        let enc = writer.encode(&first, &[0..first.len()]);
-        writer.commit(&enc.staged);
-        reader.decode(parts(&enc)).unwrap();
+        let (stored, _) = writer.encode(&first, &[0..first.len()]);
+        writer.commit();
+        reader.decode(parts(&stored)).unwrap();
         let early_capacity = writer.arena.capacity();
         for i in 0..500u32 {
             let filler = format!("filler chunk number {i:>8} of many");
-            let enc = writer.encode(filler.as_bytes(), &[0..filler.len()]);
-            writer.commit(&enc.staged);
-            assert_eq!(reader.decode(parts(&enc)).unwrap(), filler.as_bytes());
+            let (stored, _) = writer.encode(filler.as_bytes(), &[0..filler.len()]);
+            writer.commit();
+            assert_eq!(reader.decode(parts(&stored)).unwrap(), filler.as_bytes());
         }
         assert!(writer.arena.capacity() >= 64 * early_capacity, "the arena grew several times");
-        let again = writer.encode(&first, &[0..first.len()]);
-        assert_eq!(again.stats.chunks_deduped, 1);
+        let (again, stats) = writer.encode(&first, &[0..first.len()]);
+        assert_eq!(stats.chunks_deduped, 1);
         assert_eq!(reader.decode(parts(&again)).unwrap(), first);
         assert_eq!((reader.count(), reader.digest()), (writer.count(), writer.digest()));
     }
 
     #[test]
-    fn uncommitted_chunks_never_enter_the_index() {
-        let index = ChunkIndex::new();
-        let enc = index.encode(b"ABCDEFGHIJKLMNOP", &[0..16]);
-        drop(enc); // the append "failed": nothing committed
-        assert_eq!(index.count(), 0);
-        assert_eq!(index.digest(), 0);
+    fn rollback_forgets_pending_chunks() {
+        let payload = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnop";
+        let ranges = [0..16, 16..32];
+        let mut index = ChunkIndex::new();
+        index.encode(&payload[..16], &[0..16]);
+        index.commit();
+        let before = (index.count(), index.digest(), index.arena.len());
+        // The failed batch adds one chunk and references the committed one.
+        let (failed, _) = index.encode(payload, &ranges);
+        assert_eq!(index.count(), 2);
+        index.rollback();
+        assert_eq!((index.count(), index.digest(), index.arena.len()), before);
+        // The retried batch encodes exactly as it did the first time.
+        assert_eq!(index.encode(payload, &ranges).0, failed);
+        // A rollback after a failed decode forgets the chunks it added.
+        let mut hostile = vec![PART_CHUNK];
+        hostile.extend_from_slice(&16u32.to_be_bytes());
+        hostile.extend_from_slice(b"0123456789abcdef");
+        hostile.push(PART_REF);
+        hostile.extend_from_slice(&42u64.to_be_bytes());
+        hostile.extend_from_slice(&16u32.to_be_bytes());
+        let mut reader = ChunkIndex::new();
+        reader.decode(&hostile).unwrap_err();
+        assert_eq!((reader.count(), reader.digest()), (1, content_hash(b"0123456789abcdef")));
+        reader.rollback();
+        assert_eq!((reader.count(), reader.digest(), reader.arena.len()), (0, 0, 0));
     }
 
     #[test]
@@ -501,6 +546,7 @@ mod tests {
         let mut reader = ChunkIndex::new();
         assert!(reader.decode(&[0x07]).is_err(), "unknown tag");
         assert!(reader.decode(&[PART_GLUE, 0, 0, 0, 9, b'x']).is_err(), "overrun");
+        assert!(reader.decode(&[PART_CHUNK, 0, 0, 0, 0]).is_err(), "empty indexed chunk");
         let mut dangling = vec![PART_REF];
         dangling.extend_from_slice(&42u64.to_be_bytes());
         dangling.extend_from_slice(&4u32.to_be_bytes());
@@ -511,13 +557,47 @@ mod tests {
     fn tiny_chunks_stay_literal() {
         let mut index = ChunkIndex::new();
         let payload = b"abcdefg";
-        let enc = index.encode(payload, &[0..7]);
-        index.commit(&enc.staged);
+        index.encode(payload, &[0..7]);
+        index.commit();
         // Second write: a 7-byte chunk + 5 framing < 13-byte reference,
         // so dedup would grow the store — keep the literal.
-        let again = index.encode(payload, &[0..7]);
-        assert_eq!(again.stats.chunks_deduped, 0);
+        let (again, stats) = index.encode(payload, &[0..7]);
+        assert_eq!(stats.chunks_deduped, 0);
         let mut reader = ChunkIndex::new();
         assert_eq!(reader.decode(parts(&again)).unwrap(), payload);
+    }
+
+    /// Encode and resolve stay linear: at 26k and at 104k chunks, every
+    /// chunk costs at most one index probe and one byte comparison, on
+    /// the writer and on a replica resolving what it wrote. Half the
+    /// chunks repeat an earlier one, so hits and misses are both counted.
+    #[test]
+    fn encode_and_resolve_probe_each_chunk_once() {
+        for chunks in [26_000usize, 104_000] {
+            let mut payload = Vec::new();
+            let mut ranges = Vec::with_capacity(chunks);
+            for i in 0..chunks {
+                let start = payload.len();
+                payload.extend_from_slice(
+                    format!("object record {:>10}", i % (chunks / 2)).as_bytes(),
+                );
+                ranges.push(start..payload.len());
+                payload.push(b'|');
+            }
+            let mut writer = ChunkIndex::new();
+            let (stored, stats) = writer.encode(&payload, &ranges);
+            assert_eq!(stats.chunks_deduped as usize, chunks / 2);
+            let per_chunk = IndexOps { lookups: chunks as u64, compares: chunks as u64 };
+            let within = |ops: IndexOps| {
+                ops.lookups <= per_chunk.lookups && ops.compares <= per_chunk.compares
+            };
+            assert!(within(writer.ops), "{chunks} chunks encoded with {:?}", writer.ops);
+            writer.commit();
+
+            let mut replica = ChunkIndex::new();
+            assert_eq!(replica.decode(parts(&stored)).unwrap(), payload);
+            assert!(within(replica.ops), "{chunks} chunks resolved with {:?}", replica.ops);
+            assert_eq!((replica.count(), replica.digest()), (writer.count(), writer.digest()));
+        }
     }
 }

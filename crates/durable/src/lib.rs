@@ -73,7 +73,9 @@ pub use harness::{
     crash_matrix, redirty_record, Acks, DriveResult, Expect, MatrixError, MatrixOptions,
     MatrixReport, NodeDisk, Run, Scenario, StoreTopology, Topology, Verdict,
 };
-pub use store::{segment_name, DurableConfig, DurableStore, IoStats, FORMAT_VERSION, MANIFEST};
+pub use store::{
+    segment_name, DurableConfig, DurableStore, IoStats, SealedBatch, FORMAT_VERSION, MANIFEST,
+};
 pub use trace::{
     crash_classes, CrashClass, OpTrace, TraceEvent, TraceLog, TraceNode, TraceOp, TraceVfs,
 };

@@ -45,12 +45,18 @@
 //! in one segment therefore costs 3 fsyncs instead of `3n`
 //! ([`IoStats`] exposes the counters the `group_commit` bench reads).
 //!
-//! The batch is encoded inline, one frame at a time: dedup-encode the
-//! record into parts behind room for the frame header, seal the header
-//! in place (length, then CRC), write the frame, repeat. Chunks staged
-//! by earlier frames of the batch are found with one probe of a
-//! per-batch map that borrows their bytes from the records; they are
-//! copied into the chunk index once, after the manifest swap.
+//! The batch is encoded inline: each record is dedup-encoded into parts
+//! behind room for the frame header, the header is sealed in place
+//! (length, then CRC), and the sealed frames are then written in order.
+//! New chunks enter the chunk index *pending* as they are encoded, so
+//! later frames of the batch find them with the same single probe; the
+//! manifest swap publishes them, and a failed batch rolls them back.
+//!
+//! The sealed frames ([`SealedBatch`]) are also what a replica stores:
+//! [`DurableStore::append_frames`] reads each one with the reader `open`
+//! uses (CRC, dedup parts resolved through its own chunk index, one
+//! validating scan, sequence check) and then writes its bytes verbatim
+//! under the same protocol, so it never encodes a record again.
 //!
 //! ## Recovery
 //!
@@ -74,7 +80,7 @@ use std::collections::BTreeSet;
 use std::ops::Range;
 
 use crate::crc::{crc32, Crc32};
-use crate::dedup::{ChunkIndex, DedupStats, Staged};
+use crate::dedup::{ChunkIndex, DedupStats};
 use crate::error::DurableError;
 use crate::vfs::Vfs;
 use ickp_core::{CheckpointRecord, CheckpointStore, CoreError, RecordSink};
@@ -323,7 +329,7 @@ fn frame_crc(len: &[u8], payload: &[u8]) -> u32 {
 }
 
 /// Seals a frame whose first [`FRAME_HEADER_LEN`] bytes are room for
-/// its header (as [`ChunkIndex::encode_batched`] leaves them): writes the
+/// its header (as [`ChunkIndex::encode`] leaves them): writes the
 /// payload's length and then its [`frame_crc`] there.
 fn seal_frame(mut frame: Vec<u8>) -> Vec<u8> {
     let (header, payload) = frame.split_at_mut(FRAME_HEADER_LEN);
@@ -335,27 +341,131 @@ fn seal_frame(mut frame: Vec<u8>) -> Vec<u8> {
     frame
 }
 
-/// Encodes `records` in order as one atomic batch against `chunks`, in
-/// one loop: encode a frame, seal it, hand it to `place`, repeat. Later
-/// frames dedup against the chunks earlier frames staged. Returns the
-/// staged chunks, borrowed from `records`, for [`ChunkIndex::commit`]
-/// once the batch is acknowledged, and the batch's accounting.
-fn encode_batch<'a>(
-    chunks: &ChunkIndex,
-    records: &'a [CheckpointRecord],
+/// Encodes `records` in order as one atomic batch against `chunks`:
+/// encode a frame, seal it, repeat. Later frames dedup against the
+/// chunks earlier frames added; those stay pending in `chunks` until the
+/// caller commits or rolls back the batch.
+fn encode_batch(
+    chunks: &mut ChunkIndex,
+    records: &[CheckpointRecord],
     layouts: &[&[Range<usize>]],
-    mut place: impl FnMut(&[u8]) -> Result<(), DurableError>,
-) -> Result<(Staged<'a>, DedupStats), DurableError> {
-    let mut batch = chunks.batch_map();
-    let mut staged = Vec::new();
+) -> SealedBatch {
     let mut stats = DedupStats::default();
-    for (record, ranges) in records.iter().zip(layouts) {
-        let encoded = chunks.encode_batched(record.bytes(), ranges, &mut batch);
-        place(&seal_frame(encoded.stored))?;
-        staged.extend(encoded.staged);
-        stats.absorb(encoded.stats);
+    let frames = records
+        .iter()
+        .zip(layouts)
+        .map(|(record, ranges)| {
+            let (stored, frame_stats) = chunks.encode(record.bytes(), ranges);
+            stats.absorb(frame_stats);
+            seal_frame(stored)
+        })
+        .collect();
+    SealedBatch { frames, stats }
+}
+
+/// Reads the frame at `frames`' position back into its record — the one
+/// frame reader of `open` and of a replica applying shipped frames. It
+/// checks that the frame lies within the bytes and that its CRC holds,
+/// resolves its dedup parts through `chunks` (new chunks enter pending),
+/// and validates the stream with one scan ([`CheckpointRecord::validate`],
+/// everything `decode` checks, no field materialized; the record keeps
+/// the object offsets it found, so `restore` folds it without a second
+/// scan). `corrupt` names where the bytes came from.
+fn read_record(
+    chunks: &mut ChunkIndex,
+    frames: &mut Cursor<'_>,
+    registry: &ClassRegistry,
+    corrupt: &impl Fn(u64, String) -> DurableError,
+) -> Result<CheckpointRecord, DurableError> {
+    let offset = frames.pos;
+    let header_overrun =
+        |_| corrupt(offset as u64, "frame header overruns the committed length".into());
+    let len = frames.array().map_err(header_overrun)?;
+    let stored_crc = frames.u32().map_err(header_overrun)?;
+    let body_at = frames.pos;
+    let stored_payload = frames
+        .take(u32::from_be_bytes(len) as usize)
+        .map_err(|_| corrupt(offset as u64, "frame body overruns the committed length".into()))?;
+    if frame_crc(&len, stored_payload) != stored_crc {
+        return Err(corrupt(offset as u64, "frame checksum mismatch".into()));
     }
-    Ok((staged, stats))
+    let payload = chunks
+        .decode(stored_payload)
+        .map_err(|(part_at, what)| corrupt((body_at + part_at) as u64, what))?;
+    Ok(CheckpointRecord::validate(payload, registry)?)
+}
+
+/// Reads frames another store sealed, each slice holding exactly one, as
+/// [`read_record`] reads a segment's. Corruption is reported against
+/// `shipped frame <i>`, at an offset inside that frame.
+fn read_shipped<B: AsRef<[u8]>>(
+    chunks: &mut ChunkIndex,
+    frames: &[B],
+    registry: &ClassRegistry,
+) -> Result<Vec<u64>, DurableError> {
+    let mut seqs = Vec::with_capacity(frames.len());
+    for (i, frame) in frames.iter().map(AsRef::as_ref).enumerate() {
+        let corrupt = |offset: u64, what: String| DurableError::Corrupt {
+            file: format!("shipped frame {i}"),
+            offset,
+            what,
+        };
+        let mut cursor = Cursor { bytes: frame, pos: 0 };
+        seqs.push(read_record(chunks, &mut cursor, registry, &corrupt)?.seq());
+        if cursor.pos != frame.len() {
+            return Err(corrupt(cursor.pos as u64, "bytes after the end of the frame".into()));
+        }
+    }
+    Ok(seqs)
+}
+
+/// Refuses `seqs` unless each is its predecessor plus one, starting
+/// right after `last`.
+fn check_contiguous(last: Option<u64>, seqs: &[u64]) -> Result<(), DurableError> {
+    let mut expected = last.map(|last| last + 1);
+    for &got in seqs {
+        if let Some(expected) = expected.filter(|&e| e != got) {
+            return Err(DurableError::SequenceGap { expected, got });
+        }
+        expected = Some(got + 1);
+    }
+    Ok(())
+}
+
+/// Refuses a rewrite whose tags carry a label too long, whose `seqs` do
+/// not strictly increase, or whose tags name a seq none of them holds;
+/// returns the tags sorted by label.
+fn check_rewrite(seqs: &[u64], tags: &[(String, u64)]) -> Result<Vec<(String, u64)>, DurableError> {
+    for (label, _) in tags {
+        check_label(label)?;
+    }
+    for pair in seqs.windows(2) {
+        if let [last, got] = *pair {
+            if got <= last {
+                return Err(DurableError::SequenceGap { expected: last + 1, got });
+            }
+        }
+    }
+    let mut sorted = tags.to_vec();
+    sorted.sort_by(|a, b| a.0.cmp(&b.0));
+    for (_, seq) in &sorted {
+        if seqs.binary_search(seq).is_err() {
+            return Err(DurableError::UnknownSeq(*seq));
+        }
+    }
+    Ok(sorted)
+}
+
+/// One batch as the store committed it: its sealed frames, in order,
+/// exactly as written to the segments, and its dedup accounting. A
+/// replica applies the frames with [`DurableStore::append_frames`] (or
+/// [`DurableStore::rewrite_frames`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SealedBatch {
+    /// Each record's frame: `len | crc | parts`.
+    pub frames: Vec<Vec<u8>>,
+    /// The batch's dedup accounting.
+    pub stats: DedupStats,
 }
 
 /// A crash-safe, segmented, append-only checkpoint store over a [`Vfs`].
@@ -516,31 +626,7 @@ impl<F: Vfs> DurableStore<F> {
             }
 
             while frames.pos < committed.len() {
-                let offset = frames.pos;
-                let header_overrun =
-                    |_| corrupt(offset as u64, "frame header overruns the committed length".into());
-                let len = frames.array().map_err(header_overrun)?;
-                let stored_crc = frames.u32().map_err(header_overrun)?;
-                let body_at = frames.pos;
-                let stored_payload =
-                    frames.take(u32::from_be_bytes(len) as usize).map_err(|_| {
-                        corrupt(offset as u64, "frame body overruns the committed length".into())
-                    })?;
-                if frame_crc(&len, stored_payload) != stored_crc {
-                    return Err(corrupt(offset as u64, "frame checksum mismatch".into()));
-                }
-
-                // Resolve dedup parts into the logical ICKP stream,
-                // growing the chunk index as indexed chunks stream past.
-                let payload = store
-                    .chunks
-                    .decode(stored_payload)
-                    .map_err(|(part_at, what)| corrupt((body_at + part_at) as u64, what))?;
-
-                // One validating scan (everything `decode` checks, no
-                // field materialized). The record keeps the object offsets
-                // it found, so `restore` folds it without a second scan.
-                let record = CheckpointRecord::validate(payload, registry)?;
+                let record = read_record(&mut store.chunks, &mut frames, registry, &corrupt)?;
                 if let Some(last) = recovered.latest() {
                     // Generation 0 is untouched append-only history:
                     // sequence numbers are contiguous. After a rewrite,
@@ -561,6 +647,7 @@ impl<F: Vfs> DurableStore<F> {
             }
         }
 
+        store.chunks.commit();
         if recovered.len() as u64 != manifest.record_count {
             return Err(DurableError::Corrupt {
                 file: MANIFEST.to_string(),
@@ -654,7 +741,7 @@ impl<F: Vfs> DurableStore<F> {
         record: &CheckpointRecord,
         chunk_ranges: &[Range<usize>],
     ) -> Result<DedupStats, DurableError> {
-        self.append_batch_inner(std::slice::from_ref(record), &[chunk_ranges])
+        self.append_batch_inner(std::slice::from_ref(record), &[chunk_ranges]).map(|b| b.stats)
     }
 
     /// Durably appends a batch of checkpoint records under **one group
@@ -678,15 +765,18 @@ impl<F: Vfs> DurableStore<F> {
         records: &[CheckpointRecord],
     ) -> Result<DedupStats, DurableError> {
         let layouts: Vec<&[Range<usize>]> = vec![&[]; records.len()];
-        self.append_batch_inner(records, &layouts)
+        self.append_batch_inner(records, &layouts).map(|b| b.stats)
     }
 
     /// [`DurableStore::append_batch`] with dedup: `layouts` gives each
     /// record's chunk ranges, as [`DurableStore::append_deduped`] takes
     /// for a single record. Within the batch, later records also dedup
-    /// against the chunks staged by earlier records of the *same* batch —
+    /// against the chunks added by earlier records of the *same* batch —
     /// safe because the single manifest swap commits them together, so a
     /// back-reference can never cross an un-acknowledged batch boundary.
+    ///
+    /// Returns the batch as committed: its sealed frames, which a replica
+    /// applies with [`DurableStore::append_frames`], and its accounting.
     ///
     /// # Errors
     ///
@@ -701,43 +791,93 @@ impl<F: Vfs> DurableStore<F> {
         &mut self,
         records: &[CheckpointRecord],
         layouts: &[Vec<Range<usize>>],
-    ) -> Result<DedupStats, DurableError> {
+    ) -> Result<SealedBatch, DurableError> {
         assert_eq!(records.len(), layouts.len(), "one chunk layout per record");
         let layouts: Vec<&[Range<usize>]> = layouts.iter().map(Vec::as_slice).collect();
         self.append_batch_inner(records, &layouts)
+    }
+
+    /// Durably appends frames another store sealed — a replica applying
+    /// the batch its primary committed ([`SealedBatch::frames`]) — under
+    /// one group commit, with the same I/O and acknowledgement as
+    /// [`DurableStore::append_batch`]. Each frame's bytes are written
+    /// verbatim, so the two stores stay byte-identical.
+    ///
+    /// Before any byte is written, every frame is read as `open` reads a
+    /// segment's: its CRC is checked, its dedup parts are resolved
+    /// through this store's chunk index, its stream is validated with
+    /// [`CheckpointRecord::validate`], and its sequence number must
+    /// extend the store's.
+    ///
+    /// # Errors
+    ///
+    /// [`DurableError::Corrupt`] (file `shipped frame <i>`) for a frame
+    /// that fails its CRC, does not fill its slice exactly or holds a
+    /// malformed or unresolvable part; [`DurableError::Core`] for a
+    /// stream that fails validation; otherwise as
+    /// [`DurableStore::append_batch`]. On error nothing is acknowledged
+    /// and the chunk index is as before.
+    pub fn append_frames<B: AsRef<[u8]>>(
+        &mut self,
+        frames: &[B],
+        registry: &ClassRegistry,
+    ) -> Result<(), DurableError> {
+        let checked = read_shipped(&mut self.chunks, frames, registry)
+            .and_then(|seqs| check_contiguous(self.manifest.last_seq, &seqs).map(|()| seqs));
+        match checked {
+            Ok(seqs) => self.write_batch(frames, &seqs),
+            Err(e) => {
+                self.chunks.rollback();
+                Err(e)
+            }
+        }
     }
 
     fn append_batch_inner(
         &mut self,
         records: &[CheckpointRecord],
         layouts: &[&[Range<usize>]],
-    ) -> Result<DedupStats, DurableError> {
-        if records.is_empty() {
-            return Ok(DedupStats::default());
+    ) -> Result<SealedBatch, DurableError> {
+        let seqs: Vec<u64> = records.iter().map(CheckpointRecord::seq).collect();
+        check_contiguous(self.manifest.last_seq, &seqs)?;
+        let batch = encode_batch(&mut self.chunks, records, layouts);
+        self.write_batch(&batch.frames, &seqs)?;
+        Ok(batch)
+    }
+
+    /// Writes sealed `frames`, holding the records `seqs`, as one group
+    /// commit, then publishes the chunks they added to the index. On
+    /// error the pending chunks are rolled back and the next batch first
+    /// truncates whatever the failure left past the frontier.
+    fn write_batch<B: AsRef<[u8]>>(
+        &mut self,
+        frames: &[B],
+        seqs: &[u64],
+    ) -> Result<(), DurableError> {
+        if frames.is_empty() {
+            return Ok(());
         }
-        let mut expected = self.manifest.last_seq.map(|last| last + 1);
-        for record in records {
-            if let Some(expected) = expected {
-                if record.seq() != expected {
-                    return Err(DurableError::SequenceGap { expected, got: record.seq() });
-                }
+        match self.try_write_batch(frames, seqs) {
+            Ok(()) => {
+                // The manifest swap acknowledged the batch: only now may
+                // its chunks serve as dedup targets for later batches.
+                self.chunks.commit();
+                self.seqs.extend_from_slice(seqs);
+                Ok(())
             }
-            expected = Some(record.seq() + 1);
-        }
-        match self.try_append_batch(records, layouts) {
-            Ok(stats) => Ok(stats),
             Err(e) => {
+                self.chunks.rollback();
                 self.tail_dirty = true;
                 Err(e)
             }
         }
     }
 
-    fn try_append_batch(
+    fn try_write_batch<B: AsRef<[u8]>>(
         &mut self,
-        records: &[CheckpointRecord],
-        layouts: &[&[Range<usize>]],
-    ) -> Result<DedupStats, DurableError> {
+        frames: &[B],
+        seqs: &[u64],
+    ) -> Result<(), DurableError> {
         if self.tail_dirty {
             // A previous append failed partway; the tail segment may hold
             // bytes past the committed frontier. Cut them before writing.
@@ -754,7 +894,7 @@ impl<F: Vfs> DurableStore<F> {
         // The segments the batch wrote to, in order (appends only move
         // forward through segments); none is fsynced until all are written.
         let mut touched: Vec<u32> = Vec::new();
-        let (staged, stats) = encode_batch(&self.chunks, records, layouts, |frame| {
+        for frame in frames.iter().map(AsRef::as_ref) {
             match candidate.segments.last_mut() {
                 Some(seg) if seg.committed_len < self.config.segment_target_bytes => {
                     self.fs.append(&segment_name(seg.index), frame)?;
@@ -777,25 +917,18 @@ impl<F: Vfs> DurableStore<F> {
                 }
             }
             self.io.frames_written += 1;
-            Ok(())
-        })?;
+        }
         // One fsync per touched segment — the group-commit saving.
         for index in &touched {
             self.fs.sync(&segment_name(*index))?;
             self.io.file_syncs += 1;
         }
 
-        candidate.record_count += records.len() as u64;
-        candidate.last_seq = records.last().map(CheckpointRecord::seq).or(candidate.last_seq);
-        candidate.chunk_count += staged.len() as u64;
-        candidate.chunk_digest =
-            staged.iter().fold(candidate.chunk_digest, |d, (h, _)| d.wrapping_add(*h));
-        self.swap_manifest(candidate)?;
-        // The manifest swap acknowledged the batch: only now may its
-        // chunks serve as dedup targets for later appends.
-        self.chunks.commit(&staged);
-        self.seqs.extend(records.iter().map(CheckpointRecord::seq));
-        Ok(stats)
+        candidate.record_count += frames.len() as u64;
+        candidate.last_seq = seqs.last().copied().or(candidate.last_seq);
+        candidate.chunk_count = self.chunks.count();
+        candidate.chunk_digest = self.chunks.digest();
+        self.swap_manifest(candidate)
     }
 
     /// Atomically publishes `candidate` as the committed frontier:
@@ -891,6 +1024,10 @@ impl<F: Vfs> DurableStore<F> {
     /// sequence check to "strictly increasing" (merged records keep the
     /// *last* sequence number of their group, leaving gaps).
     ///
+    /// Returns the new content as written: its sealed frames, which a
+    /// replica applies with [`DurableStore::rewrite_frames`], and its
+    /// dedup accounting.
+    ///
     /// # Errors
     ///
     /// * [`DurableError::SequenceGap`] if `records` is not strictly
@@ -912,35 +1049,55 @@ impl<F: Vfs> DurableStore<F> {
         records: &[CheckpointRecord],
         layouts: &[Vec<Range<usize>>],
         tags: &[(String, u64)],
-    ) -> Result<DedupStats, DurableError> {
+    ) -> Result<SealedBatch, DurableError> {
         assert_eq!(records.len(), layouts.len(), "one chunk layout per record");
-        for (label, _) in tags {
-            check_label(label)?;
-        }
-        let mut seqs = Vec::with_capacity(records.len());
-        for r in records {
-            if seqs.last().is_some_and(|&last| r.seq() <= last) {
-                return Err(DurableError::SequenceGap {
-                    expected: seqs.last().copied().unwrap_or(0) + 1,
-                    got: r.seq(),
-                });
-            }
-            seqs.push(r.seq());
-        }
-        let mut new_tags = tags.to_vec();
-        new_tags.sort_by(|a, b| a.0.cmp(&b.0));
-        for (_, seq) in &new_tags {
-            if seqs.binary_search(seq).is_err() {
-                return Err(DurableError::UnknownSeq(*seq));
-            }
-        }
-
-        // Encode everything as one batch against a fresh index, then
-        // write the new segments under indices no live file uses.
+        let seqs: Vec<u64> = records.iter().map(CheckpointRecord::seq).collect();
+        let tags = check_rewrite(&seqs, tags)?;
+        // Encode everything as one batch against a fresh index.
         let mut fresh = ChunkIndex::new();
         let layouts: Vec<&[Range<usize>]> = layouts.iter().map(Vec::as_slice).collect();
+        let batch = encode_batch(&mut fresh, records, &layouts);
+        self.install(fresh, &batch.frames, seqs, tags)?;
+        Ok(batch)
+    }
+
+    /// [`DurableStore::rewrite`] from frames another store sealed — a
+    /// replica applying its primary's rewrite ([`SealedBatch::frames`]).
+    /// Every frame is read and validated as
+    /// [`DurableStore::append_frames`] reads it, against a fresh chunk
+    /// index, before any byte is written; the frames are then written
+    /// verbatim under the same protocol as `rewrite`.
+    ///
+    /// # Errors
+    ///
+    /// As [`DurableStore::append_frames`] for the frames, and as
+    /// [`DurableStore::rewrite`] for their sequence numbers and the tags.
+    pub fn rewrite_frames<B: AsRef<[u8]>>(
+        &mut self,
+        frames: &[B],
+        tags: &[(String, u64)],
+        registry: &ClassRegistry,
+    ) -> Result<(), DurableError> {
+        let mut fresh = ChunkIndex::new();
+        let seqs = read_shipped(&mut fresh, frames, registry)?;
+        let tags = check_rewrite(&seqs, tags)?;
+        self.install(fresh, frames, seqs, tags)
+    }
+
+    /// Makes `frames` (holding the records `seqs`, their chunks pending
+    /// in `fresh`) and `tags` the store's whole content: writes the new
+    /// segments under indices no live file uses, fsyncs them, swaps the
+    /// manifest, then deletes the old segments.
+    fn install<B: AsRef<[u8]>>(
+        &mut self,
+        mut fresh: ChunkIndex,
+        frames: &[B],
+        seqs: Vec<u64>,
+        tags: Vec<(String, u64)>,
+    ) -> Result<(), DurableError> {
+        fresh.commit();
         let mut segments: Vec<(SegmentEntry, Vec<u8>)> = Vec::new();
-        let (staged, stats) = encode_batch(&fresh, records, &layouts, |frame| {
+        for frame in frames.iter().map(AsRef::as_ref) {
             match segments.last_mut() {
                 Some((entry, bytes)) if entry.committed_len < self.config.segment_target_bytes => {
                     bytes.extend_from_slice(frame);
@@ -955,24 +1112,22 @@ impl<F: Vfs> DurableStore<F> {
                         .push((SegmentEntry { index, committed_len: bytes.len() as u64 }, bytes));
                 }
             }
-            Ok(())
-        })?;
-        fresh.commit(&staged);
+        }
         for (entry, bytes) in &segments {
             let name = segment_name(entry.index);
             self.fs.write_file(&name, bytes)?;
             self.fs.sync(&name)?;
             self.io.file_syncs += 1;
         }
-        self.io.frames_written += records.len() as u64;
+        self.io.frames_written += frames.len() as u64;
 
         let old_segments = self.manifest.segments.clone();
         let candidate = Manifest {
-            record_count: records.len() as u64,
+            record_count: frames.len() as u64,
             last_seq: seqs.last().copied(),
             segments: segments.iter().map(|(entry, _)| *entry).collect(),
             generation: self.manifest.generation + 1,
-            tags: new_tags,
+            tags,
             chunk_count: fresh.count(),
             chunk_digest: fresh.digest(),
         };
@@ -994,7 +1149,7 @@ impl<F: Vfs> DurableStore<F> {
             self.fs.sync_dir()?;
             self.io.dir_syncs += 1;
         }
-        Ok(stats)
+        Ok(())
     }
 
     /// Number of acknowledged records.
@@ -1026,6 +1181,12 @@ impl<F: Vfs> DurableStore<F> {
     /// Number of chunks in the content-hash dedup index.
     pub fn chunk_count(&self) -> u64 {
         self.chunks.count()
+    }
+
+    /// The dedup index's order-independent summary (the wrapping sum of
+    /// its chunk hashes), as the next manifest would record it.
+    pub fn chunk_digest(&self) -> u64 {
+        self.chunks.digest()
     }
 
     /// Sequence numbers of the acknowledged records, ascending.
@@ -1307,13 +1468,11 @@ mod tests {
         assert_eq!(reopened.tags()[0], ("ok".to_string(), 1));
     }
 
-    #[test]
-    fn deduped_appends_shrink_the_store_and_recover_byte_identical() {
-        use ickp_core::object_slices;
-        // A workload whose *head* record recurs byte-identically: each
-        // round touches the head with the same value (so it is recorded)
-        // while the tail actually changes. The padding longs make the
-        // records large enough that a 13-byte reference is a clear win.
+    /// Records whose *head* recurs byte-identically: each round touches
+    /// the head with the same value (so it is recorded) while the tail
+    /// actually changes. The padding longs make the records large enough
+    /// that a 13-byte reference is a clear win.
+    fn padded_workload(n: i32) -> (Heap, Vec<CheckpointRecord>) {
         let mut reg = ClassRegistry::new();
         let node = reg
             .define(
@@ -1338,11 +1497,18 @@ mod tests {
         let table = MethodTable::derive(heap.registry());
         let mut ckp = Checkpointer::new(CheckpointConfig::incremental());
         let mut records = Vec::new();
-        for i in 0..4 {
+        for i in 0..n {
             heap.set_field(head, 0, Value::Int(7)).unwrap();
             heap.set_field(tail, 0, Value::Int(i)).unwrap();
             records.push(ckp.checkpoint(&mut heap, &table, &[head]).unwrap());
         }
+        (heap, records)
+    }
+
+    #[test]
+    fn deduped_appends_shrink_the_store_and_recover_byte_identical() {
+        use ickp_core::object_slices;
+        let (heap, records) = padded_workload(4);
         let registry = heap.registry();
 
         // Reference: plain appends.
@@ -1433,5 +1599,47 @@ mod tests {
         drop(store);
         let (_, recovered) = DurableStore::open(&mut fs, tiny(), heap.registry()).unwrap();
         assert_eq!(recovered.len(), 3);
+    }
+
+    /// A transient I/O error in the middle of a deduplicated batch rolls
+    /// back the chunks its frames added: count and digest are as before,
+    /// and the retried batch writes exactly the bytes of a store that
+    /// never saw the failed attempt.
+    #[test]
+    fn a_failed_batch_rolls_back_its_chunks_and_the_retry_writes_the_same_bytes() {
+        use crate::fail::{FailFs, FaultPlan};
+        use ickp_core::object_slices;
+        let (heap, records) = padded_workload(6);
+        let layouts: Vec<Vec<Range<usize>>> =
+            records.iter().map(|r| object_slices(r.bytes(), heap.registry()).unwrap()).collect();
+        let (first, second) = ((&records[..3], &layouts[..3]), (&records[3..], &layouts[3..]));
+
+        let mut clean = MemFs::new();
+        let mut store = DurableStore::create(&mut clean, DurableConfig::default()).unwrap();
+        store.append_batch_deduped(first.0, first.1).unwrap();
+        store.append_batch_deduped(second.0, second.1).unwrap();
+        drop(store);
+
+        // The second batch's first mutating op appends its first frame;
+        // fail the next one, the append of its second frame.
+        let mut probe = FailFs::new(FaultPlan::none());
+        let mut store = DurableStore::create(&mut probe, DurableConfig::default()).unwrap();
+        store.append_batch_deduped(first.0, first.1).unwrap();
+        drop(store);
+        let mut fs = FailFs::new(FaultPlan::error_at(probe.ops() + 1));
+        let mut store = DurableStore::create(&mut fs, DurableConfig::default()).unwrap();
+        store.append_batch_deduped(first.0, first.1).unwrap();
+        let before = (store.chunk_count(), store.chunk_digest());
+        let err = store.append_batch_deduped(second.0, second.1).unwrap_err();
+        assert!(matches!(err, DurableError::Fs(_)), "{err}");
+        assert_eq!((store.chunk_count(), store.chunk_digest()), before);
+        store.append_batch_deduped(second.0, second.1).unwrap();
+        assert!(store.chunk_count() > before.0, "the retried batch added its chunks");
+        drop(store);
+
+        assert_eq!(fs.list().unwrap(), clean.list().unwrap());
+        for name in clean.list().unwrap() {
+            assert_eq!(fs.read(&name).unwrap(), clean.read(&name).unwrap(), "{name}");
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! budget, its dedup accounting, and — the load-bearing invariant — its
 //! atomicity: a back-reference may dedup against chunks staged earlier
 //! in the *same* batch (one manifest swap commits them together) but a
-//! crash mid-batch must erase the whole batch, staged chunks included,
+//! crash mid-batch must erase the whole batch, pending chunks included,
 //! leaving every earlier chunk valid for future back-references.
 
 use std::ops::Range;
@@ -146,7 +146,7 @@ fn intra_batch_back_references_are_counted_and_invisible_after_recovery() {
 
     let mut fs = MemFs::new();
     let mut store = DurableStore::create(&mut fs, DurableConfig::default()).unwrap();
-    let stats = store.append_batch_deduped(&records, &layouts).unwrap();
+    let stats = store.append_batch_deduped(&records, &layouts).unwrap().stats;
     let offered: u64 = layouts.iter().map(|l| l.len() as u64).sum();
     assert_eq!(stats.chunks_total, offered, "every offered chunk is accounted");
     // Rounds 2..5 re-record the head byte-identically to round 1's: all
@@ -207,7 +207,7 @@ fn a_torn_batch_vanishes_whole_and_never_poisons_earlier_chunks() {
         assert_eq!(
             reopened.chunk_count(),
             committed_chunks,
-            "crash {crash_at}: staged chunks from the torn batch escaped into the index"
+            "crash {crash_at}: pending chunks from the torn batch escaped into the index"
         );
         for (want, got) in first.iter().zip(recovered.records()) {
             assert_eq!(want.bytes(), got.bytes(), "crash {crash_at}: first batch corrupted");
@@ -216,7 +216,8 @@ fn a_torn_batch_vanishes_whole_and_never_poisons_earlier_chunks() {
         // Earlier chunks must still be live targets for back-references.
         let stats = reopened
             .append_batch_deduped(second, &second_layouts)
-            .unwrap_or_else(|e| panic!("crash {crash_at}: re-append failed: {e}"));
+            .unwrap_or_else(|e| panic!("crash {crash_at}: re-append failed: {e}"))
+            .stats;
         assert!(
             stats.chunks_deduped > 0,
             "crash {crash_at}: re-appended batch found no surviving chunks to reference"

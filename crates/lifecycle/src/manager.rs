@@ -288,7 +288,7 @@ impl<F: Vfs> CheckpointManager<F> {
         let layouts =
             merged.iter().map(|r| self.layout_of(r)).collect::<Result<Vec<_>, DurableError>>()?;
         let tags = self.store.tags().to_vec();
-        report.dedup = self.store.rewrite(&merged, &layouts, &tags)?;
+        report.dedup = self.store.rewrite(&merged, &layouts, &tags)?.stats;
         let mut chain = CheckpointStore::new();
         for r in &merged {
             chain.push_merged(r.clone()).map_err(DurableError::Core)?;

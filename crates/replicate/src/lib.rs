@@ -7,9 +7,10 @@
 //! locally, ships every committed batch (and every tag or retention
 //! rewrite) over a [`Transport`], and counts a record
 //! *client-acknowledged* only once the follower has durably applied it.
-//! Records travel as their exact encoded bytes, so the standby's log is
-//! byte-identical to the primary's, and [`promote`] turns its directory
-//! into a standalone store with ordinary single-node recovery.
+//! Records travel as the sealed frames the primary's store wrote, which
+//! the follower checks, validates and appends verbatim, so the standby's
+//! log is byte-identical to the primary's, and [`promote`] turns its
+//! directory into a standalone store with ordinary single-node recovery.
 //!
 //! The protocol is deliberately simple — monotone operation numbers,
 //! idempotent application, bounded retransmission — and its failure
@@ -78,4 +79,4 @@ pub use pair::{promote, ReplicaPair, ReplicateConfig, ReplicateError, Replicatio
 pub use transport::{
     ChannelTransport, Node, Transport, TransportError, TransportFault, TransportPlan,
 };
-pub use wire::{WireMessage, WIRE_MAGIC, WIRE_VERSION};
+pub use wire::{WireError, WireMessage, WIRE_MAGIC, WIRE_VERSION};

@@ -7,10 +7,15 @@
 //! until [`ReplicaPair::commit`] (or the configured batch size) turns
 //! them into **one group commit**: the primary's durable store
 //! acknowledges the whole batch with a single manifest swap, then the
-//! batch ships to the follower as one [`WireMessage::Batch`] and the
-//! primary waits for the follower's acknowledgement before counting the
-//! records client-acknowledged. Control operations (tags, retention
-//! rewrites) replicate the same way, each as one wire operation.
+//! batch's sealed frames, as the primary wrote them, ship to the
+//! follower as one [`WireMessage::Batch`] and the primary waits for the
+//! follower's acknowledgement before counting the records
+//! client-acknowledged. The follower checks, resolves and validates each
+//! frame and appends its bytes verbatim
+//! ([`DurableStore::append_frames`]): the dedup encode, sealing and CRC
+//! happen once per pair, on the primary. Control operations (tags,
+//! retention rewrites) replicate the same way, each as one wire
+//! operation.
 //!
 //! Every wire operation carries a monotone `op_seq`. The follower
 //! applies op `n+1` only after op `n`, durably, then acknowledges its
@@ -32,6 +37,8 @@
 //! acknowledged record — the property the crash matrix proves by
 //! exhaustion over a [`PairTopology`](crate::PairTopology).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+
 use std::ops::Range;
 
 use ickp_core::{object_slices, CheckpointRecord, CheckpointStore, CoreError, RecordSink};
@@ -39,7 +46,7 @@ use ickp_durable::{DedupStats, DurableConfig, DurableError, DurableStore, Vfs};
 use ickp_heap::ClassRegistry;
 
 use crate::transport::{Transport, TransportError};
-use crate::wire::WireMessage;
+use crate::wire::{WireError, WireMessage};
 
 /// Tuning for a replicated pair.
 #[derive(Debug, Clone, Copy)]
@@ -88,7 +95,7 @@ pub enum ReplicateError {
     },
     /// A frame failed integrity checks or could not be decoded.
     Wire(String),
-    /// A shipped payload failed stream validation on the follower.
+    /// A shipped record failed stream validation on the follower.
     Core(CoreError),
 }
 
@@ -144,9 +151,8 @@ impl<F: Vfs> FollowerNode<F> {
     /// re-acking the current mark makes the primary retransmit.
     fn apply(
         &mut self,
-        msg: WireMessage,
+        msg: WireMessage<&[u8]>,
         registry: &ClassRegistry,
-        dedup: bool,
         stats: &mut ReplicationStats,
     ) -> Result<u64, ReplicateError> {
         let op_seq = msg.op_seq();
@@ -155,11 +161,8 @@ impl<F: Vfs> FollowerNode<F> {
             return Ok(self.applied_ops);
         }
         match msg {
-            WireMessage::Batch { payloads, .. } => {
-                let (records, layouts) = records_from_payloads(payloads, registry, dedup)?;
-                self.store
-                    .append_batch_deduped(&records, &layouts)
-                    .map_err(ReplicateError::Follower)?;
+            WireMessage::Batch { frames, .. } => {
+                self.store.append_frames(&frames, registry).map_err(follower_error)?;
             }
             WireMessage::Tag { label, seq, .. } => {
                 self.store.tag(&label, seq).map_err(ReplicateError::Follower)?;
@@ -167,9 +170,8 @@ impl<F: Vfs> FollowerNode<F> {
             WireMessage::RemoveTag { label, .. } => {
                 self.store.remove_tag(&label).map_err(ReplicateError::Follower)?;
             }
-            WireMessage::Rewrite { payloads, tags, .. } => {
-                let (records, layouts) = records_from_payloads(payloads, registry, dedup)?;
-                self.store.rewrite(&records, &layouts, &tags).map_err(ReplicateError::Follower)?;
+            WireMessage::Rewrite { frames, tags, .. } => {
+                self.store.rewrite_frames(&frames, &tags, registry).map_err(follower_error)?;
             }
             WireMessage::Ack { .. } => {
                 return Err(ReplicateError::Wire("ack frame arrived at follower".into()))
@@ -180,32 +182,17 @@ impl<F: Vfs> FollowerNode<F> {
     }
 }
 
+/// A follower store's refusal, with a shipped stream that fails
+/// validation reported as [`ReplicateError::Core`].
+fn follower_error(e: DurableError) -> ReplicateError {
+    match e {
+        DurableError::Core(e) => ReplicateError::Core(e),
+        e => ReplicateError::Follower(e),
+    }
+}
+
 /// One dedup chunk layout per record, as the durable store takes them.
 type ChunkLayouts = Vec<Vec<Range<usize>>>;
-
-/// Rebuilds owned records from shipped payload bytes, with one
-/// validating scan per payload ([`CheckpointRecord::validate`], which
-/// rejects everything `decode` rejects). The payload *is* the record's
-/// exact byte stream, so the rebuilt record is byte-identical to the
-/// primary's; the scan yields its `seq`, `kind` and root set, and its
-/// chunk layout for dedup-aware storage (object-record boundaries when
-/// dedup is on, empty when off).
-fn records_from_payloads(
-    payloads: Vec<Vec<u8>>,
-    registry: &ClassRegistry,
-    dedup: bool,
-) -> Result<(Vec<CheckpointRecord>, ChunkLayouts), ReplicateError> {
-    payloads
-        .into_iter()
-        .map(|payload| {
-            let record =
-                CheckpointRecord::validate(payload, registry).map_err(ReplicateError::Core)?;
-            let chunks =
-                if dedup { record.object_ranges().unwrap_or_default() } else { Vec::new() };
-            Ok((record, chunks))
-        })
-        .collect()
-}
 
 /// Chunk layouts for the primary's own records: object-record
 /// boundaries when dedup is on, empty (store literally) when off.
@@ -310,10 +297,13 @@ impl<P: Vfs, F: Vfs, T: Transport> ReplicaPair<P, F, T> {
         }
         let records = std::mem::take(&mut self.staged);
         let layouts = layouts_for(&records, &self.registry, self.config.dedup)?;
-        self.primary.append_batch_deduped(&records, &layouts).map_err(ReplicateError::Primary)?;
+        let batch = self
+            .primary
+            .append_batch_deduped(&records, &layouts)
+            .map_err(ReplicateError::Primary)?;
         let msg = WireMessage::Batch {
             op_seq: self.next_op,
-            payloads: records.iter().map(CheckpointRecord::bytes).collect(),
+            frames: batch.frames.iter().map(Vec::as_slice).collect(),
         };
         self.ship(msg)?;
         self.stats.batches_shipped += 1;
@@ -367,22 +357,22 @@ impl<P: Vfs, F: Vfs, T: Transport> ReplicaPair<P, F, T> {
     ) -> Result<DedupStats, ReplicateError> {
         self.commit()?;
         let layouts = layouts_for(records, &self.registry, self.config.dedup)?;
-        let stats =
+        let batch =
             self.primary.rewrite(records, &layouts, tags).map_err(ReplicateError::Primary)?;
         let msg = WireMessage::Rewrite {
             op_seq: self.next_op,
-            payloads: records.iter().map(CheckpointRecord::bytes).collect(),
+            frames: batch.frames.iter().map(Vec::as_slice).collect(),
             tags: tags.to_vec(),
         };
         self.ship(msg)?;
         self.stats.control_ops_shipped += 1;
-        Ok(stats)
+        Ok(batch.stats)
     }
 
     /// Ships one wire operation and blocks until the follower
     /// acknowledges it, retransmitting up to the configured budget. The
-    /// message borrows its payloads from the committed records, so each
-    /// send encodes the frame straight from their bytes.
+    /// message borrows its frames from the committed batch, so each send
+    /// encodes the message straight from their bytes.
     fn ship(&mut self, msg: WireMessage<&[u8]>) -> Result<(), ReplicateError> {
         let op_seq = msg.op_seq();
         debug_assert_eq!(op_seq, self.next_op, "wire ops are assigned in order");
@@ -409,15 +399,14 @@ impl<P: Vfs, F: Vfs, T: Transport> ReplicaPair<P, F, T> {
     /// acknowledgements.
     fn pump(&mut self) -> Result<(), ReplicateError> {
         while let Some(bytes) = self.transport.recv_at_follower() {
-            let msg = WireMessage::decode(&bytes).map_err(ReplicateError::Wire)?;
-            let mark =
-                self.follower.apply(msg, &self.registry, self.config.dedup, &mut self.stats)?;
+            let msg = WireMessage::decode(&bytes).map_err(wire_error)?;
+            let mark = self.follower.apply(msg, &self.registry, &mut self.stats)?;
             let ack = WireMessage::<&[u8]>::Ack { op_seq: mark }.encode();
             self.stats.wire_bytes += ack.len() as u64;
             self.transport.send_to_primary(ack).map_err(ReplicateError::Transport)?;
         }
         while let Some(bytes) = self.transport.recv_at_primary() {
-            match WireMessage::decode(&bytes).map_err(ReplicateError::Wire)? {
+            match WireMessage::decode(&bytes).map_err(wire_error)? {
                 WireMessage::Ack { op_seq } => self.acked_ops = self.acked_ops.max(op_seq),
                 other => {
                     return Err(ReplicateError::Wire(format!(
@@ -475,6 +464,10 @@ impl<P: Vfs, F: Vfs, T: Transport> RecordSink for ReplicaPair<P, F, T> {
     }
 }
 
+fn wire_error(e: WireError) -> ReplicateError {
+    ReplicateError::Wire(e.to_string())
+}
+
 fn storage(e: ReplicateError) -> CoreError {
     CoreError::Storage { what: e.to_string() }
 }
@@ -497,11 +490,12 @@ pub fn promote<F: Vfs>(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 mod tests {
     use super::*;
     use crate::transport::{ChannelTransport, TransportFault, TransportPlan};
     use ickp_core::{CheckpointConfig, Checkpointer, MethodTable};
-    use ickp_durable::MemFs;
+    use ickp_durable::{content_hash, crc32, MemFs};
     use ickp_heap::{FieldType, Heap, Value};
 
     fn three_records() -> (ClassRegistry, Vec<CheckpointRecord>) {
@@ -610,6 +604,46 @@ mod tests {
         assert_eq!(pair.follower_store().record_count(), 1);
     }
 
+    /// A sealed ICKD frame around `parts`, with a valid CRC.
+    fn seal(parts: &[u8]) -> Vec<u8> {
+        let len = (parts.len() as u32).to_be_bytes();
+        let mut covered = len.to_vec();
+        covered.extend_from_slice(parts);
+        let mut frame = len.to_vec();
+        frame.extend_from_slice(&crc32(&covered).to_be_bytes());
+        frame.extend_from_slice(parts);
+        frame
+    }
+
+    /// A literal part: `tag | len | bytes` (glue `0x00`, chunk `0x02`).
+    fn literal(tag: u8, bytes: &[u8]) -> Vec<u8> {
+        let mut part = vec![tag];
+        part.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+        part.extend_from_slice(bytes);
+        part
+    }
+
+    /// A back-reference part: `0x01 | hash | len`.
+    fn reference(hash: u64, len: u32) -> Vec<u8> {
+        let mut part = vec![0x01];
+        part.extend_from_slice(&hash.to_be_bytes());
+        part.extend_from_slice(&len.to_be_bytes());
+        part
+    }
+
+    /// Hands the follower one Batch op carrying `frames` and returns
+    /// what applying it gave.
+    fn deliver<P: Vfs, F: Vfs>(
+        pair: &mut ReplicaPair<P, F, ChannelTransport>,
+        op_seq: u64,
+        frames: Vec<Vec<u8>>,
+    ) -> Result<(), ReplicateError> {
+        let message = WireMessage::Batch { op_seq, frames }.encode();
+        assert!(WireMessage::decode(&message).is_ok(), "the wire message itself is intact");
+        pair.transport.send_to_follower(message).unwrap();
+        pair.pump()
+    }
+
     #[test]
     fn follower_refuses_a_crc_valid_batch_with_an_invalid_bool_byte() {
         let mut reg = ClassRegistry::new();
@@ -625,9 +659,6 @@ mod tests {
         let bool_at = payload.len() - 6; // the field sits right before the 5-byte footer
         assert_eq!(payload[bool_at], 1);
         payload[bool_at] = 7;
-        // The frame itself is intact: only the stream inside is invalid.
-        let frame = WireMessage::Batch { op_seq: 1, payloads: vec![payload] }.encode();
-        assert!(WireMessage::decode(&frame).is_ok());
 
         let mut pair = ReplicaPair::create(
             MemFs::new(),
@@ -637,8 +668,9 @@ mod tests {
             heap.registry(),
         )
         .unwrap();
-        pair.transport.send_to_follower(frame).unwrap();
-        let err = pair.pump().unwrap_err();
+        // The frame itself is intact (CRC and parts): only the stream
+        // inside is invalid.
+        let err = deliver(&mut pair, 1, vec![seal(&literal(0x00, &payload))]).unwrap_err();
         assert!(
             matches!(
                 &err,
@@ -648,6 +680,125 @@ mod tests {
             "{err}"
         );
         assert_eq!(pair.follower_store().record_count(), 0, "nothing appended");
+    }
+
+    /// Two different 96-byte strings with the same FNV-1a 64 hash
+    /// (0x41a2ee524ef53197), found by chaining 4-byte blocks that agree
+    /// in the hash state's low 32 bits and solving for the high half.
+    const COLLIDING: [&str; 2] = [
+        "a0d4b622c4c0add82071bb026ae92d1cee248f840811eeebaf085be6a5e50cde4c4e1c3a9bf2bf12\
+         a82289a0050babe3655de24ec9844743385e792438a84085559b926646e2a53b67a9076bdef3fdb8\
+         e8fd0038e0cfd1682ff3731338ce9db2",
+        "a0d4b6222fd9c1b82071bb026ae92d1cd2ba11940811eeeb4795e4c64035058e4c4e1c3a48d62452\
+         a82289a0e0d792b3655de24ec9844743385e792494415b55f0577bb6bf4e1c1bcf44ac4bb5b51498\
+         e8fd003898d838082ff373139c39a4e2",
+    ];
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len()).step_by(2).map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap()).collect()
+    }
+
+    /// Sealed frames whose parts cannot be resolved are refused with a
+    /// typed error before any byte is written: the follower keeps its
+    /// records, its chunk index (a chunk the frame added before the bad
+    /// part is rolled back) and its files, and the good op retransmitted
+    /// after them applies and leaves both nodes byte-identical.
+    #[test]
+    fn follower_refuses_sealed_frames_with_hostile_parts() {
+        let (registry, records) = three_records();
+        let config =
+            ReplicateConfig { batch_records: 1, dedup: true, ..ReplicateConfig::default() };
+        let mut pair = ReplicaPair::create(
+            MemFs::new(),
+            MemFs::new(),
+            ChannelTransport::new(TransportPlan::none()),
+            config,
+            &registry,
+        )
+        .unwrap();
+        pair.append(records[0].clone()).unwrap();
+        let follower = pair.follower_store();
+        let chunks = (follower.chunk_count(), follower.chunk_digest());
+        assert!(chunks.0 > 0);
+
+        let [a, b] = COLLIDING.map(unhex);
+        assert_ne!(a, b);
+        assert_eq!(content_hash(&a), content_hash(&b));
+        let fresh = b"a chunk no frame has indexed yet".as_slice();
+        let mut truncated = literal(0x00, b"too short for its length");
+        truncated.truncate(12);
+        let hostile: Vec<(&str, Vec<u8>, &str)> = vec![
+            (
+                "unknown reference",
+                seal(&[literal(0x02, fresh), reference(42, 16)].concat()),
+                "reference to unknown chunk 0x000000000000002a",
+            ),
+            (
+                "reference length",
+                seal(&[literal(0x02, fresh), reference(content_hash(fresh), 31)].concat()),
+                "reference length 31 does not match indexed chunk (32)",
+            ),
+            (
+                "colliding chunk",
+                seal(&[literal(0x02, &a), literal(0x02, &b)].concat()),
+                "indexed chunk collides with an earlier chunk",
+            ),
+            (
+                "empty chunk",
+                seal(&[literal(0x02, fresh), literal(0x02, b"")].concat()),
+                "indexed chunk is empty",
+            ),
+            (
+                "truncated part",
+                seal(&[literal(0x02, fresh), truncated].concat()),
+                "frame part overruns the payload",
+            ),
+            (
+                "frame checksum",
+                {
+                    let mut frame = seal(&literal(0x02, fresh));
+                    frame[4] ^= 1;
+                    frame
+                },
+                "frame checksum mismatch",
+            ),
+            (
+                "trailing bytes",
+                [seal(&literal(0x00, records[1].bytes())), vec![0]].concat(),
+                "bytes after the end of the frame",
+            ),
+        ];
+        for (case, frame, want) in hostile {
+            let err = deliver(&mut pair, 2, vec![frame]).unwrap_err();
+            assert!(
+                matches!(
+                    &err,
+                    ReplicateError::Follower(DurableError::Corrupt { file, what, .. })
+                        if file == "shipped frame 0" && what == want
+                ),
+                "{case}: {err}"
+            );
+            let follower = pair.follower_store();
+            assert_eq!(follower.record_count(), 1, "{case}: nothing appended");
+            assert_eq!(
+                (follower.chunk_count(), follower.chunk_digest()),
+                chunks,
+                "{case}: pending chunks rolled back"
+            );
+        }
+
+        // The primary's retransmission of op 2 applies.
+        pair.append(records[1].clone()).unwrap();
+        assert_eq!(pair.acked_records(), 2);
+        let (primary_fs, follower_fs, _) = pair.into_parts();
+        assert_eq!(follower_fs.list().unwrap(), primary_fs.list().unwrap());
+        for name in primary_fs.list().unwrap() {
+            assert_eq!(follower_fs.read(&name).unwrap(), primary_fs.read(&name).unwrap(), "{name}");
+        }
+        // The MANIFEST's chunk summary is checked against the rebuilt
+        // index: a digest the failed applies had left changed fails here.
+        let (_, recovered) = promote(follower_fs, DurableConfig::default(), &registry).unwrap();
+        assert_eq!(recovered.len(), 2);
     }
 
     #[test]

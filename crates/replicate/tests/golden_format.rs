@@ -12,7 +12,7 @@ use ickp_core::{
 };
 use ickp_durable::{segment_name, DurableConfig, DurableStore, MemFs, Vfs, MANIFEST};
 use ickp_heap::{ClassRegistry, FieldType, Heap, ObjectId, Value};
-use ickp_replicate::WireMessage;
+use ickp_replicate::{WireError, WireMessage};
 
 /// `seg-000000.ickd`: a three-record batch and a single append, with
 /// indexed chunks and two back-references.
@@ -41,8 +41,23 @@ const MANIFEST_BYTES: &[&str] = &[
     "0000010000000000000004f2c0b20abd674e647578fe7e",
 ];
 
-/// An ICKW `Batch` frame carrying the first two records.
+/// An ICKW v2 `Batch` message carrying the first two records' sealed
+/// frames, which are the golden segment's first two frames.
 const BATCH_FRAME: &[&str] = &[
+    "49434b57020001010000000000000002000000940000000000008cf3747bed00",
+    "0000001b49434b50000100000000000000000100000001000000000000000202",
+    "0000002c01000000000000000200000000000500000000ffffff000000000000",
+    "00000000000000000000000000000001020000002c0100000000000000010000",
+    "0000000500000000000000000000000000000000000000000000000000000000",
+    "000000000005ff00000002630000000000005bb8d35155000000001b49434b50",
+    "0001000000000000000101000000010000000000000002020000002c01000000",
+    "0000000001000000000005000000050000000000000000000000000000000000",
+    "00000000000000000000000005ff000000019cfc234a",
+];
+
+/// The ICKW v1 `Batch` message for the same two records, which carried
+/// their logical streams; a v2 decoder refuses it by its version.
+const BATCH_FRAME_V1: &[&str] = &[
     "49434b570100010100000000000000020000007800000049434b500001000000",
     "0000000000010000000100000000000000020100000000000000020000000000",
     "0500000000ffffff000000000000000000000000000000000000000000010100",
@@ -113,13 +128,14 @@ fn write_store(registry: &ClassRegistry, records: &[CheckpointRecord]) -> MemFs 
     fs
 }
 
-/// The replication frame that ships the first two records.
-fn batch_frame(records: &[CheckpointRecord]) -> Vec<u8> {
-    WireMessage::Batch {
-        op_seq: 1,
-        payloads: records[..2].iter().map(|r| r.bytes().to_vec()).collect(),
-    }
-    .encode()
+/// The replication message that ships the first two records: the
+/// frames a primary's store seals when it commits them as one batch.
+fn batch_frame(registry: &ClassRegistry, records: &[CheckpointRecord]) -> Vec<u8> {
+    let layouts: Vec<Vec<Range<usize>>> =
+        records[..2].iter().map(|r| object_slices(r.bytes(), registry).unwrap()).collect();
+    let mut store = DurableStore::create(MemFs::new(), DurableConfig::default()).unwrap();
+    let batch = store.append_batch_deduped(&records[..2], &layouts).unwrap();
+    WireMessage::Batch { op_seq: 1, frames: batch.frames }.encode()
 }
 
 #[test]
@@ -151,16 +167,27 @@ fn the_golden_store_opens_and_restores() {
 
 #[test]
 fn the_golden_batch_frame_encodes_and_decodes() {
-    let (_, _, records) = workload();
+    let (heap, _, records) = workload();
     let frame = unhex(BATCH_FRAME);
-    assert_eq!(batch_frame(&records), frame);
+    assert_eq!(batch_frame(heap.registry(), &records), frame);
+    let segment = unhex(SEGMENT);
     match WireMessage::decode(&frame).unwrap() {
-        WireMessage::Batch { op_seq: 1, payloads } => {
-            assert_eq!(payloads.len(), 2);
-            for (payload, record) in payloads.iter().zip(&records) {
-                assert_eq!(payload.as_slice(), record.bytes());
+        WireMessage::Batch { op_seq: 1, frames } => {
+            // The shipped frames are the segment's first two, byte for
+            // byte: the follower appends exactly what the primary wrote.
+            assert_eq!(frames.len(), 2);
+            let mut at = 10; // past the segment header
+            for shipped in frames {
+                assert_eq!(&segment[at..at + shipped.len()], shipped);
+                at += shipped.len();
             }
         }
         other => panic!("expected the batch, got {other:?}"),
     }
+}
+
+#[test]
+fn a_version_1_batch_frame_is_refused_by_its_version() {
+    let frame = unhex(BATCH_FRAME_V1);
+    assert_eq!(WireMessage::decode(&frame), Err(WireError::Version { found: 1 }));
 }
